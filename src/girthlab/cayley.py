@@ -11,6 +11,15 @@ are automatically distinct; the only collisions are genuine ones.
 Two storage strategies: a dense distance table indexed by element code when
 m^(n^2) fits the memory budget (vectorized, fast), and a plain dictionary
 otherwise (arbitrary moduli, slow).  Both are deterministic.
+
+The dense table spends one byte per code and stores depth mod 3 (0xFF marks
+an unplaced code), after Kunkle & Cooperman, "Twenty-Six Moves Suffice for
+Rubik's Cube" (ISSAC 2007): a placed neighbour of a depth-d vertex has depth
+d - 1, d or d + 1, three distinct residues, so the collision rule stays
+exact and depth has no limit.  Generators act on codes through row tables
+(row_action): each row of an element is looked up in a table of the m^n row
+vectors, so a step is n small gathers with no decode, product or encode.
+The same kernel builds the spectral neighbour lists and the DOT edges.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .modmat import ModMatrix
 from .params import GraphSpec
 
 DEFAULT_MEMORY_BUDGET = 8 << 30  # bytes
-_SENT = np.uint16(0xFFFF)
+_SENT = np.uint8(0xFF)
 _CHUNK = 1 << 19
 _DOT_LIMIT = 10_000
 
@@ -112,13 +121,47 @@ def symmetrize(generators: Sequence[ModMatrix]) -> List[ModMatrix]:
     return out
 
 
-def _mat_dtype(n: int, m: int):
-    peak = n * (m - 1) ** 2
-    if peak < 2**15:
-        return np.int16
-    if peak < 2**31:
-        return np.int32
-    return np.int64
+def row_action(n: int, m: int, gens: Sequence[ModMatrix]):
+    """Right multiplication by every generator, acting on element codes.
+
+    Row i of an element M is the base-(m^n) digit i of its code, and row i of
+    M g is row_i(M) g.  So for each generator a table over the m^n row codes,
+    T_g[r] = code of the row vector r g, gives the code of M g as
+    sum_i T_g[row_i(M)] * m^(n i), bit-identical to modmat.encode(M @ g).
+    The tables are stored pre-scaled by m^(n i) with the generators side by
+    side, so one action is n gathers of len(gens)-wide rows, summed.
+    Returns act(codes) -> int64 array of shape (len(codes), len(gens)) whose
+    column j holds the codes of M g_j; codes must lie below m^(n^2) <= 2^63.
+    """
+    if m ** (n * n) > 2**63:
+        raise ParameterError(f"modulus {m} too large for 63-bit element codes at n={n}")
+    base = m**n
+    r = np.arange(base, dtype=np.int64)
+    digits = np.stack([r // m**x % m for x in range(n)], axis=1)
+    weights = m ** np.arange(n, dtype=np.int64)
+    row_codes = np.array(
+        [(digits @ np.array(g.entries, dtype=np.int64)) % m @ weights for g in gens],
+        dtype=np.int64,
+    ).reshape(len(gens), base)
+    scale = base ** np.arange(n, dtype=np.int64)
+    tables = row_codes.T[None, :, :] * scale[:, None, None]  # (row i, row code, generator)
+
+    def act(codes) -> np.ndarray:
+        high = np.asarray(codes, dtype=np.int64)
+        out = np.zeros((len(high), len(gens)), dtype=np.int64)
+        for i in range(n - 1):
+            high, row = np.divmod(high, base)
+            out += np.take(tables[i], row, axis=0)
+        out += np.take(tables[n - 1], high, axis=0)
+        return out
+
+    return act
+
+
+def _dense_peak_bytes(size: int, k: int, max_frontier: int) -> int:
+    # distance table (1 byte per code) + frontier codes and arriving
+    # generators (9 bytes per element) + the int64 target block of one chunk
+    return size + 9 * max_frontier + 8 * k * min(max_frontier, _CHUNK)
 
 
 def _bfs_dense(
@@ -127,52 +170,36 @@ def _bfs_dense(
     want_girth: bool,
     girth_only: bool,
     collect: bool,
-    memory_budget: int,
 ) -> BfsResult:
     n, m = gens[0].n, gens[0].m
     size = m ** (n * n)
     k = len(gens)
-    dt = _mat_dtype(n, m)
-    gen_arr = [np.array(g.entries, dtype=dt) for g in gens]
+    act = row_action(n, m, gens)
     inv_idx = np.empty(k, dtype=np.uint8)
     for i, g in enumerate(gens):
         gi = modmat.inverse(g).entries
         inv_idx[i] = next(j for j, h in enumerate(gens) if h.entries == gi)
-    powv = (m ** np.arange(n * n, dtype=np.uint64)).astype(np.uint64)
 
-    def encode(mats: np.ndarray) -> np.ndarray:
-        return (mats.reshape(mats.shape[0], -1).astype(np.uint64) * powv).sum(axis=1)
-
-    def decode(codes: np.ndarray) -> np.ndarray:
-        c = codes.copy()
-        out = np.empty((len(codes), n * n), dtype=dt)
-        for i in range(n * n):
-            out[:, i] = (c % m).astype(dt)
-            c //= m
-        return out.reshape(-1, n, n)
-
-    dist = np.full(size, _SENT, dtype=np.uint16)
-    id_code = encode(np.eye(n, dtype=dt)[None])[0]
+    # dist holds depth mod 3: a placed neighbour of a depth-d vertex has depth
+    # d - 1, d or d + 1, and those three residues are distinct
+    dist = np.full(size, _SENT, dtype=np.uint8)
+    id_code = modmat.encode(ModMatrix.identity(n, m))
     dist[id_code] = 0
-    frontier = np.array([id_code], dtype=np.uint64)
+    frontier = np.array([id_code], dtype=np.int64)
     fgen = np.full(1, 0xFF, dtype=np.uint8)  # arriving generator; 0xFF = root
     order = 1
     max_frontier = 1
     d = 0
     girth: Optional[int] = None
     while len(frontier):
-        if d + 1 >= 0xFFFE:
-            raise BudgetExceededError(d, order, "distance table width exhausted")
+        below, here, above = (d - 1) % 3, d % 3, (d + 1) % 3
         nxt_codes: List[np.ndarray] = []
         nxt_gens: List[np.ndarray] = []
         cands: List[int] = []
         track = want_girth and girth is None
         for s in range(0, len(frontier), _CHUNK):
             codes = frontier[s : s + _CHUNK]
-            mats = decode(codes)
-            tgts = np.empty((k, len(codes)), dtype=np.uint64)
-            for j in range(k):
-                tgts[j] = encode(np.matmul(mats, gen_arr[j]) % m)
+            tgts = act(codes).T
             if track:
                 arr = fgen[s : s + _CHUNK]
                 root = arr == 0xFF
@@ -183,15 +210,15 @@ def _bfs_dense(
                     valid = (t != par) | root
                     tv = t[valid]
                     dv = dist[tv]
-                    if d > 0 and bool((dv == d - 1).any()):
+                    if d > 0 and bool((dv == below).any()):
                         cands.append(2 * d)
-                    if bool((dv == d).any()):
+                    if bool((dv == here).any()):
                         cands.append(2 * d + 1)
-                    if bool((dv == d + 1).any()):
+                    if bool((dv == above).any()):
                         cands.append(2 * d + 2)
                     new = tv[dv == _SENT]
                     if len(new):
-                        dist[new] = d + 1
+                        dist[new] = above
                         nxt_codes.append(new)
                         nxt_gens.append(np.full(len(new), j, dtype=np.uint8))
             else:
@@ -199,14 +226,17 @@ def _bfs_dense(
                     t = tgts[j]
                     new = t[dist[t] == _SENT]
                     if len(new):
-                        dist[new] = d + 1
+                        dist[new] = above
                         nxt_codes.append(new)
                         if want_girth:
                             nxt_gens.append(np.full(len(new), j, dtype=np.uint8))
         if track and cands:
             girth = min(cands)
             if girth_only:
-                return BfsResult(order, None, girth, k, max_frontier, 2 * size)
+                return BfsResult(
+                    order, None, girth, k, max_frontier,
+                    _dense_peak_bytes(size, k, max_frontier),
+                )
         if nxt_codes:
             frontier = np.concatenate(nxt_codes)
             fgen = np.concatenate(nxt_gens) if want_girth else fgen[:0]
@@ -216,7 +246,7 @@ def _bfs_dense(
         max_frontier = max(max_frontier, len(frontier))
         if len(frontier):
             d += 1
-    peak = 2 * size + 9 * max_frontier
+    peak = _dense_peak_bytes(size, k, max_frontier)
     codes_out = np.flatnonzero(dist != _SENT).astype(np.uint64) if collect else None
     return BfsResult(order, d, girth, k, max_frontier, peak, codes_out)
 
@@ -324,7 +354,6 @@ def bfs(
             want_girth=want_girth,
             girth_only=girth_only,
             collect=collect,
-            memory_budget=memory_budget,
         )
     return _bfs_sparse(
         gens,
@@ -462,19 +491,16 @@ def export_dot(
             f"graph has {res.order} vertices; DOT export is capped at {_DOT_LIMIT}"
         )
     n, m = generators[0].n, generators[0].m
-    gens = symmetrize(generators)
-    gens = [g for g in gens if not g.is_identity()]
+    gens = [g for g in symmetrize(generators) if not g.is_identity()]
+    act = row_action(n, m, gens)
+    codes = np.asarray(res.codes, dtype=np.int64)
+    tgts = act(codes)
+    # each edge {M, M g} once, as (smaller code, larger code)
+    col = codes[:, None]
+    ends = np.stack([np.minimum(col, tgts), np.maximum(col, tgts)], axis=-1)
+    edges = np.unique(ends.reshape(-1, 2), axis=0)
     lines = ["graph cayley {"]
-    edges = set()
-    for code in [int(c) for c in res.codes]:
-        M = modmat.decode(code, n, m)
-        for g in gens:
-            t = modmat.encode(M @ g)
-            if t != code:
-                edges.add((min(code, t), max(code, t)))
-    for code in [int(c) for c in res.codes]:
-        lines.append(f'  v{code} [label="{code}"];')
-    for u, v in sorted(edges):
-        lines.append(f"  v{u} -- v{v};")
+    lines += [f'  v{code} [label="{code}"];' for code in codes.tolist()]
+    lines += [f"  v{u} -- v{v};" for u, v in edges.tolist()]
     lines.append("}")
     return "\n".join(lines) + "\n"

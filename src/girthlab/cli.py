@@ -65,13 +65,19 @@ class RunConfig:
 
 
 def default_memory_budget() -> int:
+    """The budget from GIRTHLAB_MEMORY_BUDGET when set, else the library default."""
     raw = os.environ.get(ENV_MEMORY_BUDGET)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return cayley.DEFAULT_MEMORY_BUDGET
+    if not raw:
+        return cayley.DEFAULT_MEMORY_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise ParameterError(
+            f"{ENV_MEMORY_BUDGET} must be a positive integer (bytes), got {raw!r}"
+        )
+    return budget
 
 
 def prime_iter(

@@ -1,8 +1,11 @@
 """Matrices over Z/mZ: reduction, compact codes, inverses, group orders.
 
 The element code is the row-major, little-endian base-m packing of the n^2
-residues.  Codes below 2^64 drive the dense BFS fast path; anything bigger
-still works as a Python int, just through the slow dictionary path.
+residues.  Read in base m^n, its digit i is the code of row i, which is how
+the BFS acts on codes without decoding them (cayley.row_action).  Codes
+below 2^63 drive the dense BFS, the spectral neighbour build and DOT export;
+bigger codes still work as Python ints in the slow dictionary BFS, and the
+other two reject them.
 """
 
 from __future__ import annotations

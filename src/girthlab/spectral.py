@@ -191,27 +191,11 @@ def second_eigenvalue(
         )
     order = res.order
     k = len(gens)
-    codes = np.asarray(res.codes, dtype=np.uint64)
-    nbr = np.empty((order, k), dtype=np.int64)
-    dt = np.int64
-    powv = (m ** np.arange(n * n, dtype=np.uint64)).astype(np.uint64)
-    mats = np.empty((order, n * n), dtype=dt)
-    c = codes.copy()
-    for i in range(n * n):
-        mats[:, i] = (c % m).astype(dt)
-        c //= m
-    mats = mats.reshape(order, n, n)
-    for j, g in enumerate(gens):
-        t = (
-            (np.matmul(mats, np.array(g.entries, dtype=dt)) % m)
-            .reshape(order, n * n)
-            .astype(np.uint64)
-            * powv
-        ).sum(axis=1)
-        idx = np.searchsorted(codes, t)
-        if not bool((codes[idx] == t).all()):
-            raise AssertionError("neighbor landed outside the enumerated group")
-        nbr[:, j] = idx
+    codes = np.asarray(res.codes, dtype=np.int64)
+    tgts = cayley.row_action(n, m, gens)(codes)
+    nbr = np.searchsorted(codes, tgts)
+    if not bool((codes[nbr] == tgts).all()):
+        raise AssertionError("neighbor landed outside the enumerated group")
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(order)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from girthlab import cayley, modmat
@@ -245,3 +246,66 @@ def test_composite_modulus_closure():
     assert row.generated_full is None  # no closed-form target mod 9
     assert row.order == closure([X, Y])
     assert row.girth is not None
+
+
+@pytest.mark.parametrize("n,m", [(2, 6), (3, 4), (4, 3), (5, 2), (2, 101)])
+def test_row_action_matches_matrix_product(n, m):
+    rng = np.random.default_rng(1000 * n + m)
+    gens = [
+        ModMatrix.from_rows(rng.integers(0, m, size=(n, n)).tolist(), m) for _ in range(3)
+    ]
+    codes = rng.integers(0, m ** (n * n), size=300)
+    tgts = cayley.row_action(n, m, gens)(codes)
+    assert tgts.shape == (300, 3)
+    for j, g in enumerate(gens):
+        want = [modmat.encode(modmat.decode(c, n, m) @ g) for c in codes.tolist()]
+        assert tgts[:, j].tolist() == want
+
+
+@pytest.mark.parametrize("spec,m", [(SPEC3, 3), (SPEC2, 9), (SPEC2, 10), (SPEC2, 11)])
+def test_dense_and_sparse_engines_agree_past_depth_three(spec, m):
+    # the dense table stores depth mod 3, so diameters above 3 wrap it; at
+    # p = 11 the first cycle (girth 9) closes at depth 4, past the wrap
+    gens = symmetrize(spec_generators(spec, m))
+    kw = dict(want_girth=True, girth_only=False, collect=True)
+    dense = cayley._bfs_dense(gens, **kw)
+    sparse = cayley._bfs_sparse(gens, memory_budget=1 << 30, **kw)
+    assert dense.diameter > 3
+    assert (dense.order, dense.girth, dense.diameter, dense.max_frontier) == (
+        sparse.order,
+        sparse.girth,
+        sparse.diameter,
+        sparse.max_frontier,
+    )
+    assert dense.codes.tolist() == sparse.codes
+
+
+def _export_dot_reference(generators):
+    # per-element decode / multiply / encode, as DOT export was first written
+    res = cayley.bfs(generators, collect=True)
+    n, m = generators[0].n, generators[0].m
+    gens = [g for g in symmetrize(generators) if not g.is_identity()]
+    edges = set()
+    for code in [int(c) for c in res.codes]:
+        M = modmat.decode(code, n, m)
+        for g in gens:
+            t = modmat.encode(M @ g)
+            if t != code:
+                edges.add((min(code, t), max(code, t)))
+    lines = ["graph cayley {"]
+    lines += [f'  v{int(c)} [label="{int(c)}"];' for c in res.codes]
+    lines += [f"  v{u} -- v{v};" for u, v in sorted(edges)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_export_dot_matches_per_element_reference(p):
+    gens = list(spec_generators(SPEC2, p))
+    assert export_dot(gens) == _export_dot_reference(gens)
+
+
+def test_dense_peak_bytes_counts_table_frontier_and_targets():
+    X, Y = spec_generators(SPEC2, 7)
+    res = cayley.bfs([X, Y], want_girth=True)
+    chunk = min(res.max_frontier, cayley._CHUNK)
+    assert res.peak_bytes == 7**4 + 9 * res.max_frontier + 8 * res.degree * chunk

@@ -128,6 +128,17 @@ def test_memory_budget_env_default(monkeypatch, capsys):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("value", ["8GiB", "0", "-4096"])
+def test_memory_budget_env_rejects_bad_value(monkeypatch, capsys, value):
+    monkeypatch.setenv(cli.ENV_MEMORY_BUDGET, value)
+    code, out, err = run_capture(
+        capsys, ["girth", "--n", "2", "--l", "1", "--a", "2", "--b", "2", "--p", "5"]
+    )
+    assert code == EXIT_PARAM
+    assert out == ""
+    assert cli.ENV_MEMORY_BUDGET in err and value in err
+
+
 def test_spectral_subcommand(capsys):
     code, out, _ = run_capture(
         capsys, ["spectral", "--n", "2", "--l", "1", "--a", "2", "--b", "2", "--p", "5"]
