@@ -8,9 +8,13 @@ through the identity shortest overall).  Since right multiplication by a
 fixed generator is injective, targets within one (chunk, generator) batch
 are automatically distinct; the only collisions are genuine ones.
 
-Two storage strategies: a dense distance table indexed by element code when
-m^(n^2) fits the memory budget (vectorized, fast), and a plain dictionary
-otherwise (arbitrary moduli, slow).  Both are deterministic.
+Two engines, both vectorized and deterministic, chosen by the memory
+budget: a dense distance table indexed by element code when 3 m^(n^2) bytes
+fit it, and otherwise frontier search (Korf et al., "Frontier Search",
+J. ACM 52(5), 2005), which keeps only the sorted code arrays of levels
+d - 1, d and d + 1, so a girth-only ball search costs memory in proportion
+to the ball, not to the code space.  Codes are int64 in both, so the code
+space m^(n^2) must fit in 63 bits.
 
 The dense table spends one byte per code and stores depth mod 3 (0xFF marks
 an unplaced code), after Kunkle & Cooperman, "Twenty-Six Moves Suffice for
@@ -20,6 +24,8 @@ exact and depth has no limit.  Generators act on codes through row tables
 (row_action): each row of an element is looked up in a table of the m^n row
 vectors, so a step is n small gathers with no decode, product or encode.
 The same kernel builds the spectral neighbour lists and the DOT edges.
+Frontier search instead decodes each frontier chunk, multiplies and encodes
+again (_product_action), which needs no table of m^n rows per generator.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ class BfsResult:
     max_frontier: int
     peak_bytes: int
     codes: Optional[np.ndarray] = None  # sorted element codes, when collected
+    sphere_sizes: Tuple[int, ...] = ()  # |S_d| for each computed depth d
 
 
 @dataclass(frozen=True)
@@ -158,6 +165,15 @@ def row_action(n: int, m: int, gens: Sequence[ModMatrix]):
     return act
 
 
+def _inverse_columns(gens: Sequence[ModMatrix]) -> np.ndarray:
+    """Index in gens of each generator's inverse (gens is symmetrized)."""
+    inv_idx = np.empty(len(gens), dtype=np.uint8)
+    for i, g in enumerate(gens):
+        gi = modmat.inverse(g).entries
+        inv_idx[i] = next(j for j, h in enumerate(gens) if h.entries == gi)
+    return inv_idx
+
+
 def _dense_peak_bytes(size: int, k: int, max_frontier: int) -> int:
     # distance table (1 byte per code) + frontier codes and arriving
     # generators (9 bytes per element) + the int64 target block of one chunk
@@ -175,10 +191,7 @@ def _bfs_dense(
     size = m ** (n * n)
     k = len(gens)
     act = row_action(n, m, gens)
-    inv_idx = np.empty(k, dtype=np.uint8)
-    for i, g in enumerate(gens):
-        gi = modmat.inverse(g).entries
-        inv_idx[i] = next(j for j, h in enumerate(gens) if h.entries == gi)
+    inv_idx = _inverse_columns(gens)
 
     # dist holds depth mod 3: a placed neighbour of a depth-d vertex has depth
     # d - 1, d or d + 1, and those three residues are distinct
@@ -187,6 +200,7 @@ def _bfs_dense(
     dist[id_code] = 0
     frontier = np.array([id_code], dtype=np.int64)
     fgen = np.full(1, 0xFF, dtype=np.uint8)  # arriving generator; 0xFF = root
+    sizes = [1]
     order = 1
     max_frontier = 1
     d = 0
@@ -235,7 +249,7 @@ def _bfs_dense(
             if girth_only:
                 return BfsResult(
                     order, None, girth, k, max_frontier,
-                    _dense_peak_bytes(size, k, max_frontier),
+                    _dense_peak_bytes(size, k, max_frontier), None, tuple(sizes),
                 )
         if nxt_codes:
             frontier = np.concatenate(nxt_codes)
@@ -245,13 +259,48 @@ def _bfs_dense(
         order += len(frontier)
         max_frontier = max(max_frontier, len(frontier))
         if len(frontier):
+            sizes.append(len(frontier))
             d += 1
     peak = _dense_peak_bytes(size, k, max_frontier)
     codes_out = np.flatnonzero(dist != _SENT).astype(np.uint64) if collect else None
-    return BfsResult(order, d, girth, k, max_frontier, peak, codes_out)
+    return BfsResult(order, d, girth, k, max_frontier, peak, codes_out, tuple(sizes))
 
 
-def _bfs_sparse(
+def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
+    """Right multiplication by every generator by decode, product and encode.
+
+    The frontier search's kernel: unlike row_action it builds no table over
+    the m^n row codes, so it costs nothing up front at any modulus, and a
+    frontier of 10^5 codes takes milliseconds.  Returns act(codes) with
+    row_action's contract; exact in int64 because every partial sum of a
+    code stays below m^(n^2) <= 2^63 and every product entry below n m^2,
+    which bfs() also keeps below 2^63.
+    """
+    k = len(gens)
+    # M @ [g_0 | g_1 | ...] forms all k products in one matmul
+    side = np.concatenate([np.array(g.entries, dtype=np.int64) for g in gens], axis=1)
+    place = (m ** np.arange(n * n, dtype=np.int64)).reshape(n, 1, n)  # weight of entry (r, x)
+
+    def act(codes) -> np.ndarray:
+        rest = np.asarray(codes, dtype=np.int64)
+        digits = np.empty((len(rest), n * n), dtype=np.int64)
+        for i in range(n * n):
+            rest, digits[:, i] = np.divmod(rest, m)
+        prod = (digits.reshape(-1, n, n) @ side) % m  # (codes, row, k * n)
+        return (prod.reshape(-1, n, k, n) * place).sum(axis=(1, 3))
+
+    return act
+
+
+def _member(level: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Mask of the codes found in a sorted level."""
+    if not len(level):
+        return np.zeros(len(codes), dtype=bool)
+    at = np.minimum(np.searchsorted(level, codes), len(level) - 1)
+    return level[at] == codes
+
+
+def _bfs_frontier(
     gens: List[ModMatrix],
     *,
     want_girth: bool,
@@ -261,63 +310,86 @@ def _bfs_sparse(
 ) -> BfsResult:
     n, m = gens[0].n, gens[0].m
     k = len(gens)
-    gen_rows = [g.entries for g in gens]
-    inv_of = []
-    for g in gens:
-        gi = modmat.inverse(g).entries
-        inv_of.append(next(j for j, h in enumerate(gens) if h.entries == gi))
-
-    def mul(rows, g):
-        return tuple(
-            tuple(sum(rows[i][x] * g[x][j] for x in range(n)) % m for j in range(n))
-            for i in range(n)
-        )
-
-    ident = ModMatrix.identity(n, m).entries
-    dist = {ident: 0}
-    frontier: List[Tuple[tuple, int]] = [(ident, -1)]
+    act = _product_action(n, m, gens)
+    inv_idx = _inverse_columns(gens)
+    prev = np.empty(0, dtype=np.int64)
+    cur = np.array([modmat.encode(ModMatrix.identity(n, m))], dtype=np.int64)
+    cur_gen = np.full(1, 0xFF, dtype=np.uint8)  # arriving generator; 0xFF = root
+    cols = np.arange(k, dtype=np.uint8)
+    levels = [cur]
+    sizes = [1]
     order = 1
-    max_frontier = 1
+    peak = 0
     d = 0
     girth: Optional[int] = None
-    # rough per-element footprint of the dict path, for the budget check
-    per_elt = 120 + 8 * n * n
-    while frontier:
-        if order * per_elt > memory_budget:
+    while True:
+        # live while level d + 1 is built: the codes of levels d - 1 and d
+        # (of every level when collecting), level d's arriving generators,
+        # one chunk's target block, and the next level's codes and arriving
+        # generators: at most k - 1 per element of level d (k at the root),
+        # since one neighbour of each is its parent
+        kept = order if collect else len(prev) + len(cur)
+        grown = (k if d == 0 else k - 1) * len(cur)
+        charge = 8 * kept + len(cur) + 8 * k * min(len(cur), _CHUNK) + 9 * grown
+        if charge > memory_budget:
             raise BudgetExceededError(d, order)
-        nxt: List[Tuple[tuple, int]] = []
-        cands: List[int] = []
+        peak = max(peak, charge)
         track = want_girth and girth is None
-        for rows, arr in frontier:
-            par = mul(rows, gen_rows[inv_of[arr]]) if (track and arr >= 0) else None
-            for j in range(k):
-                t = mul(rows, gen_rows[j])
-                if track and t == par:
-                    continue
-                dv = dist.get(t)
-                if dv is None:
-                    dist[t] = d + 1
-                    nxt.append((t, j))
-                elif track:
-                    if dv == d - 1 and d > 0:
-                        cands.append(2 * d)
-                    elif dv == d:
-                        cands.append(2 * d + 1)
-                    elif dv == d + 1:
-                        cands.append(2 * d + 2)
+        cands: List[int] = []
+        nxt_codes: List[np.ndarray] = []
+        nxt_gens: List[np.ndarray] = []
+        for s in range(0, len(cur), _CHUNK):
+            tgts = act(cur[s : s + _CHUNK])
+            keep = np.ones(tgts.shape, dtype=bool)
+            if track and d > 0:
+                # the parent v g^-1 closes no cycle: drop the column of g^-1
+                keep[np.arange(len(tgts)), inv_idx[cur_gen[s : s + _CHUNK]]] = False
+            t = tgts[keep]
+            j = np.broadcast_to(cols, tgts.shape)[keep]
+            in_prev = _member(prev, t)
+            in_cur = _member(cur, t)
+            if track and bool(in_prev.any()):
+                cands.append(2 * d)
+            if track and bool(in_cur.any()):
+                cands.append(2 * d + 1)
+            new = ~(in_prev | in_cur)
+            nxt_codes.append(t[new])
+            nxt_gens.append(j[new])
+        nxt, first, counts = np.unique(
+            np.concatenate(nxt_codes), return_index=True, return_counts=True
+        )
+        if track and len(nxt) and int(counts.max()) > 1:
+            cands.append(2 * d + 2)
         if track and cands:
             girth = min(cands)
             if girth_only:
-                return BfsResult(order, None, girth, k, max_frontier, order * per_elt)
-        frontier = nxt
-        order += len(nxt)
-        max_frontier = max(max_frontier, len(nxt))
-        if nxt:
-            d += 1
-    codes_out = None
-    if collect:
-        codes_out = sorted(modmat.encode(ModMatrix(n, m, rows)) for rows in dist)
-    return BfsResult(order, d, girth, k, max_frontier, order * per_elt, codes_out)
+                return BfsResult(order, None, girth, k, max(sizes), peak, None, tuple(sizes))
+        if not len(nxt):
+            break
+        prev, cur, cur_gen = cur, nxt, np.concatenate(nxt_gens)[first]
+        if collect:
+            levels.append(cur)
+        sizes.append(len(cur))
+        order += len(cur)
+        d += 1
+    codes_out = np.sort(np.concatenate(levels)).astype(np.uint64) if collect else None
+    return BfsResult(order, d, girth, k, max(sizes), peak, codes_out, tuple(sizes))
+
+
+def _check_sphere_sizes(sizes: Sequence[int], k: int, girth: int) -> None:
+    """Independent check of a reported girth from the sphere sizes.
+
+    In a k-regular graph of girth g the ball of radius (g - 1) // 2 is a
+    tree, so |S_d| = k (k - 1)^(d - 1) for every 1 <= d <= (g - 1) // 2.
+    Checks the levels that were computed; raises AssertionError on a mismatch.
+    """
+    for d in range(1, min((girth - 1) // 2, len(sizes) - 1) + 1):
+        want = k * (k - 1) ** (d - 1)
+        if sizes[d] != want:
+            raise AssertionError(
+                f"sphere of radius {d} has {sizes[d]} elements, but girth {girth} "
+                f"at degree {k} requires {want}"
+            )
 
 
 def bfs(
@@ -332,7 +404,10 @@ def bfs(
 
     The generator list is symmetrized and deduplicated first.  With
     want_girth, identity generators are rejected (a loop is not a cycle of
-    the simple graph); without it they are simply absorbed.
+    the simple graph); without it they are simply absorbed.  A reported
+    girth is checked against the sphere sizes (_check_sphere_sizes).
+    Element codes must fit in 63 bits: a larger code space raises
+    BudgetExceededError at depth 0.
     """
     if not generators:
         raise ParameterError("need at least one generator")
@@ -348,20 +423,30 @@ def bfs(
     else:
         gens = [g for g in gens if not g.is_identity()] or [ModMatrix.identity(n, m)]
     size = m ** (n * n)
-    if size <= 2**63 and 3 * size <= memory_budget:
-        return _bfs_dense(
+    # the second test matters only for n = 1, where a product entry (m - 1)^2
+    # can overflow int64 although the code fits
+    if size > 2**63 or n * (m - 1) ** 2 >= 2**63:
+        raise BudgetExceededError(
+            0, 1, f"element codes or their products need more than 63 bits at n={n}, m={m}"
+        )
+    if 3 * size <= memory_budget:
+        res = _bfs_dense(
             gens,
             want_girth=want_girth,
             girth_only=girth_only,
             collect=collect,
         )
-    return _bfs_sparse(
-        gens,
-        want_girth=want_girth,
-        girth_only=girth_only,
-        collect=collect,
-        memory_budget=memory_budget,
-    )
+    else:
+        res = _bfs_frontier(
+            gens,
+            want_girth=want_girth,
+            girth_only=girth_only,
+            collect=collect,
+            memory_budget=memory_budget,
+        )
+    if res.girth is not None:
+        _check_sphere_sizes(res.sphere_sizes, res.degree, res.girth)
+    return res
 
 
 def closure(

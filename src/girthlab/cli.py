@@ -474,6 +474,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     elif fmt not in _VALID_FORMATS.get(cmd, {"json"}):
         raise ParameterError(f"format {fmt!r} is not valid for {cmd}")
     mem = getattr(args, "memory_budget", None)
+    if mem is not None and mem <= 0:
+        raise ParameterError(f"--memory-budget must be a positive integer (bytes), got {mem}")
     return RunConfig(
         subcommand=cmd,
         n=getattr(args, "n", None),

@@ -1,6 +1,7 @@
 """Cayley graph BFS: closure, girth, diameter, tables, export."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,16 +131,76 @@ def test_determinism():
     )
 
 
+def _bfs_reference(generators):
+    # pure-Python dictionary BFS, one element at a time, with the engines'
+    # non-backtracking collision rule; girth tracking stops at the first cycle
+    gens = symmetrize(generators)
+    n, m = gens[0].n, gens[0].m
+    rows = [g.entries for g in gens]
+    inv_of = [
+        next(j for j, h in enumerate(gens) if h.entries == modmat.inverse(g).entries)
+        for g in gens
+    ]
+
+    def mul(a, b):
+        return tuple(
+            tuple(sum(a[i][x] * b[x][j] for x in range(n)) % m for j in range(n))
+            for i in range(n)
+        )
+
+    ident = ModMatrix.identity(n, m).entries
+    dist = {ident: 0}
+    frontier = [(ident, -1)]
+    sizes = [1]
+    girth_found = None
+    d = 0
+    while True:
+        track = girth_found is None
+        nxt, cands = [], []
+        for v, arr in frontier:
+            par = mul(v, rows[inv_of[arr]]) if (track and arr >= 0) else None
+            for j, g in enumerate(rows):
+                t = mul(v, g)
+                if track and t == par:
+                    continue
+                dv = dist.get(t)
+                if dv is None:
+                    dist[t] = d + 1
+                    nxt.append((t, j))
+                elif track:
+                    if dv == d - 1 and d > 0:
+                        cands.append(2 * d)
+                    elif dv == d:
+                        cands.append(2 * d + 1)
+                    elif dv == d + 1:
+                        cands.append(2 * d + 2)
+        if cands:
+            girth_found = min(cands)
+        if not nxt:
+            break
+        frontier = nxt
+        sizes.append(len(nxt))
+        d += 1
+    return SimpleNamespace(
+        order=len(dist),
+        girth=girth_found,
+        diameter=d,
+        max_frontier=max(sizes),
+        sphere_sizes=tuple(sizes),
+        codes=sorted(modmat.encode(ModMatrix(n, m, v)) for v in dist),
+    )
+
+
 def test_dense_and_sparse_paths_agree():
     X, Y = spec_generators(SPEC2, 7)
-    dense = cayley.bfs([X, Y], want_girth=True)
-    # starving the dense path of memory forces the dictionary path
-    sparse = cayley.bfs([X, Y], want_girth=True, memory_budget=1 << 20)
-    assert (dense.order, dense.girth, dense.diameter) == (
-        sparse.order,
-        sparse.girth,
-        sparse.diameter,
+    ref = _bfs_reference([X, Y])
+    gens = symmetrize([X, Y])
+    dense = cayley._bfs_dense(gens, want_girth=True, girth_only=False, collect=False)
+    sparse = cayley._bfs_frontier(
+        gens, want_girth=True, girth_only=False, collect=False, memory_budget=1 << 20
     )
+    for res in (dense, sparse):
+        assert (res.order, res.girth, res.diameter) == (ref.order, ref.girth, ref.diameter)
 
 
 def test_budget_exceeded_carries_partial_info():
@@ -268,16 +329,99 @@ def test_dense_and_sparse_engines_agree_past_depth_three(spec, m):
     # p = 11 the first cycle (girth 9) closes at depth 4, past the wrap
     gens = symmetrize(spec_generators(spec, m))
     kw = dict(want_girth=True, girth_only=False, collect=True)
+    ref = _bfs_reference(gens)
     dense = cayley._bfs_dense(gens, **kw)
-    sparse = cayley._bfs_sparse(gens, memory_budget=1 << 30, **kw)
+    sparse = cayley._bfs_frontier(gens, memory_budget=1 << 30, **kw)
     assert dense.diameter > 3
-    assert (dense.order, dense.girth, dense.diameter, dense.max_frontier) == (
-        sparse.order,
-        sparse.girth,
-        sparse.diameter,
-        sparse.max_frontier,
+    for res in (dense, sparse):
+        assert (res.order, res.girth, res.diameter, res.max_frontier) == (
+            ref.order,
+            ref.girth,
+            ref.diameter,
+            ref.max_frontier,
+        )
+        assert res.sphere_sizes == ref.sphere_sizes
+        assert res.codes.dtype == np.uint64
+        assert res.codes.tolist() == ref.codes
+
+
+def test_frontier_chunks_do_not_change_the_result(monkeypatch):
+    # chunks of 5 codes split every level, so next-level duplicates (the
+    # girth-9 collision at p = 11) arrive from different chunks
+    gens = symmetrize(spec_generators(SPEC2, 11))
+    ref = _bfs_reference(gens)
+    monkeypatch.setattr(cayley, "_CHUNK", 5)
+    res = cayley._bfs_frontier(
+        gens, want_girth=True, girth_only=False, collect=True, memory_budget=1 << 30
     )
-    assert dense.codes.tolist() == sparse.codes
+    assert (res.order, res.girth, res.diameter, res.sphere_sizes) == (
+        ref.order,
+        ref.girth,
+        ref.diameter,
+        ref.sphere_sizes,
+    )
+    assert res.codes.tolist() == ref.codes
+
+
+@pytest.mark.parametrize("p,expect_girth,ball", [(307, 18, 13_121), (401, 20, 39_365)])
+def test_frontier_girth_ball_past_dense_limit(p, expect_girth, ball):
+    X, Y = spec_generators(SPEC2, p)
+    assert 3 * p**4 > cayley.DEFAULT_MEMORY_BUDGET  # no dense table: the frontier runs
+    res = cayley.bfs([X, Y], want_girth=True, girth_only=True)
+    assert (res.girth, res.order) == (expect_girth, ball)
+    # the girth closes at the first level past a tree ball
+    tree = tuple([1] + [4 * 3 ** (d - 1) for d in range(1, len(res.sphere_sizes))])
+    assert res.sphere_sizes == tree and sum(tree) == ball
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        # SL_6(F_5): 5^36 codes do not fit in 63 bits
+        ModMatrix.from_rows(
+            [[1 if j in (i, i + 1) else 0 for j in range(6)] for i in range(6)], 5
+        ),
+        # the codes of 1 x 1 units mod 2^61 - 1 fit, their products do not
+        ModMatrix.from_rows([[3]], 2**61 - 1),
+    ],
+)
+def test_code_space_over_63_bits_raises_at_depth_zero(gen):
+    with pytest.raises(BudgetExceededError, match="63 bits") as exc:
+        cayley.bfs([gen])
+    assert (exc.value.depth_reached, exc.value.order_so_far) == (0, 1)
+
+
+def test_frontier_budget_is_charged_before_each_level():
+    X, Y = spec_generators(SPEC2, 61)
+    budget = 3 * 61**4 - 1  # one byte short of the dense table
+    res = cayley.bfs([X, Y], want_girth=True, memory_budget=budget)
+    assert (res.order, res.girth, res.diameter) == (226_920, 16, 15)
+    assert res.peak_bytes <= budget
+    # before building level d + 1: codes of levels d - 1 and d, arriving
+    # generators of level d, one chunk's targets, and at most k - 1 new
+    # elements (code and generator) per element of level d, k at the root
+    k, sizes = res.degree, res.sphere_sizes
+    charges = [
+        8 * (sizes[d - 1] if d else 0)
+        + 9 * sizes[d]
+        + 8 * k * min(sizes[d], cayley._CHUNK)
+        + 9 * (k if d == 0 else k - 1) * sizes[d]
+        for d in range(len(sizes))
+    ]
+    assert res.peak_bytes == max(charges)
+    with pytest.raises(BudgetExceededError) as exc:
+        cayley.bfs([X, Y], want_girth=True, memory_budget=res.peak_bytes - 1)
+    d = charges.index(max(charges))
+    # the level the budget cannot hold is never allocated
+    assert (exc.value.depth_reached, exc.value.order_so_far) == (d, sum(sizes[: d + 1]))
+
+
+def test_sphere_size_check_rejects_a_wrong_level():
+    # girth 9 at degree 4: spheres 1..4 must hold 4, 12, 36, 108 elements
+    cayley._check_sphere_sizes([1, 4, 12, 36, 108, 290], 4, 9)
+    cayley._check_sphere_sizes([1, 4, 12], 4, 9)  # only computed levels count
+    with pytest.raises(AssertionError, match="radius 3"):
+        cayley._check_sphere_sizes([1, 4, 12, 35, 108], 4, 9)
 
 
 def _export_dot_reference(generators):

@@ -139,6 +139,20 @@ def test_memory_budget_env_rejects_bad_value(monkeypatch, capsys, value):
     assert cli.ENV_MEMORY_BUDGET in err and value in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_memory_budget_flag_rejects_non_positive(capsys, value):
+    code, out, err = run_capture(
+        capsys,
+        [
+            "girth", "--n", "2", "--l", "1", "--a", "2", "--b", "2",
+            "--p", "5", "--memory-budget", value,
+        ],
+    )
+    assert code == EXIT_PARAM
+    assert out == ""
+    assert "--memory-budget" in err and value in err
+
+
 def test_spectral_subcommand(capsys):
     code, out, _ = run_capture(
         capsys, ["spectral", "--n", "2", "--l", "1", "--a", "2", "--b", "2", "--p", "5"]
