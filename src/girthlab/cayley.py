@@ -8,24 +8,26 @@ through the identity shortest overall).  Since right multiplication by a
 fixed generator is injective, targets within one (chunk, generator) batch
 are automatically distinct; the only collisions are genuine ones.
 
-Two engines, both vectorized and deterministic, chosen by the memory
-budget: a dense distance table indexed by element code when 3 m^(n^2) bytes
-fit it, and otherwise frontier search (Korf et al., "Frontier Search",
-J. ACM 52(5), 2005), which keeps only the sorted code arrays of levels
-d - 1, d and d + 1, so a girth-only ball search costs memory in proportion
-to the ball, not to the code space.  Codes are int64 in both, so the code
-space m^(n^2) must fit in 63 bits.
+One vectorized, deterministic level loop (_bfs) does the sweep: chunking,
+the parent and collision rules, the level bookkeeping and the memory
+budget.  Only its visited set varies, chosen by the budget:
 
-The dense table spends one byte per code and stores depth mod 3 (0xFF marks
-an unplaced code), after Kunkle & Cooperman, "Twenty-Six Moves Suffice for
-Rubik's Cube" (ISSAC 2007): a placed neighbour of a depth-d vertex has depth
-d - 1, d or d + 1, three distinct residues, so the collision rule stays
-exact and depth has no limit.  Generators act on codes through row tables
-(row_action): each row of an element is looked up in a table of the m^n row
-vectors, so a step is n small gathers with no decode, product or encode.
-The same kernel builds the spectral neighbour lists and the DOT edges.
-Frontier search instead decodes each frontier chunk, multiplies and encodes
-again (_product_action), which needs no table of m^n rows per generator.
+- _Table, when 3 m^(n^2) bytes fit it: one byte per element code holding
+  depth mod 3 (0xFF marks an unplaced code), after Kunkle & Cooperman,
+  "Twenty-Six Moves Suffice for Rubik's Cube" (ISSAC 2007).  A placed
+  neighbour of a depth-d vertex has depth d - 1, d or d + 1, three distinct
+  residues, so the collision rule stays exact and depth has no limit.
+  Generators act on codes through row tables (row_action): each row of an
+  element is looked up in a table of the m^n row vectors, so a step is n
+  small gathers with no decode, product or encode.  The same kernel builds
+  the spectral neighbour lists and the DOT edges.
+- _Levels otherwise: frontier search (Korf et al., "Frontier Search",
+  J. ACM 52(5), 2005), which keeps only the sorted codes of levels d - 1
+  and d while it builds d + 1, so a girth-only ball search costs memory in
+  proportion to the ball, not to the code space.  Generators act by decode,
+  product and encode (_product_action), which needs no table of m^n rows.
+
+Codes are int64 in both, so the code space m^(n^2) must fit in 63 bits.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -174,98 +176,6 @@ def _inverse_columns(gens: Sequence[ModMatrix]) -> np.ndarray:
     return inv_idx
 
 
-def _dense_peak_bytes(size: int, k: int, max_frontier: int) -> int:
-    # distance table (1 byte per code) + frontier codes and arriving
-    # generators (9 bytes per element) + the int64 target block of one chunk
-    return size + 9 * max_frontier + 8 * k * min(max_frontier, _CHUNK)
-
-
-def _bfs_dense(
-    gens: List[ModMatrix],
-    *,
-    want_girth: bool,
-    girth_only: bool,
-    collect: bool,
-) -> BfsResult:
-    n, m = gens[0].n, gens[0].m
-    size = m ** (n * n)
-    k = len(gens)
-    act = row_action(n, m, gens)
-    inv_idx = _inverse_columns(gens)
-
-    # dist holds depth mod 3: a placed neighbour of a depth-d vertex has depth
-    # d - 1, d or d + 1, and those three residues are distinct
-    dist = np.full(size, _SENT, dtype=np.uint8)
-    id_code = modmat.encode(ModMatrix.identity(n, m))
-    dist[id_code] = 0
-    frontier = np.array([id_code], dtype=np.int64)
-    fgen = np.full(1, 0xFF, dtype=np.uint8)  # arriving generator; 0xFF = root
-    sizes = [1]
-    order = 1
-    max_frontier = 1
-    d = 0
-    girth: Optional[int] = None
-    while len(frontier):
-        below, here, above = (d - 1) % 3, d % 3, (d + 1) % 3
-        nxt_codes: List[np.ndarray] = []
-        nxt_gens: List[np.ndarray] = []
-        cands: List[int] = []
-        track = want_girth and girth is None
-        for s in range(0, len(frontier), _CHUNK):
-            codes = frontier[s : s + _CHUNK]
-            tgts = act(codes).T
-            if track:
-                arr = fgen[s : s + _CHUNK]
-                root = arr == 0xFF
-                # parent vertex = v * (arriving generator)^-1
-                par = tgts[inv_idx[np.minimum(arr, k - 1)], np.arange(len(codes))]
-                for j in range(k):
-                    t = tgts[j]
-                    valid = (t != par) | root
-                    tv = t[valid]
-                    dv = dist[tv]
-                    if d > 0 and bool((dv == below).any()):
-                        cands.append(2 * d)
-                    if bool((dv == here).any()):
-                        cands.append(2 * d + 1)
-                    if bool((dv == above).any()):
-                        cands.append(2 * d + 2)
-                    new = tv[dv == _SENT]
-                    if len(new):
-                        dist[new] = above
-                        nxt_codes.append(new)
-                        nxt_gens.append(np.full(len(new), j, dtype=np.uint8))
-            else:
-                for j in range(k):
-                    t = tgts[j]
-                    new = t[dist[t] == _SENT]
-                    if len(new):
-                        dist[new] = above
-                        nxt_codes.append(new)
-                        if want_girth:
-                            nxt_gens.append(np.full(len(new), j, dtype=np.uint8))
-        if track and cands:
-            girth = min(cands)
-            if girth_only:
-                return BfsResult(
-                    order, None, girth, k, max_frontier,
-                    _dense_peak_bytes(size, k, max_frontier), None, tuple(sizes),
-                )
-        if nxt_codes:
-            frontier = np.concatenate(nxt_codes)
-            fgen = np.concatenate(nxt_gens) if want_girth else fgen[:0]
-        else:
-            frontier = frontier[:0]
-        order += len(frontier)
-        max_frontier = max(max_frontier, len(frontier))
-        if len(frontier):
-            sizes.append(len(frontier))
-            d += 1
-    peak = _dense_peak_bytes(size, k, max_frontier)
-    codes_out = np.flatnonzero(dist != _SENT).astype(np.uint64) if collect else None
-    return BfsResult(order, d, girth, k, max_frontier, peak, codes_out, tuple(sizes))
-
-
 def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
     """Right multiplication by every generator by decode, product and encode.
 
@@ -300,80 +210,178 @@ def _member(level: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return level[at] == codes
 
 
-def _bfs_frontier(
+class _Table:
+    """Visited set over the whole code space: one byte per code, depth mod 3."""
+
+    def __init__(self, gens: List[ModMatrix], root: int, collect: bool):
+        n, m = gens[0].n, gens[0].m
+        self.k = len(gens)
+        self.act = row_action(n, m, gens)
+        self.dist = np.full(m ** (n * n), _SENT, dtype=np.uint8)
+        self.dist[root] = 0
+        self.new: List[np.ndarray] = []  # next-level codes
+        self.new_gens: List[np.ndarray] = []  # their arriving generators
+
+    def charge(self, d: int, width: int, order: int) -> int:
+        # the table, the codes and arriving generators of level d (9 bytes
+        # per element) and the int64 target block of one chunk
+        return len(self.dist) + 9 * width + 8 * self.k * min(width, _CHUNK)
+
+    def visit(self, d: int, tgts: np.ndarray, keep: Optional[np.ndarray]) -> Set[int]:
+        below, here, above = (d - 1) % 3, d % 3, (d + 1) % 3
+        cands: Set[int] = set()
+        # one generator column at a time: right multiplication by a fixed
+        # generator is injective, so a column holds no duplicate, and a code
+        # placed by an earlier column or chunk is a genuine collision
+        for j in range(self.k):
+            t = tgts[:, j] if keep is None else tgts[keep[:, j], j]
+            dv = self.dist[t]
+            if keep is not None:
+                if d > 0 and bool((dv == below).any()):
+                    cands.add(2 * d)
+                if bool((dv == here).any()):
+                    cands.add(2 * d + 1)
+                if bool((dv == above).any()):
+                    cands.add(2 * d + 2)
+            new = t[dv == _SENT]
+            self.dist[new] = above
+            self.new.append(new)
+            if keep is not None:
+                self.new_gens.append(np.full(len(new), j, dtype=np.uint8))
+        return cands
+
+    def close(self, d: int, track: bool):
+        nxt = np.concatenate(self.new)
+        gen = np.concatenate(self.new_gens) if track else None
+        self.new, self.new_gens = [], []
+        return nxt, gen, set()
+
+    def codes(self) -> np.ndarray:
+        return np.flatnonzero(self.dist != _SENT).astype(np.uint64)
+
+
+class _Levels:
+    """Visited set of the sorted codes of levels d - 1 and d (frontier search)."""
+
+    def __init__(self, gens: List[ModMatrix], root: int, collect: bool):
+        n, m = gens[0].n, gens[0].m
+        self.k = len(gens)
+        self.act = _product_action(n, m, gens)
+        self.cols = np.arange(self.k, dtype=np.uint8)
+        self.prev = np.empty(0, dtype=np.int64)
+        self.cur = np.array([root], dtype=np.int64)
+        self.levels = [self.cur] if collect else None
+        self.new: List[np.ndarray] = []  # unseen targets, duplicates included
+        self.new_gens: List[np.ndarray] = []  # their generator columns
+
+    def charge(self, d: int, width: int, order: int) -> int:
+        # live while level d + 1 is built: the codes of levels d - 1 and d
+        # (of every level when collecting), level d's arriving generators,
+        # one chunk's target block, and the next level's codes and arriving
+        # generators: at most k - 1 per element of level d (k at the root),
+        # since one neighbour of each is its parent
+        kept = order if self.levels is not None else len(self.prev) + width
+        grown = (self.k if d == 0 else self.k - 1) * width
+        return 8 * kept + width + 8 * self.k * min(width, _CHUNK) + 9 * grown
+
+    def visit(self, d: int, tgts: np.ndarray, keep: Optional[np.ndarray]) -> Set[int]:
+        # the whole chunk block in one pass: a hit in level d - 1 or d is a
+        # collision; duplicates among the rest are found when the level closes
+        t = tgts.ravel() if keep is None else tgts[keep]
+        in_prev = _member(self.prev, t)
+        in_cur = _member(self.cur, t)
+        new = ~(in_prev | in_cur)
+        self.new.append(t[new])
+        cands: Set[int] = set()
+        if keep is not None:
+            self.new_gens.append(np.broadcast_to(self.cols, tgts.shape)[keep][new])
+            if bool(in_prev.any()):
+                cands.add(2 * d)
+            if bool(in_cur.any()):
+                cands.add(2 * d + 1)
+        return cands
+
+    def close(self, d: int, track: bool):
+        joined = np.concatenate(self.new)
+        gen = None
+        cands: Set[int] = set()
+        if track:
+            nxt, first, counts = np.unique(joined, return_index=True, return_counts=True)
+            gen = np.concatenate(self.new_gens)[first]
+            # a code reached twice from level d closes a cycle of length 2d + 2
+            if len(nxt) and int(counts.max()) > 1:
+                cands.add(2 * d + 2)
+        else:
+            nxt = np.unique(joined)
+        self.new, self.new_gens = [], []
+        self.prev, self.cur = self.cur, nxt
+        if self.levels is not None:
+            self.levels.append(nxt)
+        return nxt, gen, cands
+
+    def codes(self) -> np.ndarray:
+        return np.sort(np.concatenate(self.levels)).astype(np.uint64)
+
+
+def _bfs(
     gens: List[ModMatrix],
     *,
+    table: bool,
     want_girth: bool,
     girth_only: bool,
     collect: bool,
     memory_budget: int,
 ) -> BfsResult:
-    n, m = gens[0].n, gens[0].m
-    k = len(gens)
-    act = _product_action(n, m, gens)
-    inv_idx = _inverse_columns(gens)
-    prev = np.empty(0, dtype=np.int64)
-    cur = np.array([modmat.encode(ModMatrix.identity(n, m))], dtype=np.int64)
-    cur_gen = np.full(1, 0xFF, dtype=np.uint8)  # arriving generator; 0xFF = root
+    """The level-synchronous sweep, over a _Table (table) or _Levels store.
+
+    A store provides act(codes), the (len(codes), k) targets; charge(d,
+    width, order), the bytes live while level d + 1 is built from a level d
+    of width elements; visit(d, targets, keep), which records the unseen
+    targets of one chunk and returns the collision candidates (girth values)
+    among them, keep being None when no girth is tracked and otherwise the
+    mask of non-parent targets; close(d, track) -> (level d + 1, its
+    arriving generators when tracking, more candidates); and codes().  A
+    level whose charge exceeds the budget is never built; peak_bytes is the
+    largest charge.
+    """
+    n, m, k = gens[0].n, gens[0].m, len(gens)
+    root = modmat.encode(ModMatrix.identity(n, m))
+    store = (_Table if table else _Levels)(gens, root, collect)
+    # column of each generator's inverse; the root's sentinel k matches none
+    inv = np.append(_inverse_columns(gens), np.uint8(k))
     cols = np.arange(k, dtype=np.uint8)
-    levels = [cur]
+    cur = np.array([root], dtype=np.int64)
+    cur_gen = np.full(1, k, dtype=np.uint8)  # arriving generator of each element
     sizes = [1]
     order = 1
     peak = 0
     d = 0
     girth: Optional[int] = None
     while True:
-        # live while level d + 1 is built: the codes of levels d - 1 and d
-        # (of every level when collecting), level d's arriving generators,
-        # one chunk's target block, and the next level's codes and arriving
-        # generators: at most k - 1 per element of level d (k at the root),
-        # since one neighbour of each is its parent
-        kept = order if collect else len(prev) + len(cur)
-        grown = (k if d == 0 else k - 1) * len(cur)
-        charge = 8 * kept + len(cur) + 8 * k * min(len(cur), _CHUNK) + 9 * grown
+        charge = store.charge(d, len(cur), order)
         if charge > memory_budget:
             raise BudgetExceededError(d, order)
         peak = max(peak, charge)
         track = want_girth and girth is None
-        cands: List[int] = []
-        nxt_codes: List[np.ndarray] = []
-        nxt_gens: List[np.ndarray] = []
+        cands: Set[int] = set()
         for s in range(0, len(cur), _CHUNK):
-            tgts = act(cur[s : s + _CHUNK])
-            keep = np.ones(tgts.shape, dtype=bool)
-            if track and d > 0:
-                # the parent v g^-1 closes no cycle: drop the column of g^-1
-                keep[np.arange(len(tgts)), inv_idx[cur_gen[s : s + _CHUNK]]] = False
-            t = tgts[keep]
-            j = np.broadcast_to(cols, tgts.shape)[keep]
-            in_prev = _member(prev, t)
-            in_cur = _member(cur, t)
-            if track and bool(in_prev.any()):
-                cands.append(2 * d)
-            if track and bool(in_cur.any()):
-                cands.append(2 * d + 1)
-            new = ~(in_prev | in_cur)
-            nxt_codes.append(t[new])
-            nxt_gens.append(j[new])
-        nxt, first, counts = np.unique(
-            np.concatenate(nxt_codes), return_index=True, return_counts=True
-        )
-        if track and len(nxt) and int(counts.max()) > 1:
-            cands.append(2 * d + 2)
+            tgts = store.act(cur[s : s + _CHUNK])
+            # the parent v g^-1 closes no cycle: drop the column of g^-1
+            keep = cols != inv[cur_gen[s : s + _CHUNK], None] if track else None
+            cands |= store.visit(d, tgts, keep)
+        cur, cur_gen, closed = store.close(d, track)
+        cands |= closed
         if track and cands:
             girth = min(cands)
             if girth_only:
                 return BfsResult(order, None, girth, k, max(sizes), peak, None, tuple(sizes))
-        if not len(nxt):
+        if not len(cur):
             break
-        prev, cur, cur_gen = cur, nxt, np.concatenate(nxt_gens)[first]
-        if collect:
-            levels.append(cur)
         sizes.append(len(cur))
         order += len(cur)
         d += 1
-    codes_out = np.sort(np.concatenate(levels)).astype(np.uint64) if collect else None
-    return BfsResult(order, d, girth, k, max(sizes), peak, codes_out, tuple(sizes))
+    codes = store.codes() if collect else None
+    return BfsResult(order, d, girth, k, max(sizes), peak, codes, tuple(sizes))
 
 
 def _check_sphere_sizes(sizes: Sequence[int], k: int, girth: int) -> None:
@@ -407,7 +415,8 @@ def bfs(
     the simple graph); without it they are simply absorbed.  A reported
     girth is checked against the sphere sizes (_check_sphere_sizes).
     Element codes must fit in 63 bits: a larger code space raises
-    BudgetExceededError at depth 0.
+    BudgetExceededError at depth 0.  At most 255 distinct generators and
+    inverses are supported.
     """
     if not generators:
         raise ParameterError("need at least one generator")
@@ -422,6 +431,9 @@ def bfs(
                 raise DegenerateSpecError("identity generator; girth undefined")
     else:
         gens = [g for g in gens if not g.is_identity()] or [ModMatrix.identity(n, m)]
+    if len(gens) > 255:
+        # arriving generators are single bytes, and the root's sentinel is k
+        raise ParameterError(f"{len(gens)} generators and inverses; at most 255 are supported")
     size = m ** (n * n)
     # the second test matters only for n = 1, where a product entry (m - 1)^2
     # can overflow int64 although the code fits
@@ -429,21 +441,14 @@ def bfs(
         raise BudgetExceededError(
             0, 1, f"element codes or their products need more than 63 bits at n={n}, m={m}"
         )
-    if 3 * size <= memory_budget:
-        res = _bfs_dense(
-            gens,
-            want_girth=want_girth,
-            girth_only=girth_only,
-            collect=collect,
-        )
-    else:
-        res = _bfs_frontier(
-            gens,
-            want_girth=want_girth,
-            girth_only=girth_only,
-            collect=collect,
-            memory_budget=memory_budget,
-        )
+    res = _bfs(
+        gens,
+        table=3 * size <= memory_budget,
+        want_girth=want_girth,
+        girth_only=girth_only,
+        collect=collect,
+        memory_budget=memory_budget,
+    )
     if res.girth is not None:
         _check_sphere_sizes(res.sphere_sizes, res.degree, res.girth)
     return res

@@ -56,7 +56,6 @@ class RunConfig:
     word_budget: int = words.DEFAULT_WORD_BUDGET
     order_limit: int = 2_000_000
     memory_budget: int = cayley.DEFAULT_MEMORY_BUDGET
-    threads: int = 1
     seed: int = 0
     fmt: str = "json"
     output: Optional[str] = None
@@ -274,7 +273,6 @@ def _cmd_verify_freeness(cfg: RunConfig) -> int:
         cfg.b,
         cfg.max_length,
         budget=cfg.word_budget,
-        threads=cfg.threads,
     )
     guaranteed = spec is not None and spec.has(params.FREENESS)
     payload = {
@@ -386,7 +384,7 @@ def _add_spec_args(sp, with_l=True):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--memory-budget", type=int, default=None, help="bytes")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    common.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--timings", action="store_true", help="emit real wall times")
     common.add_argument("-o", "--output", default=None, help="write to file")
@@ -493,7 +491,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         word_budget=getattr(args, "word_budget", words.DEFAULT_WORD_BUDGET),
         order_limit=getattr(args, "order_limit", 2_000_000),
         memory_budget=mem if mem is not None else default_memory_budget(),
-        threads=getattr(args, "threads", 1),
         seed=getattr(args, "seed", 0),
         fmt=fmt,
         output=getattr(args, "output", None),

@@ -10,7 +10,6 @@ cuts the 4*3^(L-1) word count by roughly 2L.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -147,34 +146,33 @@ def _scan_subtree(
     n: int,
     max_length: int,
     cap: int,
-) -> Tuple[List[Tuple[int, ...]], int, bool]:
+) -> Tuple[List[Tuple[int, ...]], int]:
     """DFS all reduced extensions of prefix; evaluate canonical nodes.
 
-    Returns (violating letter tuples, canonical words evaluated, hit cap).
+    Stops before the canonical word beyond the first cap.  Returns
+    (violating letter tuples, canonical words evaluated).
     """
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     mats = [ident]
     for lt in prefix:
         mats.append(_tuple_mul(mats[-1], gens[lt], n))
-    violations: List[Tuple[int, Tuple[int, ...]]] = []
+    violations: List[Tuple[int, ...]] = []
     checked = 0
-    capped = False
 
     def visit(letters: Tuple[int, ...]) -> bool:
-        nonlocal checked, capped
+        nonlocal checked
         if letters[0] != letters[-1] ^ 1 and _is_canonical(letters):
             if checked >= cap:
-                capped = True
                 return False
             checked += 1
             if mats[len(letters)] == ident:
-                violations.append((checked - 1, letters))
+                violations.append(letters)
         return True
 
     # iterative DFS; stack holds (letters, next-child-letter-index)
     letters = list(prefix)
     if not visit(tuple(letters)):
-        return violations, checked, capped
+        return violations, checked
     child_order = (0, 1, 2, 3)
     stack = [0]
     while stack:
@@ -194,9 +192,9 @@ def _scan_subtree(
         if not visit(tuple(letters)):
             letters.pop()
             mats.pop()
-            return violations, checked, capped
+            return violations, checked
         stack.append(0)
-    return violations, checked, capped
+    return violations, checked
 
 
 def freeness_scan(
@@ -207,14 +205,15 @@ def freeness_scan(
     max_length: int,
     *,
     budget: int = DEFAULT_WORD_BUDGET,
-    threads: int = 1,
 ) -> FreenessReport:
     """Evaluate every cyclically reduced word in X = A^l, Y = B^l up to
     max_length over the exact integers, one representative per
     rotation/inversion class, and report those equal to the identity.
 
     An empty violation list certifies that no relation of that length exists
-    integrally, hence no mod-p cycle of that length comes from one.
+    integrally, hence no mod-p cycle of that length comes from one.  The
+    budget caps the canonical words evaluated; the report is partial once
+    the budget is used up.
     """
     if max_length < 2:
         raise ParameterError(f"max_length must be >= 2, got {max_length}")
@@ -232,38 +231,18 @@ def freeness_scan(
     # or Y, and any rotation puts the smallest letter first.  Pure Y-powers
     # are evaluated as single words (a Y-rooted subtree holds no other
     # canonical cyclically reduced words); everything else lives in the
-    # three X-rooted subtrees.
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-    def run_partition(job):
-        kind, data = job
-        if kind == "word":
-            prod = ident
-            for lt in data:
-                prod = _tuple_mul(prod, gens[lt], n)
-            return ([(0, data)] if prod == ident else []), 1, False
-        return _scan_subtree(data, gens, n, max_length, budget)
-
-    jobs = [("word", (0,)), ("word", (2,))]
-    jobs += [("word", (2,) * L) for L in range(2, max_length + 1)]
-    jobs += [("tree", (0, second)) for second in (0, 2, 3)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_partition, jobs))
-    else:
-        results = [run_partition(j) for j in jobs]
-
-    # deterministic budget semantics: jobs are consumed in list order, and
-    # only violations inside the consumed prefix of each job are kept
+    # three X-rooted subtrees.  A job is a prefix and a length limit, so a
+    # single word is a job limited to its own length.  Jobs run in this
+    # order, each capped by the budget that is left.
+    jobs = [((0,), 1), ((2,), 1)] + [((2,) * L, L) for L in range(2, max_length + 1)]
+    jobs += [((0, second), max_length) for second in (0, 2, 3)]
     violations: List[Tuple[int, ...]] = []
     checked = 0
     partial = False
-    for (bad, cnt, capped), _job in zip(results, jobs):
-        take = min(cnt, budget - checked)
-        if take < cnt or capped:
-            partial = True
-        checked += take
-        violations.extend(ls for ordinal, ls in bad if ordinal < take)
+    for prefix, length in jobs:
+        bad, cnt = _scan_subtree(prefix, gens, n, length, budget - checked)
+        violations.extend(bad)
+        checked += cnt
         if checked >= budget:
             partial = True
             break

@@ -191,16 +191,35 @@ def _bfs_reference(generators):
     )
 
 
+def _engine(gens, *, table, **kw):
+    # the one BFS loop with its visited set forced: the dense table or the
+    # sorted levels of frontier search
+    return cayley._bfs(gens, table=table, **kw)
+
+
 def test_dense_and_sparse_paths_agree():
     X, Y = spec_generators(SPEC2, 7)
     ref = _bfs_reference([X, Y])
     gens = symmetrize([X, Y])
-    dense = cayley._bfs_dense(gens, want_girth=True, girth_only=False, collect=False)
-    sparse = cayley._bfs_frontier(
-        gens, want_girth=True, girth_only=False, collect=False, memory_budget=1 << 20
-    )
+    kw = dict(want_girth=True, collect=False, memory_budget=1 << 20)
+    dense = _engine(gens, table=True, girth_only=False, **kw)
+    sparse = _engine(gens, table=False, girth_only=False, **kw)
     for res in (dense, sparse):
         assert (res.order, res.girth, res.diameter) == (ref.order, ref.girth, ref.diameter)
+    # the girth-only early return: both stores stop at the same level, inside
+    # the reference ball, with the peak_bytes the separate engines reported
+    dense = _engine(gens, table=True, girth_only=True, **kw)
+    sparse = _engine(gens, table=False, girth_only=True, **kw)
+    for res, peak in ((dense, 2893), (sparse, 848)):
+        assert (res.order, res.girth, res.sphere_sizes) == (
+            dense.order,
+            dense.girth,
+            dense.sphere_sizes,
+        )
+        assert res.girth == ref.girth
+        assert res.sphere_sizes == ref.sphere_sizes[: len(res.sphere_sizes)]
+        assert res.order == sum(ref.sphere_sizes[: len(res.sphere_sizes)])
+        assert res.peak_bytes == peak
 
 
 def test_budget_exceeded_carries_partial_info():
@@ -330,8 +349,8 @@ def test_dense_and_sparse_engines_agree_past_depth_three(spec, m):
     gens = symmetrize(spec_generators(spec, m))
     kw = dict(want_girth=True, girth_only=False, collect=True)
     ref = _bfs_reference(gens)
-    dense = cayley._bfs_dense(gens, **kw)
-    sparse = cayley._bfs_frontier(gens, memory_budget=1 << 30, **kw)
+    dense = _engine(gens, table=True, memory_budget=1 << 30, **kw)
+    sparse = _engine(gens, table=False, memory_budget=1 << 30, **kw)
     assert dense.diameter > 3
     for res in (dense, sparse):
         assert (res.order, res.girth, res.diameter, res.max_frontier) == (
@@ -351,16 +370,17 @@ def test_frontier_chunks_do_not_change_the_result(monkeypatch):
     gens = symmetrize(spec_generators(SPEC2, 11))
     ref = _bfs_reference(gens)
     monkeypatch.setattr(cayley, "_CHUNK", 5)
-    res = cayley._bfs_frontier(
-        gens, want_girth=True, girth_only=False, collect=True, memory_budget=1 << 30
-    )
-    assert (res.order, res.girth, res.diameter, res.sphere_sizes) == (
-        ref.order,
-        ref.girth,
-        ref.diameter,
-        ref.sphere_sizes,
-    )
-    assert res.codes.tolist() == ref.codes
+    for table in (False, True):
+        res = _engine(
+            gens, table=table, want_girth=True, girth_only=False, collect=True, memory_budget=1 << 30
+        )
+        assert (res.order, res.girth, res.diameter, res.sphere_sizes) == (
+            ref.order,
+            ref.girth,
+            ref.diameter,
+            ref.sphere_sizes,
+        )
+        assert res.codes.tolist() == ref.codes
 
 
 @pytest.mark.parametrize("p,expect_girth,ball", [(307, 18, 13_121), (401, 20, 39_365)])
@@ -453,3 +473,25 @@ def test_dense_peak_bytes_counts_table_frontier_and_targets():
     res = cayley.bfs([X, Y], want_girth=True)
     chunk = min(res.max_frontier, cayley._CHUNK)
     assert res.peak_bytes == 7**4 + 9 * res.max_frontier + 8 * res.degree * chunk
+
+
+def test_table_budget_is_charged_before_each_level():
+    # a budget that holds 3 m^(n^2) bytes selects the table, whose own charge
+    # (table, 9 bytes per element of level d, one chunk's targets) can still
+    # exceed it on a tiny group
+    X, Y = spec_generators(SPEC2, 5)
+    budget = 3 * 5**4
+    sizes = cayley.bfs([X, Y]).sphere_sizes
+    charges = [5**4 + 9 * w + 8 * 4 * min(w, cayley._CHUNK) for w in sizes]
+    d = next(i for i, c in enumerate(charges) if c > budget)
+    with pytest.raises(BudgetExceededError) as exc:
+        cayley.bfs([X, Y], memory_budget=budget)
+    assert (exc.value.depth_reached, exc.value.order_so_far) == (d, sum(sizes[: d + 1]))
+
+
+def test_more_than_255_generators_is_a_parameter_error():
+    # one byte holds an arriving generator or the root's sentinel k
+    gens = [ModMatrix.from_rows([[1, b], [0, 1]], 257) for b in range(1, 129)]
+    assert len(symmetrize(gens)) == 256
+    with pytest.raises(ParameterError, match="at most 255"):
+        cayley.bfs(gens, want_girth=True)

@@ -102,11 +102,49 @@ def test_freeness_scan_budget_partial():
     assert report.words_checked == 100
 
 
-def test_freeness_scan_threads_agree():
-    seq = freeness_scan(2, 1, 1, 1, 9, threads=1)
-    par = freeness_scan(2, 1, 1, 1, 9, threads=4)
-    assert seq.violations == par.violations
-    assert seq.words_checked == par.words_checked
+# the length-10 relations of (2, 1, 1, 1), in report order
+RELATIONS_1111 = [
+    "X Y X^-1 Y X Y^-1",
+    "X^2 Y X^-1 Y^2 X Y^-1",
+    "X^2 Y^-1 X Y^2 X^-1 Y",
+    "X^3 Y X^-1 Y^3 X Y^-1",
+    "X^3 Y^-1 X Y^3 X^-1 Y",
+    "X^2 Y^2 X^-1 Y X Y X Y^-1",
+    "X^2 Y^-1 X Y X Y X^-1 Y^2",
+    "X^2 Y^-1 X Y X^-2 Y X^-1 Y^-1",
+    "X Y X^-1 Y^2 X^-1 Y^-1 X Y^-2",
+]
+
+
+def test_freeness_scan_pins_length_nine():
+    report = freeness_scan(2, 1, 1, 1, 9)
+    assert [str(w) for w in report.violations] == RELATIONS_1111[:3]
+    assert (report.words_checked, report.partial) == (1791, False)
+
+
+# budget -> (words_checked, partial, relations) of freeness_scan(2, 1, 1, 1, 10)
+BUDGET_PINS_1111 = {
+    1: (1, True, []),
+    2: (2, True, []),
+    17: (17, True, []),
+    100: (100, True, []),
+    500: (500, True, []),
+    2000: (2000, True, RELATIONS_1111[3:5]),
+    # a budget used up exactly is partial: the scan cannot tell that
+    # nothing is left
+    4759: (4759, True, RELATIONS_1111),
+    4760: (4759, False, RELATIONS_1111),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(BUDGET_PINS_1111))
+def test_freeness_scan_budget_truncation_pins(budget):
+    # the budget is consumed in a fixed job order, and a truncated scan
+    # keeps exactly the relations among the words it evaluated
+    checked, partial, found = BUDGET_PINS_1111[budget]
+    report = freeness_scan(2, 1, 1, 1, 10, budget=budget)
+    assert [str(w) for w in report.violations] == found
+    assert (report.words_checked, report.partial) == (checked, partial)
 
 
 def test_freeness_scan_rejects_short_bound():
@@ -273,17 +311,3 @@ def test_report_json_roundtrip():
     replay = replay_recipe_sl3_mod3(4, 2)
     data = replay.to_json()
     assert len(data["steps"]) == 12 and data["closure_order"] == 5616
-
-
-def test_freeness_scan_budget_deterministic_across_threads():
-    # the word budget is consumed in job-list order, so truncation results
-    # cannot depend on thread scheduling
-    reports = [
-        freeness_scan(2, 1, 1, 1, 10, budget=500, threads=t) for t in (1, 2, 8)
-    ]
-    first = reports[0]
-    assert first.partial and first.words_checked == 500
-    for rep in reports[1:]:
-        assert rep.violations == first.violations
-        assert rep.words_checked == first.words_checked
-        assert rep.partial == first.partial
