@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import cayley, modmat, params, spectral, words
@@ -38,31 +37,6 @@ EXIT_BUDGET = 2
 EXIT_VERIFY = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    n: Optional[int] = None
-    l: Optional[int] = None
-    a: Optional[int] = None
-    b: Optional[int] = None
-    p: Optional[int] = None
-    primes: Optional[str] = None
-    q: Optional[int] = None
-    t: Optional[int] = None
-    m: Optional[int] = None
-    max_length: Optional[int] = None
-    max_alpha: int = 200
-    moduli: str = "2,3,5,7"
-    word_budget: int = words.DEFAULT_WORD_BUDGET
-    order_limit: int = 2_000_000
-    memory_budget: int = cayley.DEFAULT_MEMORY_BUDGET
-    seed: int = 0
-    fmt: str = "json"
-    output: Optional[str] = None
-    timings: bool = False
-    skip_unit_residues: bool = False
-
-
 def default_memory_budget() -> int:
     """The budget from GIRTHLAB_MEMORY_BUDGET when set, else the library default."""
     raw = os.environ.get(ENV_MEMORY_BUDGET)
@@ -77,6 +51,13 @@ def default_memory_budget() -> int:
             f"{ENV_MEMORY_BUDGET} must be a positive integer (bytes), got {raw!r}"
         )
     return budget
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"not an integer: {text!r}") from None
 
 
 def prime_iter(
@@ -98,13 +79,13 @@ def prime_iter(
         sel = selector.strip()
         if ".." in sel:
             lo_s, hi_s = sel.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _int(lo_s), _int(hi_s)
             if lo < 2 or hi < 2:
                 raise ParameterError(f"range bounds must be >= 2, got {sel!r}")
             values = range(lo, hi + 1)
             explicit = False
         else:
-            values = [int(x) for x in sel.split(",") if x.strip()]
+            values = [_int(x) for x in sel.split(",") if x.strip()]
     else:
         values = list(selector)
     out = []
@@ -129,9 +110,9 @@ def prime_iter(
     return out
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -142,31 +123,29 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _spec(cfg: RunConfig) -> GraphSpec:
-    return params.validate(cfg.n, cfg.l, cfg.a, cfg.b)
-
-
-def _spec_or_unguaranteed(cfg: RunConfig) -> Tuple[Optional[GraphSpec], dict]:
-    """Validate when possible; out-of-domain tuples come back unguaranteed."""
+def _spec_or_unguaranteed(args: argparse.Namespace) -> Tuple[GraphSpec, dict]:
+    """The spec and its JSON block.  A tuple outside `validate`'s domain
+    (a or b < 2, l < 1) is measured with no regime and no guarantees."""
     try:
-        spec = _spec(cfg)
+        spec = params.validate(args.n, args.l, args.a, args.b)
         return spec, spec.to_json()
     except ParameterError:
+        spec = GraphSpec(args.n, args.l, args.a, args.b, regime=None)
         info = {
-            "n": cfg.n,
-            "l": cfg.l,
-            "a": cfg.a,
-            "b": cfg.b,
+            "n": args.n,
+            "l": args.l,
+            "a": args.a,
+            "b": args.b,
             "regime": None,
             "guarantees": {},
             "note": "outside the validated parameter domain; measured only",
         }
-        return None, info
+        return spec, info
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    spec = _spec(cfg)
-    _emit(cfg, _json(spec.to_json()))
+def _cmd_validate(args: argparse.Namespace) -> int:
+    spec = params.validate(args.n, args.l, args.a, args.b)
+    _emit(args, _json(spec.to_json()))
     return EXIT_OK
 
 
@@ -174,113 +153,109 @@ def _matrix_rows(M) -> list:
     return [list(r) for r in M.entries]
 
 
-def _cmd_construct(cfg: RunConfig) -> int:
-    A, B = magic_pair(cfg.n, cfg.a, cfg.b)
-    X = power_closed_form(A, cfg.l)
-    Y = power_closed_form(B, cfg.l)
+def _cmd_construct(args: argparse.Namespace) -> int:
+    A, B = magic_pair(args.n, args.a, args.b)
+    X = power_closed_form(A, args.l)
+    Y = power_closed_form(B, args.l)
     payload = {
-        "n": cfg.n,
-        "l": cfg.l,
-        "a": cfg.a,
-        "b": cfg.b,
+        "n": args.n,
+        "l": args.l,
+        "a": args.a,
+        "b": args.b,
         "A": _matrix_rows(A),
         "B": _matrix_rows(B),
         "X=A^l": _matrix_rows(X),
         "Y=B^l": _matrix_rows(Y),
     }
-    if cfg.p is not None:
-        payload["modulus"] = cfg.p
-        payload["X mod m"] = _matrix_rows(modmat.reduce(X, cfg.p))
-        payload["Y mod m"] = _matrix_rows(modmat.reduce(Y, cfg.p))
-    if cfg.fmt == "text":
+    if args.p is not None:
+        payload["modulus"] = args.p
+        payload["X mod m"] = _matrix_rows(modmat.reduce(X, args.p))
+        payload["Y mod m"] = _matrix_rows(modmat.reduce(Y, args.p))
+    if args.fmt == "text":
         lines = []
         for key in ("A", "B", "X=A^l", "Y=B^l", "X mod m", "Y mod m"):
             if key in payload:
                 lines.append(f"{key}:")
                 lines += ["  " + " ".join(str(x) for x in row) for row in payload[key]]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(cfg, _json(payload))
+        _emit(args, _json(payload))
     return EXIT_OK
 
 
-def _cmd_graph_stats(cfg: RunConfig) -> int:
+def _cmd_graph_stats(args: argparse.Namespace) -> int:
     """Handler for both `girth` and `diameter`: one BFS yields the full row."""
-    spec, spec_info = _spec_or_unguaranteed(cfg)
-    tuple_spec = spec or GraphSpec(cfg.n, cfg.l, cfg.a, cfg.b, "dim2")
+    spec, spec_info = _spec_or_unguaranteed(args)
     stats = cayley.cayley_stats(
-        tuple_spec, cfg.p, memory_budget=cfg.memory_budget, propagate_errors=True
+        spec, args.p, memory_budget=args.memory_budget, propagate_errors=True
     )
     payload = {"spec": spec_info, **stats.to_json()}
-    if not cfg.timings:
+    if not args.timings:
         payload["seconds"] = 0.0
-    _emit(cfg, _json(payload))
+    _emit(args, _json(payload))
     return EXIT_OK
 
 
-def _cmd_dg_table(cfg: RunConfig) -> int:
-    spec, spec_info = _spec_or_unguaranteed(cfg)
-    tuple_spec = spec or GraphSpec(cfg.n, cfg.l, cfg.a, cfg.b, "dim2")
+def _cmd_dg_table(args: argparse.Namespace) -> int:
+    spec, spec_info = _spec_or_unguaranteed(args)
     primes = prime_iter(
-        cfg.primes, cfg.a, cfg.b, skip_unit_residues=cfg.skip_unit_residues
+        args.primes, args.a, args.b, skip_unit_residues=args.skip_unit_residues
     )
-    rows = cayley.dg_table(tuple_spec, primes, memory_budget=cfg.memory_budget)
+    rows = cayley.dg_table(spec, primes, memory_budget=args.memory_budget)
     for r in rows:
         if r.error:
             print(f"warning: p={r.m}: {r.error}", file=sys.stderr)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "spec": spec_info,
             "rows": [
-                {**r.to_json(), "seconds": (r.seconds if cfg.timings else 0.0)}
+                {**r.to_json(), "seconds": (r.seconds if args.timings else 0.0)}
                 for r in rows
             ],
         }
-        _emit(cfg, _json(payload))
+        _emit(args, _json(payload))
     else:
-        _emit(cfg, cayley.stats_csv(rows, timings=cfg.timings))
+        _emit(args, cayley.stats_csv(rows, timings=args.timings))
     return EXIT_OK
 
 
-def _cmd_bound(cfg: RunConfig) -> int:
-    spec, _ = _spec_or_unguaranteed(cfg)
-    tuple_spec = spec or GraphSpec(cfg.n, cfg.l, cfg.a, cfg.b, "dim2")
-    gb = spectral.girth_lower_bound(tuple_spec, cfg.p)
-    _emit(cfg, _json(gb.to_json()))
+def _cmd_bound(args: argparse.Namespace) -> int:
+    spec, _ = _spec_or_unguaranteed(args)
+    gb = spectral.girth_lower_bound(spec, args.p)
+    _emit(args, _json(gb.to_json()))
     return EXIT_OK
 
 
-def _cmd_spectral(cfg: RunConfig) -> int:
-    spec, spec_info = _spec_or_unguaranteed(cfg)
-    tuple_spec = spec or GraphSpec(cfg.n, cfg.l, cfg.a, cfg.b, "dim2")
-    X, Y = cayley.spec_generators(tuple_spec, cfg.p)
+def _cmd_spectral(args: argparse.Namespace) -> int:
+    spec, spec_info = _spec_or_unguaranteed(args)
+    X, Y = cayley.spec_generators(spec, args.p)
     report = spectral.second_eigenvalue(
         [X, Y],
-        order_limit=cfg.order_limit,
-        seed=cfg.seed,
-        memory_budget=cfg.memory_budget,
+        order_limit=args.order_limit,
+        seed=args.seed,
+        memory_budget=args.memory_budget,
     )
-    _emit(cfg, _json({"spec": spec_info, "p": cfg.p, **report.to_json()}))
+    _emit(args, _json({"spec": spec_info, "p": args.p, **report.to_json()}))
     return EXIT_OK
 
 
-def _cmd_verify_freeness(cfg: RunConfig) -> int:
-    spec, spec_info = _spec_or_unguaranteed(cfg)
+def _cmd_verify_freeness(args: argparse.Namespace) -> int:
+    spec, spec_info = _spec_or_unguaranteed(args)
     report = words.freeness_scan(
-        cfg.n,
-        cfg.l,
-        cfg.a,
-        cfg.b,
-        cfg.max_length,
-        budget=cfg.word_budget,
+        args.n,
+        args.l,
+        args.a,
+        args.b,
+        args.max_length,
+        budget=args.word_budget,
     )
-    guaranteed = spec is not None and spec.has(params.FREENESS)
+    guaranteed = spec.has(params.FREENESS)
     payload = {
         "spec": spec_info,
         "guaranteed_free": guaranteed,
         **report.to_json(),
     }
-    _emit(cfg, _json(payload))
+    _emit(args, _json(payload))
     if report.violations and guaranteed:
         return EXIT_VERIFY
     if report.partial:
@@ -288,14 +263,14 @@ def _cmd_verify_freeness(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _asserted_generation_prime(spec: Optional[GraphSpec], p: int) -> bool:
+def _asserted_generation_prime(spec: GraphSpec, p: int) -> bool:
     """Is full generation at p an asserted claim (vs merely reported)?
 
     dim2 asserts every prime not dividing a or b; dim3 asserts only p = 3;
     the general regime asserts only p = q.  Larger primes sit below unknown
     effective constants and are reported, never asserted.
     """
-    if spec is None or not spec.has(params.GENERATION):
+    if not spec.has(params.GENERATION):
         return False
     if spec.regime == "dim2":
         return spec.a % p != 0 and spec.b % p != 0
@@ -304,72 +279,72 @@ def _asserted_generation_prime(spec: Optional[GraphSpec], p: int) -> bool:
     return p == spec.q
 
 
-def _cmd_verify_generation(cfg: RunConfig) -> int:
-    spec, spec_info = _spec_or_unguaranteed(cfg)
-    tuple_spec = spec or GraphSpec(cfg.n, cfg.l, cfg.a, cfg.b, "dim2")
-    X, Y = cayley.spec_generators(tuple_spec, cfg.p)
-    order = cayley.closure([X, Y], memory_budget=cfg.memory_budget)
-    expected = modmat.group_order_sl(cfg.n, cfg.p) if is_prime(cfg.p) else None
+def _cmd_verify_generation(args: argparse.Namespace) -> int:
+    spec, spec_info = _spec_or_unguaranteed(args)
+    X, Y = cayley.spec_generators(spec, args.p)
+    order = cayley.closure([X, Y], memory_budget=args.memory_budget)
+    expected = modmat.group_order_sl(args.n, args.p) if is_prime(args.p) else None
     full = None if expected is None else order == expected
-    asserted = _asserted_generation_prime(spec, cfg.p)
+    asserted = _asserted_generation_prime(spec, args.p)
     payload = {
         "spec": spec_info,
-        "p": cfg.p,
+        "p": args.p,
         "order": order,
         "expected_order": expected,
         "generated_full": full,
         "asserted": asserted,
     }
-    _emit(cfg, _json(payload))
+    _emit(args, _json(payload))
     if asserted and full is False:
         return EXIT_VERIFY
     return EXIT_OK
 
 
-def _cmd_verify_recipe(cfg: RunConfig) -> int:
-    if cfg.subcommand == "verify-recipe-sl3":
+def _cmd_verify_recipe(args: argparse.Namespace) -> int:
+    if args.rcmd == "sl3":
         replay = words.replay_recipe_sl3_mod3(
-            cfg.a, cfg.b, memory_budget=cfg.memory_budget
+            args.a, args.b, memory_budget=args.memory_budget
         )
     else:
         replay = words.replay_recipe_qt(
-            cfg.q, cfg.t, memory_budget=cfg.memory_budget
+            args.q, args.t, memory_budget=args.memory_budget
         )
-    _emit(cfg, _json(replay.to_json()))
+    _emit(args, _json(replay.to_json()))
     return EXIT_BUDGET if replay.closure_partial else EXIT_OK
 
 
-def _cmd_verify_lucas(cfg: RunConfig) -> int:
-    moduli = [int(x) for x in cfg.moduli.split(",") if x.strip()]
+def _cmd_verify_lucas(args: argparse.Namespace) -> int:
+    if args.max_alpha < 0:
+        raise ParameterError(f"--max-alpha must be >= 0, got {args.max_alpha}")
+    moduli = [_int(x) for x in args.moduli.split(",") if x.strip()]
     mismatches = []
     for q in moduli:
-        for alpha in range(cfg.max_alpha + 1):
+        for alpha in range(args.max_alpha + 1):
             for beta in range(alpha + 1):
                 got = params.lucas_binom_mod(alpha, beta, q)
                 want = math.comb(alpha, beta) % q
                 if got != want:
                     mismatches.append({"alpha": alpha, "beta": beta, "q": q})
     payload = {
-        "max_alpha": cfg.max_alpha,
+        "max_alpha": args.max_alpha,
         "moduli": moduli,
-        "checked": sum((cfg.max_alpha + 1) * (cfg.max_alpha + 2) // 2 for _ in moduli),
+        "checked": sum((args.max_alpha + 1) * (args.max_alpha + 2) // 2 for _ in moduli),
         "mismatches": mismatches,
     }
-    _emit(cfg, _json(payload))
+    _emit(args, _json(payload))
     return EXIT_VERIFY if mismatches else EXIT_OK
 
 
-def _cmd_subgroup_gens(cfg: RunConfig) -> int:
-    gens = words.schreier_generators(cfg.m)
-    _emit(cfg, _json(gens.to_json()))
+def _cmd_subgroup_gens(args: argparse.Namespace) -> int:
+    gens = words.schreier_generators(args.m)
+    _emit(args, _json(gens.to_json()))
     return EXIT_OK
 
 
-def _cmd_export_dot(cfg: RunConfig) -> int:
-    spec, _ = _spec_or_unguaranteed(cfg)
-    tuple_spec = spec or GraphSpec(cfg.n, cfg.l, cfg.a, cfg.b, "dim2")
-    X, Y = cayley.spec_generators(tuple_spec, cfg.p)
-    _emit(cfg, cayley.export_dot([X, Y], memory_budget=cfg.memory_budget))
+def _cmd_export_dot(args: argparse.Namespace) -> int:
+    spec, _ = _spec_or_unguaranteed(args)
+    X, Y = cayley.spec_generators(spec, args.p)
+    _emit(args, cayley.export_dot([X, Y], memory_budget=args.memory_budget))
     return EXIT_OK
 
 
@@ -453,50 +428,39 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_VALID_FORMATS = {
-    "construct": {"json", "text"},
-    "dg-table": {"csv", "json"},
-    "export-dot": {"dot"},
+# The formats each command accepts, its default first; the rest write JSON.
+_FORMATS = {
+    "construct": ("json", "text"),
+    "dg-table": ("csv", "json"),
+    "export-dot": ("dot",),
 }
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _checked_command(args: argparse.Namespace) -> str:
+    """The command's name, after the checks the parser cannot express.
+
+    The format default depends on the command.  It cannot be a per-subparser
+    `set_defaults(fmt=...)`: every subparser shares the Action objects of the
+    `common` parent, so that call would change the default for all of them.
+    A missing `--memory-budget` falls back to GIRTHLAB_MEMORY_BUDGET.
+    """
     cmd = args.cmd
     if cmd == "verify":
         cmd = f"verify-{args.vcmd}"
         if args.vcmd == "recipe":
             cmd = f"verify-recipe-{args.rcmd}"
-    fmt = getattr(args, "fmt", None)
-    if fmt is None:
-        fmt = {"dg-table": "csv", "export-dot": "dot"}.get(cmd, "json")
-    elif fmt not in _VALID_FORMATS.get(cmd, {"json"}):
-        raise ParameterError(f"format {fmt!r} is not valid for {cmd}")
-    mem = getattr(args, "memory_budget", None)
-    if mem is not None and mem <= 0:
-        raise ParameterError(f"--memory-budget must be a positive integer (bytes), got {mem}")
-    return RunConfig(
-        subcommand=cmd,
-        n=getattr(args, "n", None),
-        l=getattr(args, "l", None),
-        a=getattr(args, "a", None),
-        b=getattr(args, "b", None),
-        p=getattr(args, "p", None),
-        primes=getattr(args, "primes", None),
-        q=getattr(args, "q", None),
-        t=getattr(args, "t", None),
-        m=getattr(args, "m", None),
-        max_length=getattr(args, "max_length", None),
-        max_alpha=getattr(args, "max_alpha", 200),
-        moduli=getattr(args, "moduli", "2,3,5,7"),
-        word_budget=getattr(args, "word_budget", words.DEFAULT_WORD_BUDGET),
-        order_limit=getattr(args, "order_limit", 2_000_000),
-        memory_budget=mem if mem is not None else default_memory_budget(),
-        seed=getattr(args, "seed", 0),
-        fmt=fmt,
-        output=getattr(args, "output", None),
-        timings=getattr(args, "timings", False),
-        skip_unit_residues=getattr(args, "skip_unit_residues", False),
-    )
+    formats = _FORMATS.get(cmd, ("json",))
+    if args.fmt is None:
+        args.fmt = formats[0]
+    elif args.fmt not in formats:
+        raise ParameterError(f"format {args.fmt!r} is not valid for {cmd}")
+    if args.memory_budget is None:
+        args.memory_budget = default_memory_budget()
+    elif args.memory_budget <= 0:
+        raise ParameterError(
+            f"--memory-budget must be a positive integer (bytes), got {args.memory_budget}"
+        )
+    return cmd
 
 
 _HANDLERS = {
@@ -524,13 +488,11 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARAM
-    cfg = None
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[_checked_command(args)](args)
     except BudgetExceededError as exc:
         _emit(
-            cfg,
+            args,
             _json(
                 {
                     "partial": True,

@@ -22,13 +22,13 @@ GIRTH = "girth-bound"
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """A validated parameter tuple plus the guarantees it carries."""
+    """A parameter tuple plus the guarantees it carries."""
 
     n: int
     l: int
     a: int
     b: int
-    regime: str  # "dim2" | "dim3" | "dimGeneral"
+    regime: Optional[str]  # "dim2" | "dim3" | "dimGeneral"; None outside validate's domain
     q: Optional[int] = None
     t: Optional[int] = None
     guarantees: Dict[str, str] = field(default_factory=dict)

@@ -180,10 +180,6 @@ def second_eigenvalue(
         if g.is_identity():
             raise DegenerateSpecError("identity generator; adjacency undefined")
     n, m = gens[0].n, gens[0].m
-    if m ** (n * n) > 2**63:
-        raise ParameterError(
-            f"modulus {m} too large for packed codes in the spectral path"
-        )
     res = cayley.bfs(gens, collect=True, memory_budget=memory_budget)
     if res.order > order_limit:
         raise ParameterError(

@@ -1,5 +1,6 @@
 """CLI surface: argument grammar, exit codes, output determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -333,3 +334,192 @@ def test_construct_json(capsys):
     data = json.loads(out)
     assert data["A"] == [[1, 4, 0], [0, 1, 4], [0, 0, 1]]
     assert data["X=A^l"][0] == [1, 16, 96]
+
+
+def test_spectral_code_space_over_63_bits_exits_two(capsys):
+    # SL_6 mod 5: 5^36 codes exceed 2^63, so the BFS stops at depth 0 and
+    # the CLI writes the partial result like girth and export-dot do
+    code, out, _ = run_capture(
+        capsys, ["spectral", "--n", "6", "--l", "1", "--a", "2", "--b", "2", "--p", "5"]
+    )
+    assert code == EXIT_BUDGET
+    data = json.loads(out)
+    assert data["partial"] is True
+    assert data["depth_reached"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dg-table", "--n", "2", "--l", "1", "--a", "2", "--b", "2", "--primes", "3,x"],
+        ["dg-table", "--n", "2", "--l", "1", "--a", "2", "--b", "2", "--primes", "5..x"],
+        ["verify", "lucas", "--moduli", "2,y"],
+    ],
+    ids=["prime-list", "prime-range", "moduli"],
+)
+def test_malformed_integer_list_is_a_parameter_error(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == EXIT_PARAM
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_verify_lucas_negative_max_alpha_is_a_parameter_error(capsys):
+    code, out, err = run_capture(capsys, ["verify", "lucas", "--max-alpha", "-3"])
+    assert code == EXIT_PARAM
+    assert out == ""
+    assert "--max-alpha" in err
+
+
+# a = b = 1 is outside `validate`'s domain: the graph commands measure it and
+# report a spec block with no regime.  The outputs are pinned byte for byte.
+_UNGUARANTEED = ["--n", "2", "--l", "1", "--a", "1", "--b", "1"]
+_UNGUARANTEED_SPEC = """\
+  "spec": {
+    "a": 1,
+    "b": 1,
+    "guarantees": {},
+    "l": 1,
+    "n": 2,
+    "note": "outside the validated parameter domain; measured only",
+    "regime": null
+  }"""
+_UNGUARANTEED_EXACT = {
+    "girth": (
+        ["girth", *_UNGUARANTEED, "--p", "3"],
+        """\
+{
+  "a": 1,
+  "b": 1,
+  "degree": 4,
+  "dg_ratio": 1.3333333333333333,
+  "diameter": 4,
+  "error": null,
+  "generated_full": true,
+  "girth": 3,
+  "l": 1,
+  "m": 3,
+  "n": 2,
+  "order": 24,
+  "peak_bytes": 491,
+  "schema_version": 1,
+  "seconds": 0.0,
+%s
+}
+"""
+        % _UNGUARANTEED_SPEC,
+    ),
+    "dg-table": (
+        ["dg-table", *_UNGUARANTEED, "--primes", "3..7"],
+        """\
+p,order,full,girth,diameter,ratio,seconds,peak_bytes
+3,24,true,3,4,1.333333,0.000,491
+5,120,true,5,6,1.200000,0.000,2593
+7,336,true,6,7,1.166667,0.000,6911
+""",
+    ),
+    "verify-generation": (
+        ["verify", "generation", *_UNGUARANTEED, "--p", "3"],
+        """\
+{
+  "asserted": false,
+  "expected_order": 24,
+  "generated_full": true,
+  "order": 24,
+  "p": 3,
+  "schema_version": 1,
+%s
+}
+"""
+        % _UNGUARANTEED_SPEC,
+    ),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_UNGUARANTEED_EXACT))
+def test_out_of_domain_tuple_is_measured_unguaranteed(capsys, cmd):
+    argv, expected = _UNGUARANTEED_EXACT[cmd]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == EXIT_OK
+    assert out == expected
+
+
+def test_out_of_domain_export_dot_is_pinned(capsys):
+    code, out, _ = run_capture(capsys, ["export-dot", *_UNGUARANTEED, "--p", "3"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert (lines[0], lines[1], lines[-1]) == ("graph cayley {", '  v15 [label="15"];', "}")
+    assert len(lines) == 2 + 24 + 48  # 24 vertices, 4-regular
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "5f0bccf25af88958760129020a34ee276c0068ffe25e1e065a4f82de350553e3"
+
+
+# Floating-point fields come from numpy reductions, so they are compared to
+# 1e-9 rather than by text; every other field is exact.
+_UNGUARANTEED_FLOAT = {
+    "bound": {
+        "beta_max": 2.618033988740681,
+        "bound_raw": 0.6851834763596081,
+        "bound_reported": 3,
+        "gamma": 1.6180339887470476,
+        "lambda_max": 2.6180339887356197,
+        "p": 3,
+        "schema_version": 1,
+    },
+    "spectral": {
+        "degree": 4,
+        "gap": 0.3169881875173761,
+        "iterations": 38,
+        "order": 24,
+        "p": 3,
+        "residual": 9.210776239498841e-07,
+        "schema_version": 1,
+        "second_eigenvalue": 2.7320472499304955,
+        "seed": 0,
+        "spec": json.loads("{%s}" % _UNGUARANTEED_SPEC)["spec"],
+        "top_eigenvalue": 4.0,
+    },
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_UNGUARANTEED_FLOAT))
+def test_out_of_domain_tuple_float_reports(capsys, cmd):
+    code, out, _ = run_capture(capsys, [cmd, *_UNGUARANTEED, "--p", "3"])
+    assert code == EXIT_OK
+    data = json.loads(out)
+    expected = _UNGUARANTEED_FLOAT[cmd]
+    assert list(data) == list(expected)
+    for key, want in expected.items():
+        if isinstance(want, float):
+            assert data[key] == pytest.approx(want, rel=1e-9), key
+        else:
+            assert data[key] == want, key
+
+
+def test_cli_defaults_come_from_the_parser(capsys):
+    code, out, _ = run_capture(
+        capsys,
+        [
+            "verify", "freeness", "--n", "2", "--l", "1", "--a", "2", "--b", "2",
+            "--max-length", "3",
+        ],
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["budget"] == 10_000_000
+
+    code, out, _ = run_capture(capsys, ["verify", "lucas"])
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert (data["max_alpha"], data["moduli"]) == (200, [2, 3, 5, 7])
+    assert data["checked"] == 4 * 201 * 202 // 2
+
+    code, out, _ = run_capture(
+        capsys, ["spectral", "--n", "2", "--l", "1", "--a", "2", "--b", "2", "--p", "3"]
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["seed"] == 0
+
+    args = cli.build_parser().parse_args(
+        ["spectral", "--n", "2", "--l", "1", "--a", "2", "--b", "2", "--p", "3"]
+    )
+    assert args.order_limit == 2_000_000
