@@ -487,6 +487,11 @@ def spec_generators(spec: GraphSpec, m: int) -> Tuple[ModMatrix, ModMatrix]:
     X = modmat.reduce(power_closed_form(A, spec.l), m)
     Y = modmat.reduce(power_closed_form(B, spec.l), m)
     if X.is_identity() or Y.is_identity():
+        if spec.a % m and spec.b % m:
+            raise DegenerateSpecError(
+                f"A^l or B^l reduces to the identity mod {m} at l={spec.l}, "
+                f"although a, b != 0 (mod {m})"
+            )
         raise DegenerateSpecError(
             f"generator reduces to identity mod {m}; "
             "the guarantees exclude a,b = 0 (mod p)"

@@ -240,6 +240,8 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_freeness(args: argparse.Namespace) -> int:
+    if args.word_budget < 0:
+        raise ParameterError(f"--word-budget must be >= 0 (words), got {args.word_budget}")
     spec, spec_info = _spec_or_unguaranteed(args)
     report = words.freeness_scan(
         args.n,

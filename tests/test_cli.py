@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -202,6 +203,29 @@ def test_verify_freeness_budget_exit_two(capsys):
     )
     assert code == EXIT_BUDGET
     assert json.loads(out)["partial"] is True
+
+
+def test_verify_freeness_rejects_negative_word_budget(capsys):
+    code, out, err = run_capture(
+        capsys,
+        [
+            "verify", "freeness", "--n", "2", "--l", "1", "--a", "2", "--b", "2",
+            "--max-length", "4", "--word-budget", "-1",
+        ],
+    )
+    assert code == EXIT_PARAM
+    assert out == ""
+    assert "--word-budget" in err and "-1" in err
+
+
+def test_identity_power_names_l(capsys):
+    # l = 0 makes both generators the identity although 5 divides neither a nor b
+    code, out, err = run_capture(
+        capsys, ["girth", "--n", "2", "--l", "0", "--a", "2", "--b", "2", "--p", "5"]
+    )
+    assert code == EXIT_PARAM
+    assert out == ""
+    assert "l=0" in err and "a,b = 0" not in err
 
 
 def test_verify_generation_asserted_prime(capsys):
@@ -455,7 +479,10 @@ def test_out_of_domain_export_dot_is_pinned(capsys):
 
 
 # Floating-point fields come from numpy reductions, so they are compared to
-# 1e-9 rather than by text; every other field is exact.
+# 1e-9 rather than by text, and a residual pinned at 0.0 to 1e-12; every
+# other field is exact.  The spectral values are exact: lambda_2 = 1 + sqrt 3
+# (a dense eigvalsh of the 24-vertex adjacency agrees), and Lanczos finds an
+# invariant subspace after 5 steps, so the residual is rounding only.
 _UNGUARANTEED_FLOAT = {
     "bound": {
         "beta_max": 2.618033988740681,
@@ -468,13 +495,13 @@ _UNGUARANTEED_FLOAT = {
     },
     "spectral": {
         "degree": 4,
-        "gap": 0.3169881875173761,
-        "iterations": 38,
+        "gap": (3 - math.sqrt(3)) / 4,
+        "iterations": 5,
         "order": 24,
         "p": 3,
-        "residual": 9.210776239498841e-07,
+        "residual": 0.0,
         "schema_version": 1,
-        "second_eigenvalue": 2.7320472499304955,
+        "second_eigenvalue": 1 + math.sqrt(3),
         "seed": 0,
         "spec": json.loads("{%s}" % _UNGUARANTEED_SPEC)["spec"],
         "top_eigenvalue": 4.0,
@@ -491,7 +518,7 @@ def test_out_of_domain_tuple_float_reports(capsys, cmd):
     assert list(data) == list(expected)
     for key, want in expected.items():
         if isinstance(want, float):
-            assert data[key] == pytest.approx(want, rel=1e-9), key
+            assert data[key] == pytest.approx(want, rel=1e-9, abs=1e-12), key
         else:
             assert data[key] == want, key
 

@@ -162,24 +162,63 @@ def test_second_eigenvalue_connected_strictly_below_degree():
     assert rep.normalized_gap > 0.0
 
 
+def _adjacency_edges(p):
+    """(rows, cols) of the dim2 Cayley graph at p, with neighbours found by
+    decode, product and encode rather than by the row-table kernel."""
+    from girthlab import cayley, modmat
+
+    X, Y = spec_generators(SPEC2, p)
+    codes = [int(c) for c in cayley.bfs([X, Y], collect=True).codes]
+    idx = {c: i for i, c in enumerate(codes)}
+    gens = cayley.symmetrize([X, Y])
+    rows, cols = [], []
+    for c in codes:
+        M = modmat.decode(c, 2, p)
+        for g in gens:
+            rows.append(idx[c])
+            cols.append(idx[modmat.encode(M @ g)])
+    return len(codes), rows, cols
+
+
+def _dense_spectrum(p):
+    order, rows, cols = _adjacency_edges(p)
+    A = np.zeros((order, order))
+    A[rows, cols] = 1.0
+    return np.sort(np.linalg.eigvalsh(A))
+
+
 def test_second_eigenvalue_against_dense_spectrum():
     X, Y = spec_generators(SPEC2, 5)
     rep = second_eigenvalue([X, Y])
     # brute-force adjacency spectrum as the oracle
-    from girthlab import cayley, modmat
-
-    res = cayley.bfs([X, Y], collect=True)
-    codes = [int(c) for c in res.codes]
-    idx = {c: i for i, c in enumerate(codes)}
-    gens = cayley.symmetrize([X, Y])
-    A = np.zeros((len(codes), len(codes)))
-    for c in codes:
-        M = modmat.decode(c, 2, 5)
-        for g in gens:
-            A[idx[c], idx[modmat.encode(M @ g)]] = 1.0
-    spectrum = np.sort(np.linalg.eigvalsh(A))
+    spectrum = _dense_spectrum(5)
     assert spectrum[-1] == pytest.approx(4.0, abs=1e-9)
     assert rep.second_eigenvalue == pytest.approx(spectrum[-2], abs=1e-5)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_second_eigenvalue_residual_encloses_dense_eigenvalue(p):
+    rep = second_eigenvalue(list(spec_generators(SPEC2, p)))
+    lam2 = _dense_spectrum(p)[-2]
+    # eigvalsh is exact only to about eps * ||A|| * order, so the interval is
+    # widened by that much: these graphs reach an invariant subspace, and the
+    # residual itself is rounding
+    slack = 1e-12
+    assert rep.residual <= 1e-8
+    assert abs(rep.second_eigenvalue - lam2) <= rep.residual + slack
+
+
+def test_second_eigenvalue_against_scipy_eigsh():
+    sparse = pytest.importorskip("scipy.sparse")
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    order, rows, cols = _adjacency_edges(13)
+    A = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(order, order))
+    top = linalg.eigsh(A, k=2, which="LA", tol=1e-12, return_eigenvectors=False)
+    rep = second_eigenvalue(list(spec_generators(SPEC2, 13)))
+    assert rep.second_eigenvalue == pytest.approx(min(top), abs=1e-10)
+    # here pass 1 stops on Paige's estimate, not on an invariant subspace
+    assert 1e-9 < rep.residual <= 1e-6
+    assert abs(rep.second_eigenvalue - min(top)) <= rep.residual
 
 
 def test_second_eigenvalue_deterministic():
@@ -188,6 +227,7 @@ def test_second_eigenvalue_deterministic():
     r2 = second_eigenvalue([X, Y], seed=42)
     assert r1.second_eigenvalue == r2.second_eigenvalue
     assert r1.iterations == r2.iterations
+    assert r1.residual == r2.residual
 
 
 def test_second_eigenvalue_order_limit():
