@@ -24,8 +24,12 @@ budget.  Only its visited set varies, chosen by the budget:
 - _Levels otherwise: frontier search (Korf et al., "Frontier Search",
   J. ACM 52(5), 2005), which keeps only the sorted codes of levels d - 1
   and d while it builds d + 1, so a girth-only ball search costs memory in
-  proportion to the ball, not to the code space.  Generators act by decode,
-  product and encode (_product_action), which needs no table of m^n rows.
+  proportion to the ball, not to the code space.  The chunks of a level
+  only gather their targets; when the level closes, its targets are sorted
+  once, deduplicated by comparing neighbours, and their distinct codes
+  probe levels d - 1 and d in sorted order.  The sort's temporaries are not
+  charged to the memory budget.  Generators act by decode, product and
+  encode (_product_action), which needs no table of m^n rows.
 
 Codes are int64 in both, so the code space m^(n^2) must fit in 63 bits.
 """
@@ -181,23 +185,46 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
 
     The frontier search's kernel: unlike row_action it builds no table over
     the m^n row codes, so it costs nothing up front at any modulus, and a
-    frontier of 10^5 codes takes milliseconds.  Returns act(codes) with
-    row_action's contract; exact in int64 because every partial sum of a
-    code stays below m^(n^2) <= 2^63 and every product entry below n m^2,
-    which bfs() also keeps below 2^63.
+    frontier of 10^5 codes takes milliseconds.  A code is decoded into n^2
+    contiguous digit arrays, one per entry.  Entry (r, x) of M g is
+    sum_c digit(r, c) g[c, x] mod m, and it is added, times its place weight
+    m^(n r + x), into the output column of g; zero terms are skipped, and an
+    entry that is a lone digit needs no reduction.  Every operation acts on
+    a 1-D array of the chunk's length.  Returns act(codes) with row_action's
+    contract, as a transposed view of a (len(gens), len(codes)) block; exact
+    in int64 because every partial sum of a code stays below
+    m^(n^2) <= 2^63 and every product entry below n m^2, which bfs() also
+    keeps below 2^63.
     """
     k = len(gens)
-    # M @ [g_0 | g_1 | ...] forms all k products in one matmul
-    side = np.concatenate([np.array(g.entries, dtype=np.int64) for g in gens], axis=1)
-    place = (m ** np.arange(n * n, dtype=np.int64)).reshape(n, 1, n)  # weight of entry (r, x)
+    # entry (r, x) of M g as its place weight m^(n r + x) and its nonzero
+    # terms (index n r + c of the digit, g[c, x]); a zero entry adds nothing
+    plans = [
+        [
+            (m ** (n * r + x), terms)
+            for r in range(n)
+            for x in range(n)
+            if (terms := [(n * r + c, g.entries[c][x]) for c in range(n) if g.entries[c][x]])
+        ]
+        for g in gens
+    ]
 
     def act(codes) -> np.ndarray:
         rest = np.asarray(codes, dtype=np.int64)
-        digits = np.empty((len(rest), n * n), dtype=np.int64)
-        for i in range(n * n):
-            rest, digits[:, i] = np.divmod(rest, m)
-        prod = (digits.reshape(-1, n, n) @ side) % m  # (codes, row, k * n)
-        return (prod.reshape(-1, n, k, n) * place).sum(axis=(1, 3))
+        digits = []  # digits[n r + c]: entry (r, c) of every code
+        for _ in range(n * n):
+            rest, digit = np.divmod(rest, m)
+            digits.append(digit)
+        out = np.zeros((k, len(rest)), dtype=np.int64)
+        for col, plan in zip(out, plans):
+            for weight, ((i, w), *more) in plan:
+                entry = digits[i] if w == 1 else digits[i] * w
+                for i, w in more:
+                    entry = entry + (digits[i] if w == 1 else digits[i] * w)
+                if more or w != 1:  # a lone digit is already reduced
+                    entry = entry % m
+                col += entry if weight == 1 else entry * weight
+        return out.T
 
     return act
 
@@ -206,7 +233,7 @@ def _member(level: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Mask of the codes found in a sorted level."""
     if not len(level):
         return np.zeros(len(codes), dtype=bool)
-    at = np.minimum(np.searchsorted(level, codes), len(level) - 1)
+    at = np.minimum(level.searchsorted(codes), len(level) - 1)
     return level[at] == codes
 
 
@@ -267,53 +294,69 @@ class _Levels:
         n, m = gens[0].n, gens[0].m
         self.k = len(gens)
         self.act = _product_action(n, m, gens)
-        self.cols = np.arange(self.k, dtype=np.uint8)
+        self.cols = np.arange(self.k, dtype=np.uint8)[None, :]
         self.prev = np.empty(0, dtype=np.int64)
         self.cur = np.array([root], dtype=np.int64)
         self.levels = [self.cur] if collect else None
-        self.new: List[np.ndarray] = []  # unseen targets, duplicates included
+        self.new: List[np.ndarray] = []  # level d's targets, seen and repeated ones included
         self.new_gens: List[np.ndarray] = []  # their generator columns
 
     def charge(self, d: int, width: int, order: int) -> int:
         # live while level d + 1 is built: the codes of levels d - 1 and d
         # (of every level when collecting), level d's arriving generators,
-        # one chunk's target block, and the next level's codes and arriving
-        # generators: at most k - 1 per element of level d (k at the root),
-        # since one neighbour of each is its parent
+        # one chunk's target block, and the gathered targets with their
+        # generator columns: k - 1 per element of level d (k at the root),
+        # since one neighbour of each is its parent.  Not charged: the sort
+        # temporaries of close, and without girth tracking the parent's
+        # code, which is gathered with the other targets
         kept = order if self.levels is not None else len(self.prev) + width
         grown = (self.k if d == 0 else self.k - 1) * width
         return 8 * kept + width + 8 * self.k * min(width, _CHUNK) + 9 * grown
 
     def visit(self, d: int, tgts: np.ndarray, keep: Optional[np.ndarray]) -> Set[int]:
-        # the whole chunk block in one pass: a hit in level d - 1 or d is a
-        # collision; duplicates among the rest are found when the level closes
-        t = tgts.ravel() if keep is None else tgts[keep]
-        in_prev = _member(self.prev, t)
-        in_cur = _member(self.cur, t)
-        new = ~(in_prev | in_cur)
-        self.new.append(t[new])
+        # only gather the targets: close sorts and probes the whole level once
+        if keep is None:
+            self.new.append(tgts.ravel("K"))
+        else:
+            self.new.append(tgts[keep])
+            self.new_gens.append(self.cols.repeat(len(tgts), axis=0)[keep])
+        return set()
+
+    def close(self, d: int, track: bool):
+        # one sort of the level's targets; its distinct codes then probe the
+        # sorted levels d - 1 and d in order, which keeps the probes local
+        joined = np.concatenate(self.new)
+        gen = np.concatenate(self.new_gens) if track else None
+        self.new, self.new_gens = [], []
+        if track:
+            by = joined.argsort()
+            joined, gen = joined[by], gen[by]
+        else:
+            joined.sort()
+        first = np.empty(len(joined), dtype=bool)
+        first[:1] = True
+        np.not_equal(joined[1:], joined[:-1], out=first[1:])
+        reached = joined[first]
+        in_prev = _member(self.prev, reached)
+        in_cur = _member(self.cur, reached)
+        fresh = ~(in_prev | in_cur)
+        nxt = reached[fresh]
         cands: Set[int] = set()
-        if keep is not None:
-            self.new_gens.append(np.broadcast_to(self.cols, tgts.shape)[keep][new])
+        if track:
+            # a repeated target keeps the generator of one of its arrivals:
+            # which one does not matter, because the repeat adds 2d + 2 and
+            # so ends the tracking
+            gen = gen[first][fresh]
+            # a target in level d - 1 closes a cycle of length 2d, one in
+            # level d of length 2d + 1, and a target reached twice one of
+            # length 2d + 2 (for a repeated code of level d - 1 or d that
+            # only repeats a shorter cycle)
             if bool(in_prev.any()):
                 cands.add(2 * d)
             if bool(in_cur.any()):
                 cands.add(2 * d + 1)
-        return cands
-
-    def close(self, d: int, track: bool):
-        joined = np.concatenate(self.new)
-        gen = None
-        cands: Set[int] = set()
-        if track:
-            nxt, first, counts = np.unique(joined, return_index=True, return_counts=True)
-            gen = np.concatenate(self.new_gens)[first]
-            # a code reached twice from level d closes a cycle of length 2d + 2
-            if len(nxt) and int(counts.max()) > 1:
+            if not first.all():
                 cands.add(2 * d + 2)
-        else:
-            nxt = np.unique(joined)
-        self.new, self.new_gens = [], []
         self.prev, self.cur = self.cur, nxt
         if self.levels is not None:
             self.levels.append(nxt)
@@ -336,10 +379,10 @@ def _bfs(
 
     A store provides act(codes), the (len(codes), k) targets; charge(d,
     width, order), the bytes live while level d + 1 is built from a level d
-    of width elements; visit(d, targets, keep), which records the unseen
-    targets of one chunk and returns the collision candidates (girth values)
-    among them, keep being None when no girth is tracked and otherwise the
-    mask of non-parent targets; close(d, track) -> (level d + 1, its
+    of width elements; visit(d, targets, keep), which records the targets
+    of one chunk and returns the collision candidates (girth values) it
+    already sees among them, keep being None when no girth is tracked and
+    otherwise the mask of non-parent targets; close(d, track) -> (level d + 1, its
     arriving generators when tracking, more candidates); and codes().  A
     level whose charge exceeds the budget is never built; peak_bytes is the
     largest charge.

@@ -342,6 +342,22 @@ def test_row_action_matches_matrix_product(n, m):
         assert tgts[:, j].tolist() == want
 
 
+@pytest.mark.parametrize("n,m", [(2, 6), (3, 4), (4, 3), (5, 2), (2, 101), (1, 10_007), (2, 1009)])
+def test_product_action_matches_matrix_product(n, m):
+    # random matrices, singular ones and zero entries included, so that the
+    # kernel's skipped zero terms and lone digits are all exercised
+    rng = np.random.default_rng(1000 * n + m)
+    gens = [
+        ModMatrix.from_rows(rng.integers(0, m, size=(n, n)).tolist(), m) for _ in range(3)
+    ]
+    codes = rng.integers(0, m ** (n * n), size=300)
+    tgts = cayley._product_action(n, m, gens)(codes)
+    assert tgts.shape == (300, 3)
+    for j, g in enumerate(gens):
+        want = [modmat.encode(modmat.decode(c, n, m) @ g) for c in codes.tolist()]
+        assert tgts[:, j].tolist() == want
+
+
 @pytest.mark.parametrize("spec,m", [(SPEC3, 3), (SPEC2, 9), (SPEC2, 10), (SPEC2, 11)])
 def test_dense_and_sparse_engines_agree_past_depth_three(spec, m):
     # the dense table stores depth mod 3, so diameters above 3 wrap it; at
@@ -381,6 +397,37 @@ def test_frontier_chunks_do_not_change_the_result(monkeypatch):
             ref.sphere_sizes,
         )
         assert res.codes.tolist() == ref.codes
+
+
+@pytest.mark.parametrize(
+    "spec,m,expect_girth",
+    [
+        (SPEC2, 5, 5),
+        (SPEC2, 7, 6),
+        (SPEC2, 11, 9),
+        (SPEC2, 13, 10),
+        (SPEC2, 23, 12),
+        (SPEC2, 61, 16),
+        (SPEC3, 3, 3),
+        (SPEC3, 5, 5),
+    ],
+)
+def test_engines_agree_on_the_girth_only_early_return(monkeypatch, spec, m, expect_girth):
+    # an even girth 2d + 2 is decided by a target reached twice from level
+    # d: the dense table sees it placed by an earlier column, frontier
+    # search as a repeat in the level's sorted targets
+    gens = symmetrize(spec_generators(spec, m))
+    kw = dict(want_girth=True, girth_only=True, collect=False, memory_budget=1 << 30)
+    dense = _engine(gens, table=True, **kw)
+    assert dense.girth == expect_girth
+    for chunk in (cayley._CHUNK, 5):
+        monkeypatch.setattr(cayley, "_CHUNK", chunk)
+        sparse = _engine(gens, table=False, **kw)
+        assert (sparse.girth, sparse.order, sparse.sphere_sizes) == (
+            dense.girth,
+            dense.order,
+            dense.sphere_sizes,
+        )
 
 
 @pytest.mark.parametrize("p,expect_girth,ball", [(307, 18, 13_121), (401, 20, 39_365)])
