@@ -48,7 +48,25 @@ from .exactmat import ParameterError, magic_pair, power_closed_form
 from .modmat import ModMatrix
 from .params import GraphSpec
 
-DEFAULT_MEMORY_BUDGET = 8 << 30  # bytes
+def _mem_available(path: str = "/proc/meminfo") -> Optional[int]:
+    """MemAvailable in bytes, or None when the file cannot be read."""
+    try:
+        with open(path) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _default_memory_budget() -> int:
+    """Three quarters of MemAvailable, or 8 GiB when it cannot be read."""
+    available = _mem_available()
+    return available * 3 // 4 if available else 8 << 30
+
+
+DEFAULT_MEMORY_BUDGET = _default_memory_budget()  # bytes, read once at import
 _SENT = np.uint8(0xFF)
 _CHUNK = 1 << 19
 _DOT_LIMIT = 10_000

@@ -6,12 +6,37 @@ encoded as 0..3 with idx^1 the inverse letter.  Freeness scans walk one
 canonical representative per cyclic-rotation-and-inversion class: a
 relation exists iff a cyclically reduced one does, and the class collapse
 cuts the 4*3^(L-1) word count by roughly 2L.
+
+The scan evaluates words in numpy blocks.  A short depth-first walk visits
+prefixes in a fixed job order and in pre-order; a node at most _BLOCK_DEPTH
+letters above the length bound hands its whole subtree to one block, and
+shallower nodes are evaluated alone.  A block grows level by level: each
+word gets one child per letter, except the reducing letter and the letters
+that make it no prenecklace (no extension of a non-prenecklace is least
+among its rotations), and one batched matmul applies the generators.  Each
+level then gets one vectorised test: cyclically reduced, least among the
+rotations of the word and of its inverse (byte strings of letters, not
+integer codes, so words of any length compare), and equal to the identity.
+
+Products are exact.  With nu the largest infinity-norm among X, X^-1, Y
+and Y^-1, a product of at most L generators has every entry, and every
+partial sum that forms it, at most nu^L in absolute value: the scan runs in
+int64 when nu^L < 2^63 and in Python ints (dtype=object) otherwise.
+
+The word budget is consumed in the same order as a one-word-at-a-time
+scan: a block holding more canonical words than the budget has left keeps
+the first ones in depth-first pre-order, so a truncated report does not
+depend on the block size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cayley, modmat
 from .cayley import BudgetExceededError
@@ -36,25 +61,6 @@ class RecipeError(RuntimeError):
 def letters_to_word(letters: Sequence[int]) -> Word:
     pairs = [("X" if lt < 2 else "Y", 1 if lt % 2 == 0 else -1) for lt in letters]
     return Word.of(pairs)
-
-
-def _invert_letters(letters: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(lt ^ 1 for lt in reversed(letters))
-
-
-def _is_canonical(letters: Tuple[int, ...]) -> bool:
-    """Lexicographic minimum over all rotations of the word and its inverse."""
-    L = len(letters)
-    inv = _invert_letters(letters)
-    for base in (letters, inv):
-        doubled = base + base
-        for s in range(L):
-            if base is letters and s == 0:
-                continue
-            rot = doubled[s : s + L]
-            if rot < letters:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -133,68 +139,163 @@ class RecipeReplay:
         }
 
 
-def _tuple_mul(a, b, n):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+_BLOCK_DEPTH = 8  # a block holds at most 3^8 words per level
+_LETTERS = np.arange(4, dtype=np.uint8)
 
 
-def _scan_subtree(
-    prefix: Tuple[int, ...],
-    gens: Sequence[Tuple[Tuple[int, ...], ...]],
-    n: int,
-    max_length: int,
-    cap: int,
-) -> Tuple[List[Tuple[int, ...]], int]:
-    """DFS all reduced extensions of prefix; evaluate canonical nodes.
+def _matmul(a: np.ndarray, b: np.ndarray, modulus: Optional[int]) -> np.ndarray:
+    prod = np.matmul(a, b)
+    return prod % modulus if modulus else prod
 
-    Stops before the canonical word beyond the first cap.  Returns
-    (violating letter tuples, canonical words evaluated).
+
+def _as_bytes(words: np.ndarray) -> np.ndarray:
+    """The rows of an (N, d) uint8 array as N byte strings, which numpy
+    compares lexicographically.  No byte may be zero: numpy drops trailing
+    zero bytes."""
+    return np.ascontiguousarray(words).view(f"S{words.shape[1]}")[:, 0]
+
+
+def _lyndon_length(word: Sequence[int]) -> Optional[int]:
+    """Length of the longest Lyndon prefix of a prenecklace, or None if the
+    word is not one (the fundamental theorem of necklaces: Cattell, Ruskey,
+    Sawada, Serra and Miers, J. Algorithms 37, 2000).
+
+    A prenecklace is a prefix of a word that is least among its rotations.
+    Appending a letter c to a prenecklace w with Lyndon length p gives one
+    iff c >= w[-p]; the Lyndon length stays p if c == w[-p] and becomes the
+    new length otherwise.  A prenecklace is itself least among its
+    rotations iff its length is a multiple of p.
     """
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    mats = [ident]
-    for lt in prefix:
-        mats.append(_tuple_mul(mats[-1], gens[lt], n))
+    p = 1
+    for t in range(1, len(word)):
+        if word[t] < word[t - p]:
+            return None
+        if word[t] > word[t - p]:
+            p = t + 1
+    return p
+
+
+def _canonical(words: np.ndarray, lyndon: np.ndarray) -> np.ndarray:
+    """Mask of the rows of words (N, d), prenecklaces with Lyndon lengths
+    lyndon, that are cyclically reduced and lexicographically least among
+    the rotations of the word and of its inverse.
+
+    A prenecklace is least among its own rotations iff d is a multiple of
+    its Lyndon length.  A rotation of the inverse that starts with a letter
+    above the word's first is larger, so only the rotations that start with
+    a letter at most the first are compared.
+    """
+    d = words.shape[1]
+    canonical = (d % lyndon == 0) & (words[:, 0] != words[:, -1] ^ 1)
+    inverse = words[:, ::-1] ^ 1
+    rows, starts = np.divmod(np.flatnonzero((inverse <= words[:, :1]) & canonical[:, None]), d)
+    if not len(rows):
+        return canonical
+    cycles = np.concatenate([inverse, inverse], axis=1) + 1  # bytes 1..4, none zero
+    rotations = sliding_window_view(cycles, d, axis=1)[rows, starts]
+    smaller = _as_bytes(rotations) < _as_bytes(np.take(words, rows, axis=0) + 1)
+    canonical[rows[smaller]] = False
+    return canonical
+
+
+def _scan_block(
+    root: Tuple[int, ...],
+    mat: np.ndarray,
+    limit: int,
+    gens: np.ndarray,
+    modulus: Optional[int],
+    cap: float,
+) -> Tuple[List[Tuple[int, ...]], int]:
+    """Evaluate the canonical words of root's subtree up to length limit.
+
+    The subtree grows one level at a time: every word gets one child per
+    letter, except the reducing letter and the letters that make it no
+    prenecklace (no extension of those is canonical), and one batched
+    matmul applies the generators.  At most cap canonical words are
+    evaluated, the first in DFS pre-order.  Returns (violating letter
+    tuples, canonical words evaluated).
+    """
+    eye = np.eye(gens.shape[1], dtype=gens.dtype)
+    words = np.array([root], dtype=np.uint8)
+    lyndon = np.array([_lyndon_length(root)])
+    mats = mat[None]
+    found, flags = [], []  # canonical words and identity flags per length
+    while True:
+        canon = _canonical(words, lyndon)
+        found.append(words[canon])
+        flags.append((mats[canon] == eye).all(axis=(1, 2)))
+        t = words.shape[1]
+        if t >= limit:
+            break
+        floor = words[np.arange(len(words)), t - lyndon]
+        allowed = (_LETTERS >= floor[:, None]) & (_LETTERS != (words[:, -1] ^ 1)[:, None])
+        # flatnonzero and np.take: several times faster than np.nonzero on
+        # a 2-D mask and than words[parent]
+        parent, letters = np.divmod(np.flatnonzero(allowed), 4)
+        lyndon = np.where(letters == floor[parent], lyndon[parent], t + 1)
+        words = np.concatenate([np.take(words, parent, axis=0), _LETTERS[letters, None]], axis=1)
+        mats = _matmul(np.take(mats, parent, axis=0), np.take(gens, letters, axis=0), modulus)
+    flags = np.concatenate(flags)
+    # letters + 1, padded with zeros to the limit: in lexicographic order a
+    # word precedes its extensions and later siblings, which is pre-order
+    padded = np.zeros((len(flags), limit), dtype=np.uint8)
+    start = 0
+    for w in found:
+        padded[start : start + len(w), : w.shape[1]] = w + 1
+        start += len(w)
+    if len(flags) > cap:
+        kept = np.zeros(len(flags), dtype=bool)
+        kept[np.lexsort(padded.T[::-1])[: int(cap)]] = True
+        flags &= kept
+    violations = [tuple(lt - 1 for lt in row if lt) for row in padded[flags].tolist()]
+    return violations, min(len(flags), cap)
+
+
+def _scan(
+    gens: np.ndarray, max_length: int, budget: float, modulus: Optional[int] = None
+) -> Tuple[List[Tuple[int, ...]], int, bool]:
+    """Evaluate one canonical word per rotation/inversion class of the
+    cyclically reduced words up to max_length, in a fixed order, and return
+    (identity words, words evaluated, budget used up).
+
+    Canonical representatives either start with X or are a pure Y-power: any
+    class containing X^-1 or Y^-1 letters inverts to one containing X or Y,
+    and any rotation puts the smallest letter first.  A job is a prefix and
+    a length limit, and jobs run in this order: X alone, the Y-rooted
+    subtree (whose only prenecklaces are the Y-powers, taken by length),
+    then the three X-rooted subtrees.  Each job walks its subtree in DFS
+    pre-order: a node more than _BLOCK_DEPTH letters above the limit is
+    evaluated alone, and a shallower node's whole subtree is one block.  The
+    budget caps the canonical words evaluated.
+    """
+    jobs = [((0,), 1), ((2,), max_length)]
+    jobs += [((0, second), max_length) for second in (0, 2, 3)]
     violations: List[Tuple[int, ...]] = []
     checked = 0
-
-    def visit(letters: Tuple[int, ...]) -> bool:
-        nonlocal checked
-        if letters[0] != letters[-1] ^ 1 and _is_canonical(letters):
-            if checked >= cap:
-                return False
-            checked += 1
-            if mats[len(letters)] == ident:
-                violations.append(letters)
-        return True
-
-    # iterative DFS; stack holds (letters, next-child-letter-index)
-    letters = list(prefix)
-    if not visit(tuple(letters)):
-        return violations, checked
-    child_order = (0, 1, 2, 3)
-    stack = [0]
-    while stack:
-        ci = stack[-1]
-        if ci >= 4 or len(letters) >= max_length:
-            stack.pop()
-            if len(letters) > len(prefix):
-                letters.pop()
-                mats.pop()
+    for prefix, limit in jobs:
+        if len(prefix) > max_length:
             continue
-        stack[-1] += 1
-        lt = child_order[ci]
-        if lt == letters[-1] ^ 1:
-            continue
-        letters.append(lt)
-        mats.append(_tuple_mul(mats[-1], gens[lt], n))
-        if not visit(tuple(letters)):
-            letters.pop()
-            mats.pop()
-            return violations, checked
-        stack.append(0)
-    return violations, checked
+        mat = np.eye(gens.shape[1], dtype=gens.dtype)
+        for lt in prefix:
+            mat = _matmul(mat, gens[lt], modulus)
+        stack = [(prefix, mat)]
+        while stack:
+            word, mat = stack.pop()
+            whole = limit - len(word) <= _BLOCK_DEPTH
+            bad, cnt = _scan_block(
+                word, mat, limit if whole else len(word), gens, modulus, budget - checked
+            )
+            violations += bad
+            checked += cnt
+            if checked >= budget:
+                return violations, checked, True
+            if not whole:
+                stack += [
+                    (word + (lt,), _matmul(mat, gens[lt], modulus))
+                    for lt in (3, 2, 1, 0)
+                    if lt != word[-1] ^ 1 and _lyndon_length(word + (lt,)) is not None
+                ]
+    return violations, checked, False
 
 
 def freeness_scan(
@@ -214,38 +315,20 @@ def freeness_scan(
     integrally, hence no mod-p cycle of that length comes from one.  The
     budget caps the canonical words evaluated; the report is partial once
     the budget is used up.
+
+    Products are exact: int64 while nu^max_length < 2^63, with nu the
+    largest infinity-norm among X, X^-1, Y and Y^-1, and Python ints
+    otherwise (see the module docstring).
     """
     if max_length < 2:
         raise ParameterError(f"max_length must be >= 2, got {max_length}")
     A, B = magic_pair(n, a, b, allow_small=True)
     X = power_closed_form(A, l)
     Y = power_closed_form(B, l)
-    gens = (
-        X.entries,
-        X.inverse().entries,
-        Y.entries,
-        Y.inverse().entries,
-    )
-    # Canonical representatives either start with X or are a pure Y-power:
-    # any class containing X^-1 or Y^-1 letters inverts to one containing X
-    # or Y, and any rotation puts the smallest letter first.  Pure Y-powers
-    # are evaluated as single words (a Y-rooted subtree holds no other
-    # canonical cyclically reduced words); everything else lives in the
-    # three X-rooted subtrees.  A job is a prefix and a length limit, so a
-    # single word is a job limited to its own length.  Jobs run in this
-    # order, each capped by the budget that is left.
-    jobs = [((0,), 1), ((2,), 1)] + [((2,) * L, L) for L in range(2, max_length + 1)]
-    jobs += [((0, second), max_length) for second in (0, 2, 3)]
-    violations: List[Tuple[int, ...]] = []
-    checked = 0
-    partial = False
-    for prefix, length in jobs:
-        bad, cnt = _scan_subtree(prefix, gens, n, length, budget - checked)
-        violations.extend(bad)
-        checked += cnt
-        if checked >= budget:
-            partial = True
-            break
+    mats = [X.entries, X.inverse().entries, Y.entries, Y.inverse().entries]
+    nu = max(max(sum(abs(x) for x in row) for row in m) for m in mats)
+    gens = np.array(mats, dtype=np.int64 if nu**max_length < 1 << 63 else object)
+    violations, checked, partial = _scan(gens, max_length, budget)
     violations.sort(key=lambda ls: (len(ls), ls))
     return FreenessReport(
         (n, l, a, b),
@@ -263,56 +346,20 @@ def identity_word_length_mod_p(
     """Length of the shortest nonempty reduced word equal to 1 in the mod-p
     image, or None if none exists within max_length.
 
-    The shortest such word is automatically cyclically reduced, and its class
-    has a representative starting with X or equal to a pure Y-power, so only
-    those are searched.  Where the four generator images are pairwise
-    distinct this equals the graph girth (cross-validated in the test suite).
+    The shortest such word is cyclically reduced, and so are its rotations
+    and their inverses, which equal 1 as well; so one is a canonical word
+    of the freeness scan, run mod p with a bound raised one letter at a
+    time.  Where the four generator images are pairwise distinct this
+    equals the graph girth (cross-validated in the test suite).  Entries
+    stay below p, so int64 holds every partial sum while n (p - 1)^2 < 2^63.
     """
     X, Y = cayley.spec_generators(spec, p)
-    n = spec.n
-    gens = (
-        X.entries,
-        modmat.inverse(X).entries,
-        Y.entries,
-        modmat.inverse(Y).entries,
-    )
-    ident = ModMatrix.identity(n, p).entries
-
-    def mul(a, g):
-        return tuple(
-            tuple(sum(a[i][k] * g[k][j] for k in range(n)) % p for j in range(n))
-            for i in range(n)
-        )
-
-    for L in range(1, max_length + 1):
-        # pure Y-power of this exact length
-        prod = ident
-        for _ in range(L):
-            prod = mul(prod, gens[2])
-        if prod == ident:
-            return L
-        # depth-first over reduced words of length exactly L starting with X
-        mats = [mul(ident, gens[0])]
-        letters = [0]
-        if L == 1 and mats[0] == ident:
-            return 1
-        stack = [0]
-        while stack:
-            ci = stack[-1]
-            if ci >= 4 or len(letters) >= L:
-                stack.pop()
-                if len(letters) > 1:
-                    letters.pop()
-                    mats.pop()
-                continue
-            stack[-1] += 1
-            if ci == letters[-1] ^ 1:
-                continue
-            letters.append(ci)
-            mats.append(mul(mats[-1], gens[ci]))
-            if len(letters) == L and mats[-1] == ident:
-                return L
-            stack.append(0)
+    mats = [X.entries, modmat.inverse(X).entries, Y.entries, modmat.inverse(Y).entries]
+    exact = spec.n * (p - 1) ** 2 < 1 << 63
+    gens = np.array(mats, dtype=np.int64 if exact else object)
+    for length in range(1, max_length + 1):
+        if _scan(gens, length, math.inf, p)[0]:
+            return length
     return None
 
 

@@ -230,6 +230,19 @@ def test_budget_exceeded_carries_partial_info():
     assert exc.value.order_so_far > 0
 
 
+def test_default_memory_budget_reads_meminfo(monkeypatch, tmp_path):
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:        8222320 kB\nMemAvailable:    4194304 kB\n")
+    assert cayley._mem_available(str(meminfo)) == 4 << 30
+    meminfo.write_text("MemTotal:        8222320 kB\n")
+    assert cayley._mem_available(str(meminfo)) is None
+    assert cayley._mem_available(str(tmp_path / "absent")) is None
+    monkeypatch.setattr(cayley, "_mem_available", lambda: 4 << 30)
+    assert cayley._default_memory_budget() == 3 << 30
+    monkeypatch.setattr(cayley, "_mem_available", lambda: None)
+    assert cayley._default_memory_budget() == 8 << 30
+
+
 def test_export_dot_small_graph():
     X, Y = spec_generators(SPEC2, 3)
     dot = export_dot([X, Y])

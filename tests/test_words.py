@@ -1,16 +1,22 @@
 """Word machinery: freeness scans, shortest identity words, subgroup
 generators, recipe replays."""
 
+from itertools import islice
+
+import numpy as np
 import pytest
 
 from girthlab import cayley, modmat
+from girthlab import words as words_mod
 from girthlab.cayley import DegenerateSpecError
 from girthlab.exactmat import ExactMatrix, ParameterError, Word, magic_pair, power_closed_form
 from girthlab.params import validate
 from girthlab.words import (
+    DEFAULT_WORD_BUDGET,
     eval_word_mod,
     freeness_scan,
     identity_word_length_mod_p,
+    letters_to_word,
     replay_recipe_qt,
     replay_recipe_sl3_mod3,
     schreier_generators,
@@ -63,6 +69,118 @@ def brute_min_relation_length(n, l, a, b, max_length):
             if prod.is_identity():
                 return L
     return None
+
+
+def _is_canonical_reference(letters):
+    """Cyclically reduced and no rotation of the word or of its inverse is
+    lexicographically smaller."""
+    inv = tuple(INV[lt] for lt in reversed(letters))
+    return letters[0] != INV[letters[-1]] and all(
+        base[s:] + base[:s] >= letters for base in (letters, inv) for s in range(len(letters))
+    )
+
+
+def _freeness_reference(n, l, a, b, max_length):
+    """The scan one word at a time: (letters, equals the identity) for every
+    canonical word in the order the budget consumes them.
+
+    Jobs run in a fixed order: X alone, the pure Y-powers by length, then
+    the subtrees of X X, X Y and X Y^-1, each in DFS pre-order.
+    """
+    A, B = magic_pair(n, a, b, allow_small=True)
+    X, Y = power_closed_form(A, l), power_closed_form(B, l)
+    gens = [M.entries for M in (X, X.inverse(), Y, Y.inverse())]
+    ident = ExactMatrix.identity(n).entries
+
+    def mul(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+
+    jobs = [((0,), 1)] + [((2,) * L, L) for L in range(1, max_length + 1)]
+    jobs += [((0, second), max_length) for second in (0, 2, 3)]
+    for prefix, limit in jobs:
+        mat = ident
+        for lt in prefix:
+            mat = mul(mat, gens[lt])
+        stack = [(prefix, mat)]
+        while stack:
+            letters, mat = stack.pop()
+            if _is_canonical_reference(letters):
+                yield letters, mat == ident
+            if len(letters) < limit:
+                stack += [
+                    (letters + (lt,), mul(mat, gens[lt]))
+                    for lt in (3, 2, 1, 0)
+                    if lt != INV[letters[-1]]
+                ]
+
+
+def _reference_report(words, budget):
+    """(violations, words_checked, partial) of a scan that stops after budget
+    of the given canonical words."""
+    kept = words[:budget]
+    bad = sorted((ls for ls, ident in kept if ident), key=lambda ls: (len(ls), ls))
+    return [str(letters_to_word(ls)) for ls in bad], len(kept), len(kept) >= budget
+
+
+def _report(report):
+    return [str(w) for w in report.violations], report.words_checked, report.partial
+
+
+def test_freeness_scan_matches_reference_at_every_budget():
+    words = list(_freeness_reference(2, 1, 1, 1, 10))
+    assert len(words) == 4759
+    for budget in range(1, len(words) + 2):
+        report = freeness_scan(2, 1, 1, 1, 10, budget=budget)
+        assert _report(report) == _reference_report(words, budget), budget
+
+
+@pytest.mark.parametrize(
+    "params,budget",
+    [
+        ((2, 1, 2, 2, 12), DEFAULT_WORD_BUDGET),
+        ((2, 1, 1, 1, 12), DEFAULT_WORD_BUDGET),
+        ((3, 4, 4, 2, 8), DEFAULT_WORD_BUDGET),  # nu^8 < 2^63: int64 near its limit
+        ((3, 4, 4, 2, 9), DEFAULT_WORD_BUDGET),  # nu^9 > 2^63: Python ints
+        ((2, 1, 1, 1, 40), 1000),  # long words: the prefix walk above the blocks
+    ],
+)
+def test_freeness_scan_matches_reference(params, budget):
+    words = list(islice(_freeness_reference(*params), budget + 1))
+    assert _report(freeness_scan(*params, budget=budget)) == _reference_report(words, budget)
+
+
+@pytest.fixture
+def scan_dtypes(monkeypatch):
+    """The dtype of every scan the test runs, in order."""
+    dtypes = []
+    scan = words_mod._scan
+
+    def spy(gens, *args):
+        dtypes.append(gens.dtype)
+        return scan(gens, *args)
+
+    monkeypatch.setattr(words_mod, "_scan", spy)
+    return dtypes
+
+
+def test_freeness_scan_switches_to_python_ints(scan_dtypes):
+    freeness_scan(3, 4, 4, 2, 8)
+    freeness_scan(3, 4, 4, 2, 9)
+    assert scan_dtypes == [np.dtype(np.int64), np.dtype(object)]
+
+
+def test_canonical_matches_reference():
+    # every reduced word up to length 7, whatever its first letter
+    for L, wordlist in brute_reduced_words(7).items():
+        words = np.array(wordlist, dtype=np.uint8)
+        lyndon = [words_mod._lyndon_length(w) for w in wordlist]
+        pre = np.array([p is not None for p in lyndon])
+        mask = words_mod._canonical(words[pre], np.array([p for p in lyndon if p]))
+        got = {w for w, ok in zip(map(tuple, words[pre].tolist()), mask) if ok}
+        assert got == {w for w in wordlist if _is_canonical_reference(w)}, L
 
 
 def test_words_checked_matches_class_count():
@@ -158,6 +276,14 @@ def test_identity_word_length_examples():
     assert identity_word_length_mod_p(spec, 1009, 8) is None
     with pytest.raises(DegenerateSpecError):
         identity_word_length_mod_p(spec, 2, 6)
+
+
+def test_identity_word_length_past_int64_products(scan_dtypes):
+    # n (p - 1)^2 >= 2^63 from p = 2^31 + 2 on: the mod-p scan runs on Python ints
+    spec = validate(2, 1, 2, 2)
+    assert identity_word_length_mod_p(spec, 2**31 - 1, 4) is None
+    assert identity_word_length_mod_p(spec, 2**31 + 11, 4) is None
+    assert scan_dtypes == [np.dtype(np.int64)] * 4 + [np.dtype(object)] * 4
 
 
 def test_identity_word_length_matches_girth_small_primes():
