@@ -17,19 +17,24 @@ budget.  Only its visited set varies, chosen by the budget:
   "Twenty-Six Moves Suffice for Rubik's Cube" (ISSAC 2007).  A placed
   neighbour of a depth-d vertex has depth d - 1, d or d + 1, three distinct
   residues, so the collision rule stays exact and depth has no limit.
-  Generators act on codes through row tables (row_action): each row of an
-  element is looked up in a table of the m^n row vectors, so a step is n
-  small gathers with no decode, product or encode.  The same kernel builds
-  the spectral neighbour lists and the DOT edges.
+  Generators act on codes through row tables (row_action): the rows of an
+  element are grouped into blocks of consecutive rows, and each block is
+  looked up in one table of its block codes small enough to stay in cache,
+  so a step is a few small gathers with no decode, product or encode.  The
+  same kernel builds the spectral neighbour lists and the DOT edges.  Each
+  level is closed in sorted order: row i of M g is row_i(M) g, so the
+  targets of one generator from a sorted level fall into few contiguous
+  stretches of the table, and the next level's lookups stay cache-local.
 - _Levels otherwise: frontier search (Korf et al., "Frontier Search",
   J. ACM 52(5), 2005), which keeps only the sorted codes of levels d - 1
   and d while it builds d + 1, so a girth-only ball search costs memory in
   proportion to the ball, not to the code space.  The chunks of a level
   only gather their targets; when the level closes, its targets are sorted
   once, deduplicated by comparing neighbours, and their distinct codes
-  probe levels d - 1 and d in sorted order.  The sort's temporaries are not
-  charged to the memory budget.  Generators act by decode, product and
-  encode (_product_action), which needs no table of m^n rows.
+  probe levels d - 1 and d in sorted order, so both stores return the same
+  sorted levels.  The sort's temporaries are not charged to the memory
+  budget.  Generators act by decode, product and encode (_product_action),
+  which needs no table of m^n rows.
 
 Codes are int64 in both, so the code space m^(n^2) must fit in 63 bits.
 """
@@ -69,6 +74,7 @@ def _default_memory_budget() -> int:
 DEFAULT_MEMORY_BUDGET = _default_memory_budget()  # bytes, read once at import
 _SENT = np.uint8(0xFF)
 _CHUNK = 1 << 19
+_BLOCK_BYTES = 1 << 18  # a row-block table of row_action stays in cache
 _DOT_LIMIT = 10_000
 
 CSV_COLUMNS = ("p", "order", "full", "girth", "diameter", "ratio", "seconds", "peak_bytes")
@@ -152,6 +158,22 @@ def symmetrize(generators: Sequence[ModMatrix]) -> List[ModMatrix]:
     return out
 
 
+def _row_blocks(n: int, m: int, k: int) -> List[int]:
+    """Rows per block of row_action's tables, from row 0 up.
+
+    Every block has r rows, the most (at least one) whose table of m^(n r)
+    block codes by k int64 targets fits in _BLOCK_BYTES; a last block takes
+    the rows left over.
+    """
+    r = 1
+    while r < n and 8 * k * m ** (n * (r + 1)) <= _BLOCK_BYTES:
+        r += 1
+    blocks = [r] * (n // r)
+    if n % r:
+        blocks.append(n % r)
+    return blocks
+
+
 def row_action(n: int, m: int, gens: Sequence[ModMatrix]):
     """Right multiplication by every generator, acting on element codes.
 
@@ -159,10 +181,15 @@ def row_action(n: int, m: int, gens: Sequence[ModMatrix]):
     M g is row_i(M) g.  So for each generator a table over the m^n row codes,
     T_g[r] = code of the row vector r g, gives the code of M g as
     sum_i T_g[row_i(M)] * m^(n i), bit-identical to modmat.encode(M @ g).
-    The tables are stored pre-scaled by m^(n i) with the generators side by
-    side, so one action is n gathers of len(gens)-wide rows, summed.
-    Returns act(codes) -> int64 array of shape (len(codes), len(gens)) whose
-    column j holds the codes of M g_j; codes must lie below m^(n^2) <= 2^63.
+    Consecutive rows are grouped into blocks (_row_blocks), each with one
+    table over its m^(n r) block codes that sums the scaled row codes of its
+    r rows, with the generators side by side; a block's table stays within
+    _BLOCK_BYTES, so it stays in cache.  One action is then one divmod per
+    block boundary and one gather of len(gens)-wide rows per block, summed:
+    SL_4(F_3) takes two gathers of 6,561-row tables instead of four of
+    81-row ones.  Returns act(codes) -> int64 array of shape (len(codes),
+    len(gens)) whose column j holds the codes of M g_j; codes must lie below
+    m^(n^2) <= 2^63.
     """
     if m ** (n * n) > 2**63:
         raise ParameterError(f"modulus {m} too large for 63-bit element codes at n={n}")
@@ -173,17 +200,23 @@ def row_action(n: int, m: int, gens: Sequence[ModMatrix]):
     row_codes = np.array(
         [(digits @ np.array(g.entries, dtype=np.int64)) % m @ weights for g in gens],
         dtype=np.int64,
-    ).reshape(len(gens), base)
-    scale = base ** np.arange(n, dtype=np.int64)
-    tables = row_codes.T[None, :, :] * scale[:, None, None]  # (row i, row code, generator)
+    ).reshape(len(gens), base).T  # (row code, generator)
+    blocks = []  # (number of block codes, table), from row 0 up
+    scale = 1  # place weight of the block's lowest row
+    for rows in _row_blocks(n, m, len(gens)):
+        c = np.arange(base**rows, dtype=np.int64)
+        table = sum(row_codes[c // base**j % base] * (scale * base**j) for j in range(rows))
+        blocks.append((base**rows, table))
+        scale *= base**rows
+    *low, (_, top) = blocks
 
     def act(codes) -> np.ndarray:
         high = np.asarray(codes, dtype=np.int64)
         out = np.zeros((len(high), len(gens)), dtype=np.int64)
-        for i in range(n - 1):
-            high, row = np.divmod(high, base)
-            out += np.take(tables[i], row, axis=0)
-        out += np.take(tables[n - 1], high, axis=0)
+        for size, table in low:
+            high, block = np.divmod(high, size)
+            out += np.take(table, block, axis=0)
+        out += np.take(top, high, axis=0)
         return out
 
     return act
@@ -296,9 +329,17 @@ class _Table:
         return cands
 
     def close(self, d: int, track: bool):
+        # level d + 1 in sorted order: row i of M g is row_i(M) g, so the
+        # targets of each generator then fall into few contiguous blocks of
+        # the table, and the next level's gathers and scatters stay in cache
         nxt = np.concatenate(self.new)
         gen = np.concatenate(self.new_gens) if track else None
         self.new, self.new_gens = [], []
+        if track:
+            by = nxt.argsort()
+            nxt, gen = nxt[by], gen[by]
+        else:
+            nxt.sort()
         return nxt, gen, set()
 
     def codes(self) -> np.ndarray:
@@ -430,6 +471,9 @@ def _bfs(
             # the parent v g^-1 closes no cycle: drop the column of g^-1
             keep = cols != inv[cur_gen[s : s + _CHUNK], None] if track else None
             cands |= store.visit(d, tgts, keep)
+        # level d is not needed to close d + 1: free it before the close
+        # builds the next level
+        del cur, cur_gen, tgts, keep
         cur, cur_gen, closed = store.close(d, track)
         cands |= closed
         if track and cands:

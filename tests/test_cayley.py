@@ -341,15 +341,31 @@ def test_composite_modulus_closure():
     assert row.girth is not None
 
 
-@pytest.mark.parametrize("n,m", [(2, 6), (3, 4), (4, 3), (5, 2), (2, 101)])
+# rows per block of row_action's tables for four generators: a block's
+# table holds m^(n r) codes of 4 int64 targets within 256 KiB
+ROW_BLOCKS = {
+    (2, 6): [2],
+    (3, 4): [2, 1],
+    (4, 3): [2, 2],  # SL_4(F_3): two tables of 6,561 codes
+    (5, 2): [2, 2, 1],
+    (2, 101): [1, 1],  # 101^4 codes would take 326 KB: one row per block
+    (1, 10_007): [1],
+    (3, 3): [2, 1],
+    (2, 7): [2],
+}
+
+
+@pytest.mark.parametrize("n,m", list(ROW_BLOCKS))
 def test_row_action_matches_matrix_product(n, m):
     rng = np.random.default_rng(1000 * n + m)
     gens = [
-        ModMatrix.from_rows(rng.integers(0, m, size=(n, n)).tolist(), m) for _ in range(3)
+        ModMatrix.from_rows(rng.integers(0, m, size=(n, n)).tolist(), m) for _ in range(4)
     ]
-    codes = rng.integers(0, m ** (n * n), size=300)
+    assert cayley._row_blocks(n, m, len(gens)) == ROW_BLOCKS[n, m]
+    # the lowest and highest codes, whose block digits are all 0 or all m^(n r) - 1
+    codes = np.concatenate([[0, m ** (n * n) - 1], rng.integers(0, m ** (n * n), size=300)])
     tgts = cayley.row_action(n, m, gens)(codes)
-    assert tgts.shape == (300, 3)
+    assert tgts.shape == (302, 4)
     for j, g in enumerate(gens):
         want = [modmat.encode(modmat.decode(c, n, m) @ g) for c in codes.tolist()]
         assert tgts[:, j].tolist() == want
@@ -446,12 +462,52 @@ def test_engines_agree_on_the_girth_only_early_return(monkeypatch, spec, m, expe
 @pytest.mark.parametrize("p,expect_girth,ball", [(307, 18, 13_121), (401, 20, 39_365)])
 def test_frontier_girth_ball_past_dense_limit(p, expect_girth, ball):
     X, Y = spec_generators(SPEC2, p)
-    assert 3 * p**4 > cayley.DEFAULT_MEMORY_BUDGET  # no dense table: the frontier runs
-    res = cayley.bfs([X, Y], want_girth=True, girth_only=True)
+    # one byte short of the dense table on any host: the frontier runs
+    res = cayley.bfs([X, Y], want_girth=True, girth_only=True, memory_budget=3 * p**4 - 1)
+    assert res.peak_bytes < p**4  # no dense table, whose charge alone is p^4 bytes
     assert (res.girth, res.order) == (expect_girth, ball)
     # the girth closes at the first level past a tree ball
     tree = tuple([1] + [4 * 3 ** (d - 1) for d in range(1, len(res.sphere_sizes))])
     assert res.sphere_sizes == tree and sum(tree) == ball
+
+
+@pytest.mark.parametrize("spec,m", [(SPEC2, 13), (SPEC3, 3)])
+@pytest.mark.parametrize("want_girth", [False, True])
+def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, want_girth):
+    # both stores return each level sorted, so their levels are equal arrays;
+    # while the girth is tracked, each element's arriving generator leads
+    # back to the previous level
+    gens = symmetrize(spec_generators(spec, m))
+    n = gens[0].n
+    act = cayley.row_action(n, m, gens)
+    inv = cayley._inverse_columns(gens)
+    closed = {}
+    for store in (cayley._Table, cayley._Levels):
+        levels = closed[store] = []
+
+        def spy(self, d, track, close=store.close, levels=levels):
+            nxt, gen, cands = close(self, d, track)
+            levels.append((nxt, gen))
+            return nxt, gen, cands
+
+        monkeypatch.setattr(store, "close", spy)
+        kw = dict(want_girth=want_girth, girth_only=False, collect=False, memory_budget=1 << 30)
+        _engine(gens, table=store is cayley._Table, **kw)
+    table, frontier = closed[cayley._Table], closed[cayley._Levels]
+    assert len(table) == len(frontier) > 3
+    tracked = 0
+    prev = np.array([modmat.encode(ModMatrix.identity(n, m))])
+    for (codes, table_gen), (frontier_codes, frontier_gen) in zip(table, frontier):
+        assert np.array_equal(codes, frontier_codes)
+        assert (np.diff(codes) > 0).all()
+        assert (table_gen is None) == (frontier_gen is None)
+        for gen in (table_gen, frontier_gen):
+            if gen is not None:
+                tracked += 1
+                parents = act(codes)[np.arange(len(codes)), inv[gen]]
+                assert cayley._member(prev, parents).all()
+        prev = codes
+    assert (tracked > 0) == want_girth
 
 
 @pytest.mark.parametrize(
