@@ -1,16 +1,19 @@
 """Exact Cayley-graph computations: order, girth, diameter via BFS.
 
 One breadth-first sweep from the identity produces all three statistics.
-Girth uses the non-backtracking collision rule: at the first level where a
-frontier vertex touches an already-placed vertex other than its parent, the
-two path depths sum to the girth (vertex-transitivity makes the cycle
-through the identity shortest overall).  Since right multiplication by a
-fixed generator is injective, targets within one (chunk, generator) batch
-are automatically distinct; the only collisions are genuine ones.
+Girth uses a collision rule: at the first level d where a frontier vertex
+touches a vertex of its own level (a cycle of length 2d + 1) or two
+frontier vertices reach the same new vertex (2d + 2), that length is the
+girth (vertex-transitivity makes the cycle through the identity shortest
+overall).  Until then the ball is a tree, so a frontier vertex's one
+neighbour in level d - 1 is its parent and closes no cycle.  Since right
+multiplication by a fixed generator is injective, targets within one
+(chunk, generator) batch are automatically distinct; the only collisions
+are genuine ones.
 
 One vectorized, deterministic level loop (_bfs) does the sweep: chunking,
-the parent and collision rules, the level bookkeeping and the memory
-budget.  Only its visited set varies, chosen by the budget:
+the collision rule, the level bookkeeping and the memory budget.  Only its
+visited set varies, chosen by the budget:
 
 - _Table, when 3 m^(n^2) bytes fit it: one byte per element code holding
   depth mod 3 (0xFF marks an unplaced code), after Kunkle & Cooperman,
@@ -222,15 +225,6 @@ def row_action(n: int, m: int, gens: Sequence[ModMatrix]):
     return act
 
 
-def _inverse_columns(gens: Sequence[ModMatrix]) -> np.ndarray:
-    """Index in gens of each generator's inverse (gens is symmetrized)."""
-    inv_idx = np.empty(len(gens), dtype=np.uint8)
-    for i, g in enumerate(gens):
-        gi = modmat.inverse(g).entries
-        inv_idx[i] = next(j for j, h in enumerate(gens) if h.entries == gi)
-    return inv_idx
-
-
 def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
     """Right multiplication by every generator by decode, product and encode.
 
@@ -298,25 +292,23 @@ class _Table:
         self.dist = np.full(m ** (n * n), _SENT, dtype=np.uint8)
         self.dist[root] = 0
         self.new: List[np.ndarray] = []  # next-level codes
-        self.new_gens: List[np.ndarray] = []  # their arriving generators
 
     def charge(self, d: int, width: int, order: int) -> int:
-        # the table, the codes and arriving generators of level d (9 bytes
-        # per element) and the int64 target block of one chunk
+        # the table, 9 bytes per element of level d (its 8-byte code; the
+        # formula is unchanged, and the ninth byte is spare) and the int64
+        # target block of one chunk
         return len(self.dist) + 9 * width + 8 * self.k * min(width, _CHUNK)
 
-    def visit(self, d: int, tgts: np.ndarray, keep: Optional[np.ndarray]) -> Set[int]:
-        below, here, above = (d - 1) % 3, d % 3, (d + 1) % 3
+    def visit(self, d: int, tgts: np.ndarray, track: bool) -> Set[int]:
+        here, above = d % 3, (d + 1) % 3
         cands: Set[int] = set()
         # one generator column at a time: right multiplication by a fixed
         # generator is injective, so a column holds no duplicate, and a code
         # placed by an earlier column or chunk is a genuine collision
         for j in range(self.k):
-            t = tgts[:, j] if keep is None else tgts[keep[:, j], j]
+            t = tgts[:, j]
             dv = self.dist[t]
-            if keep is not None:
-                if d > 0 and bool((dv == below).any()):
-                    cands.add(2 * d)
+            if track:
                 if bool((dv == here).any()):
                     cands.add(2 * d + 1)
                 if bool((dv == above).any()):
@@ -324,8 +316,6 @@ class _Table:
             new = t[dv == _SENT]
             self.dist[new] = above
             self.new.append(new)
-            if keep is not None:
-                self.new_gens.append(np.full(len(new), j, dtype=np.uint8))
         return cands
 
     def close(self, d: int, track: bool):
@@ -333,14 +323,9 @@ class _Table:
         # targets of each generator then fall into few contiguous blocks of
         # the table, and the next level's gathers and scatters stay in cache
         nxt = np.concatenate(self.new)
-        gen = np.concatenate(self.new_gens) if track else None
-        self.new, self.new_gens = [], []
-        if track:
-            by = nxt.argsort()
-            nxt, gen = nxt[by], gen[by]
-        else:
-            nxt.sort()
-        return nxt, gen, set()
+        self.new = []
+        nxt.sort()
+        return nxt, set()
 
     def codes(self) -> np.ndarray:
         return np.flatnonzero(self.dist != _SENT).astype(np.uint64)
@@ -353,73 +338,53 @@ class _Levels:
         n, m = gens[0].n, gens[0].m
         self.k = len(gens)
         self.act = _product_action(n, m, gens)
-        self.cols = np.arange(self.k, dtype=np.uint8)[None, :]
         self.prev = np.empty(0, dtype=np.int64)
         self.cur = np.array([root], dtype=np.int64)
         self.levels = [self.cur] if collect else None
         self.new: List[np.ndarray] = []  # level d's targets, seen and repeated ones included
-        self.new_gens: List[np.ndarray] = []  # their generator columns
 
     def charge(self, d: int, width: int, order: int) -> int:
         # live while level d + 1 is built: the codes of levels d - 1 and d
-        # (of every level when collecting), level d's arriving generators,
-        # one chunk's target block, and the gathered targets with their
-        # generator columns: k - 1 per element of level d (k at the root),
-        # since one neighbour of each is its parent.  Not charged: the sort
-        # temporaries of close, and without girth tracking the parent's
-        # code, which is gathered with the other targets
+        # (of every level when collecting), one chunk's target block, and
+        # the k targets of 8 bytes gathered per element of level d, which
+        # the unchanged formula counts as 9 (k - 1) + 1 bytes (9 k + 1 at
+        # the root).  Not charged: the sort temporaries of close
         kept = order if self.levels is not None else len(self.prev) + width
         grown = (self.k if d == 0 else self.k - 1) * width
         return 8 * kept + width + 8 * self.k * min(width, _CHUNK) + 9 * grown
 
-    def visit(self, d: int, tgts: np.ndarray, keep: Optional[np.ndarray]) -> Set[int]:
+    def visit(self, d: int, tgts: np.ndarray, track: bool) -> Set[int]:
         # only gather the targets: close sorts and probes the whole level once
-        if keep is None:
-            self.new.append(tgts.ravel("K"))
-        else:
-            self.new.append(tgts[keep])
-            self.new_gens.append(self.cols.repeat(len(tgts), axis=0)[keep])
+        self.new.append(tgts.ravel("K"))
         return set()
 
     def close(self, d: int, track: bool):
         # one sort of the level's targets; its distinct codes then probe the
         # sorted levels d - 1 and d in order, which keeps the probes local
         joined = np.concatenate(self.new)
-        gen = np.concatenate(self.new_gens) if track else None
-        self.new, self.new_gens = [], []
-        if track:
-            by = joined.argsort()
-            joined, gen = joined[by], gen[by]
-        else:
-            joined.sort()
+        self.new = []
+        joined.sort()
         first = np.empty(len(joined), dtype=bool)
         first[:1] = True
         np.not_equal(joined[1:], joined[:-1], out=first[1:])
         reached = joined[first]
         in_prev = _member(self.prev, reached)
         in_cur = _member(self.cur, reached)
-        fresh = ~(in_prev | in_cur)
-        nxt = reached[fresh]
+        nxt = reached[~(in_prev | in_cur)]
         cands: Set[int] = set()
         if track:
-            # a repeated target keeps the generator of one of its arrivals:
-            # which one does not matter, because the repeat adds 2d + 2 and
-            # so ends the tracking
-            gen = gen[first][fresh]
-            # a target in level d - 1 closes a cycle of length 2d, one in
-            # level d of length 2d + 1, and a target reached twice one of
-            # length 2d + 2 (for a repeated code of level d - 1 or d that
-            # only repeats a shorter cycle)
-            if bool(in_prev.any()):
-                cands.add(2 * d)
+            # a target in level d closes a cycle of length 2d + 1, and a
+            # target reached twice outside level d - 1 one of length 2d + 2
+            # (a repeated code of level d only repeats the 2d + 1 cycle;
+            # those of level d - 1 are the shared parents)
             if bool(in_cur.any()):
                 cands.add(2 * d + 1)
-            if not first.all():
+            if not _member(self.prev, joined[1:][~first[1:]]).all():
                 cands.add(2 * d + 2)
         self.prev, self.cur = self.cur, nxt
         if self.levels is not None:
             self.levels.append(nxt)
-        return nxt, gen, cands
+        return nxt, cands
 
     def codes(self) -> np.ndarray:
         return np.sort(np.concatenate(self.levels)).astype(np.uint64)
@@ -438,22 +403,21 @@ def _bfs(
 
     A store provides act(codes), the (len(codes), k) targets; charge(d,
     width, order), the bytes live while level d + 1 is built from a level d
-    of width elements; visit(d, targets, keep), which records the targets
-    of one chunk and returns the collision candidates (girth values) it
-    already sees among them, keep being None when no girth is tracked and
-    otherwise the mask of non-parent targets; close(d, track) -> (level d + 1, its
-    arriving generators when tracking, more candidates); and codes().  A
-    level whose charge exceeds the budget is never built; peak_bytes is the
-    largest charge.
+    of width elements; visit(d, targets, track), which records the targets
+    of one chunk and, when track, returns the collision candidates (girth
+    values) it already sees among them; close(d, track) -> (level d + 1,
+    more candidates); and codes().  A level whose charge exceeds the budget
+    is never built; peak_bytes is the largest charge.
+
+    While the girth is tracked at level d, an element of level d has one
+    neighbour in level d - 1: a second would have made it a target reached
+    twice from level d - 1, adding 2d and ending the tracking.  So no rule
+    needs to know which neighbour is the parent.
     """
     n, m, k = gens[0].n, gens[0].m, len(gens)
     root = modmat.encode(ModMatrix.identity(n, m))
     store = (_Table if table else _Levels)(gens, root, collect)
-    # column of each generator's inverse; the root's sentinel k matches none
-    inv = np.append(_inverse_columns(gens), np.uint8(k))
-    cols = np.arange(k, dtype=np.uint8)
     cur = np.array([root], dtype=np.int64)
-    cur_gen = np.full(1, k, dtype=np.uint8)  # arriving generator of each element
     sizes = [1]
     order = 1
     peak = 0
@@ -468,13 +432,11 @@ def _bfs(
         cands: Set[int] = set()
         for s in range(0, len(cur), _CHUNK):
             tgts = store.act(cur[s : s + _CHUNK])
-            # the parent v g^-1 closes no cycle: drop the column of g^-1
-            keep = cols != inv[cur_gen[s : s + _CHUNK], None] if track else None
-            cands |= store.visit(d, tgts, keep)
+            cands |= store.visit(d, tgts, track)
         # level d is not needed to close d + 1: free it before the close
         # builds the next level
-        del cur, cur_gen, tgts, keep
-        cur, cur_gen, closed = store.close(d, track)
+        del cur, tgts
+        cur, closed = store.close(d, track)
         cands |= closed
         if track and cands:
             girth = min(cands)
@@ -520,8 +482,7 @@ def bfs(
     the simple graph); without it they are simply absorbed.  A reported
     girth is checked against the sphere sizes (_check_sphere_sizes).
     Element codes must fit in 63 bits: a larger code space raises
-    BudgetExceededError at depth 0.  At most 255 distinct generators and
-    inverses are supported.
+    BudgetExceededError at depth 0.
     """
     if not generators:
         raise ParameterError("need at least one generator")
@@ -536,9 +497,6 @@ def bfs(
                 raise DegenerateSpecError("identity generator; girth undefined")
     else:
         gens = [g for g in gens if not g.is_identity()] or [ModMatrix.identity(n, m)]
-    if len(gens) > 255:
-        # arriving generators are single bytes, and the root's sentinel is k
-        raise ParameterError(f"{len(gens)} generators and inverses; at most 255 are supported")
     size = m ** (n * n)
     # the second test matters only for n = 1, where a product entry (m - 1)^2
     # can overflow int64 although the code fits

@@ -325,10 +325,27 @@ def test_girth_and_diameter_against_networkx():
         if res.order == 1:
             continue
         expect_girth = nx.girth(G)
+        expect_diameter = nx.diameter(G)
         got = math.inf if res.girth is None else res.girth
         assert got == expect_girth, (rows, m, got, expect_girth)
-        assert res.diameter == nx.diameter(G)
+        assert res.diameter == expect_diameter
         assert res.order == G.number_of_nodes()
+        # each store's collision rule against the same oracle, also on the
+        # girth-only early return
+        for table in (True, False):
+            for girth_only in (False, True):
+                res = _engine(
+                    symmetrize(gens),
+                    table=table,
+                    want_girth=True,
+                    girth_only=girth_only,
+                    collect=False,
+                    memory_budget=1 << 30,
+                )
+                got = math.inf if res.girth is None else res.girth
+                assert got == expect_girth, (rows, m, table, girth_only, got)
+                if not girth_only:
+                    assert (res.order, res.diameter) == (G.number_of_nodes(), expect_diameter)
         cases += 1
 
 
@@ -475,37 +492,39 @@ def test_frontier_girth_ball_past_dense_limit(p, expect_girth, ball):
 @pytest.mark.parametrize("want_girth", [False, True])
 def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, want_girth):
     # both stores return each level sorted, so their levels are equal arrays;
-    # while the girth is tracked, each element's arriving generator leads
-    # back to the previous level
+    # while the girth is tracked at a level, each of its elements has exactly
+    # one neighbour in the previous level, which is why the collision rule
+    # needs no parent
     gens = symmetrize(spec_generators(spec, m))
     n = gens[0].n
     act = cayley.row_action(n, m, gens)
-    inv = cayley._inverse_columns(gens)
     closed = {}
     for store in (cayley._Table, cayley._Levels):
-        levels = closed[store] = []
+        calls = closed[store] = []
 
-        def spy(self, d, track, close=store.close, levels=levels):
-            nxt, gen, cands = close(self, d, track)
-            levels.append((nxt, gen))
-            return nxt, gen, cands
+        def spy(self, d, track, close=store.close, calls=calls):
+            nxt, cands = close(self, d, track)
+            calls.append((nxt, track))
+            return nxt, cands
 
         monkeypatch.setattr(store, "close", spy)
         kw = dict(want_girth=want_girth, girth_only=False, collect=False, memory_budget=1 << 30)
         _engine(gens, table=store is cayley._Table, **kw)
     table, frontier = closed[cayley._Table], closed[cayley._Levels]
     assert len(table) == len(frontier) > 3
+    assert [track for _, track in table] == [track for _, track in frontier]
     tracked = 0
     prev = np.array([modmat.encode(ModMatrix.identity(n, m))])
-    for (codes, table_gen), (frontier_codes, frontier_gen) in zip(table, frontier):
+    # close(d, track) returns level d + 1; the next call says whether the
+    # girth is still tracked at that level
+    for (codes, _), (frontier_codes, _), (_, track) in zip(table, frontier, table[1:]):
         assert np.array_equal(codes, frontier_codes)
         assert (np.diff(codes) > 0).all()
-        assert (table_gen is None) == (frontier_gen is None)
-        for gen in (table_gen, frontier_gen):
-            if gen is not None:
-                tracked += 1
-                parents = act(codes)[np.arange(len(codes)), inv[gen]]
-                assert cayley._member(prev, parents).all()
+        if track:
+            tracked += 1
+            tgts = act(codes)
+            in_prev = cayley._member(prev, tgts.ravel()).reshape(tgts.shape)
+            assert (in_prev.sum(axis=1) == 1).all()
         prev = codes
     assert (tracked > 0) == want_girth
 
@@ -533,9 +552,9 @@ def test_frontier_budget_is_charged_before_each_level():
     res = cayley.bfs([X, Y], want_girth=True, memory_budget=budget)
     assert (res.order, res.girth, res.diameter) == (226_920, 16, 15)
     assert res.peak_bytes <= budget
-    # before building level d + 1: codes of levels d - 1 and d, arriving
-    # generators of level d, one chunk's targets, and at most k - 1 new
-    # elements (code and generator) per element of level d, k at the root
+    # before building level d + 1: codes of levels d - 1 and d, one chunk's
+    # targets, and the gathered targets of level d, counted as 9 (k - 1) + 1
+    # bytes per element (9 k + 1 at the root)
     k, sizes = res.degree, res.sphere_sizes
     charges = [
         8 * (sizes[d - 1] if d else 0)
@@ -605,9 +624,11 @@ def test_table_budget_is_charged_before_each_level():
     assert (exc.value.depth_reached, exc.value.order_so_far) == (d, sum(sizes[: d + 1]))
 
 
-def test_more_than_255_generators_is_a_parameter_error():
-    # one byte holds an arriving generator or the root's sentinel k
+def test_more_than_255_generators_give_the_complete_graph():
+    # the 256 nonzero shears of Z/257 generate it with every other element
+    # as a neighbour: K_257.  The budget is far below the dense table's
+    # 3 * 257^4 bytes, so frontier search runs
     gens = [ModMatrix.from_rows([[1, b], [0, 1]], 257) for b in range(1, 129)]
     assert len(symmetrize(gens)) == 256
-    with pytest.raises(ParameterError, match="at most 255"):
-        cayley.bfs(gens, want_girth=True)
+    res = cayley.bfs(gens, want_girth=True, memory_budget=1 << 30)
+    assert (res.order, res.girth, res.diameter, res.degree) == (257, 3, 1, 256)
