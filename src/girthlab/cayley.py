@@ -13,31 +13,37 @@ are genuine ones.
 
 One vectorized, deterministic level loop (_bfs) does the sweep: chunking,
 the collision rule, the level bookkeeping and the memory budget.  Only its
-visited set varies, chosen by the budget:
+visited set varies.  A girth-only search always takes frontier search,
+whose ball is far smaller than the group; a full sweep takes the table
+whenever 3 bytes per index of the table fit the budget:
 
-- _Table, when 3 m^(n^2) bytes fit it: one byte per element code holding
-  depth mod 3 (0xFF marks an unplaced code), after Kunkle & Cooperman,
-  "Twenty-Six Moves Suffice for Rubik's Cube" (ISSAC 2007).  A placed
-  neighbour of a depth-d vertex has depth d - 1, d or d + 1, three distinct
-  residues, so the collision rule stays exact and depth has no limit.
-  Generators act on codes through row tables (row_action): the rows of an
+- _Table: one byte per index holding depth mod 3 (0xFF marks an unplaced
+  index), after Kunkle & Cooperman, "Twenty-Six Moves Suffice for Rubik's
+  Cube" (ISSAC 2007).  A placed neighbour of a depth-d vertex has depth
+  d - 1, d or d + 1, three distinct residues, so the collision rule stays
+  exact and depth has no limit.  The index is the element's rank in
+  SL_2(F_m) when n = 2, m is prime and every generator has determinant 1
+  (_sl2_ranks: m^3 indices instead of m^4 codes), and its code otherwise.
+  On ranks the generators act through two tables over the m^2 row-0 codes
+  each.  On codes they act through row tables (row_action): the rows of an
   element are grouped into blocks of consecutive rows, and each block is
   looked up in one table of its block codes small enough to stay in cache,
   so a step is a few small gathers with no decode, product or encode.  The
   same kernel builds the spectral neighbour lists and the DOT edges.  Each
-  level is closed in sorted order: row i of M g is row_i(M) g, so the
-  targets of one generator from a sorted level fall into few contiguous
-  stretches of the table, and the next level's lookups stay cache-local.
-- _Levels otherwise: frontier search (Korf et al., "Frontier Search",
-  J. ACM 52(5), 2005), which keeps only the sorted codes of levels d - 1
-  and d while it builds d + 1, so a girth-only ball search costs memory in
-  proportion to the ball, not to the code space.  The chunks of a level
-  only gather their targets; when the level closes, its targets are sorted
-  once, deduplicated by comparing neighbours, and their distinct codes
-  probe levels d - 1 and d in sorted order, so both stores return the same
-  sorted levels.  The sort's temporaries are not charged to the memory
-  budget.  Generators act by decode, product and encode (_product_action),
-  which needs no table of m^n rows.
+  level is closed in sorted order of its indices: row i of M g is
+  row_i(M) g, so the targets of one generator from a sorted level fall into
+  few contiguous stretches of the table, and the next level's lookups stay
+  cache-local.  codes() unranks the placed indices and sorts them.
+- _Levels: frontier search (Korf et al., "Frontier Search", J. ACM 52(5),
+  2005), which keeps only the sorted codes of levels d - 1 and d while it
+  builds d + 1, so a girth-only ball search costs memory in proportion to
+  the ball, not to the code space.  The chunks of a level only gather their
+  targets; when the level closes, its targets are sorted once, deduplicated
+  by comparing neighbours, and their distinct codes probe levels d - 1 and
+  d in sorted order, so both stores return the same levels, each sorted by
+  its index.  The sort's temporaries are not charged to the memory budget.
+  Generators act by decode, product and encode (_product_action), which
+  needs no table of m^n rows.
 
 Codes are int64 in both, so the code space m^(n^2) must fit in 63 bits.
 """
@@ -274,6 +280,70 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
     return act
 
 
+def _sl2_ranked(gens: Sequence[ModMatrix]) -> bool:
+    """Whether _Table indexes elements by SL_2 rank (_sl2_ranks).
+
+    Only when n = 2, m is prime and every generator has determinant 1, so
+    that every element reached lies in SL_2(F_m).
+    """
+    n, m = gens[0].n, gens[0].m
+    return n == 2 and modmat.is_prime(m) and all(g.det() == 1 for g in gens)
+
+
+def _sl2_ranks(m: int, gens: Sequence[ModMatrix]):
+    """Right multiplication on the ranks of SL_2(F_m), and the unrank map.
+
+    Row 0 of [[a, b], [c, d]] has the code r0 = a + b m, and det = 1 puts
+    row 1 on the line v0(r0) + t (a, b), with the point v0 = (-1/b, 0) when
+    b != 0 and (0, 1/a) when b = 0, and 0 <= t < m.  The rank is r0 m + t,
+    so m^3 ranks index the m^3 - m elements; those with r0 = 0 are unused.  Row i of M g
+    is row_i(M) g, so row 0 of M g has the code T_g[r0], and row 1 of M g is
+    v0(r0) g + t row_0(M g), on the line of T_g[r0] at t + s_g[r0] for a
+    shift s_g[r0] that does not depend on t.  So rank(M g) = T_g[r0] m +
+    (t + s_g[r0]) mod m, from two tables over the m^2 row-0 codes per
+    generator and one of the 2m residues.  Returns (act, unrank): act(ranks)
+    with row_action's contract, as a transposed view like _product_action's,
+    and unrank(ranks), the element codes of the ranks in order.
+    """
+    r0 = np.arange(m * m, dtype=np.int64)
+    a, b = r0 % m, r0 // m
+    inv = np.array([0] + [pow(x, -1, m) for x in range(1, m)], dtype=np.int64)
+    lead = b != 0
+    x0, y0 = np.where(lead, -inv[b], 0) % m, np.where(lead, 0, inv[a])  # v0(r0)
+    head, shift = (np.empty((len(gens), m * m), dtype=np.int64) for _ in range(2))
+    for j, g in enumerate(gens):
+        (g00, g01), (g10, g11) = g.entries
+        a2, b2 = (a * g00 + b * g10) % m, (a * g01 + b * g11) % m
+        r2 = a2 + b2 * m
+        # v0(r0) g - v0(r2) = s (a2, b2), read off at a nonzero entry of row 0
+        wx = (x0 * g00 + y0 * g10 - x0[r2]) % m
+        wy = (x0 * g01 + y0 * g11 - y0[r2]) % m
+        head[j] = r2 * m
+        shift[j] = np.where(b2 != 0, wy * inv[b2], wx * inv[a2]) % m
+    wrap = np.arange(2 * m, dtype=np.int64) % m
+
+    def act(ranks) -> np.ndarray:
+        ranks = np.asarray(ranks, dtype=np.int64)
+        row0 = ranks // m
+        t = row0 * m
+        np.subtract(ranks, t, out=t)
+        out = np.take(shift, row0, axis=1)
+        out += t
+        out = np.take(wrap, out)
+        out += np.take(head, row0, axis=1)
+        return out.T
+
+    def unrank(ranks) -> np.ndarray:
+        ranks = np.asarray(ranks, dtype=np.int64)
+        row0 = ranks // m
+        t = ranks - row0 * m
+        c = (x0[row0] + t * (row0 % m)) % m
+        d = (y0[row0] + t * (row0 // m)) % m
+        return row0 + (c + d * m) * (m * m)
+
+    return act, unrank
+
+
 def _member(level: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Mask of the codes found in a sorted level."""
     if not len(level):
@@ -283,20 +353,29 @@ def _member(level: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 class _Table:
-    """Visited set over the whole code space: one byte per code, depth mod 3."""
+    """Visited set over a whole index space: one byte per index, depth mod 3.
 
-    def __init__(self, gens: List[ModMatrix], root: int, collect: bool):
+    The index is the SL_2 rank when _sl2_ranked (m^3 bytes), otherwise the
+    element code itself (m^(n^2) bytes).
+    """
+
+    def __init__(self, gens: List[ModMatrix], collect: bool):
         n, m = gens[0].n, gens[0].m
         self.k = len(gens)
-        self.act = row_action(n, m, gens)
-        self.dist = np.full(m ** (n * n), _SENT, dtype=np.uint8)
-        self.dist[root] = 0
-        self.new: List[np.ndarray] = []  # next-level codes
+        if _sl2_ranked(gens):
+            self.act, self.unrank = _sl2_ranks(m, gens)
+            self.root, size = m, m**3  # the identity: r0 = 1, t = 0
+        else:
+            self.act, self.unrank = row_action(n, m, gens), np.asarray
+            self.root, size = modmat.encode(ModMatrix.identity(n, m)), m ** (n * n)
+        self.dist = np.full(size, _SENT, dtype=np.uint8)
+        self.dist[self.root] = 0
+        self.new: List[np.ndarray] = []  # next-level indices
 
     def charge(self, d: int, width: int, order: int) -> int:
-        # the table, 9 bytes per element of level d (its 8-byte code; the
-        # formula is unchanged, and the ninth byte is spare) and the int64
-        # target block of one chunk
+        # the table, 9 bytes per element of level d (its 8-byte index; the
+        # ninth byte is spare) and the int64 target block of one chunk.  Not
+        # charged: the action's tables
         return len(self.dist) + 9 * width + 8 * self.k * min(width, _CHUNK)
 
     def visit(self, d: int, tgts: np.ndarray, track: bool) -> Set[int]:
@@ -328,18 +407,19 @@ class _Table:
         return nxt, set()
 
     def codes(self) -> np.ndarray:
-        return np.flatnonzero(self.dist != _SENT).astype(np.uint64)
+        return np.sort(self.unrank(np.flatnonzero(self.dist != _SENT))).astype(np.uint64)
 
 
 class _Levels:
     """Visited set of the sorted codes of levels d - 1 and d (frontier search)."""
 
-    def __init__(self, gens: List[ModMatrix], root: int, collect: bool):
+    def __init__(self, gens: List[ModMatrix], collect: bool):
         n, m = gens[0].n, gens[0].m
         self.k = len(gens)
         self.act = _product_action(n, m, gens)
+        self.root = modmat.encode(ModMatrix.identity(n, m))
         self.prev = np.empty(0, dtype=np.int64)
-        self.cur = np.array([root], dtype=np.int64)
+        self.cur = np.array([self.root], dtype=np.int64)
         self.levels = [self.cur] if collect else None
         self.new: List[np.ndarray] = []  # level d's targets, seen and repeated ones included
 
@@ -401,23 +481,25 @@ def _bfs(
 ) -> BfsResult:
     """The level-synchronous sweep, over a _Table (table) or _Levels store.
 
-    A store provides act(codes), the (len(codes), k) targets; charge(d,
-    width, order), the bytes live while level d + 1 is built from a level d
-    of width elements; visit(d, targets, track), which records the targets
-    of one chunk and, when track, returns the collision candidates (girth
-    values) it already sees among them; close(d, track) -> (level d + 1,
-    more candidates); and codes().  A level whose charge exceeds the budget
-    is never built; peak_bytes is the largest charge.
+    A store indexes elements in its own way (_Table by SL_2 rank or by code,
+    _Levels by code) and provides root, the index of the identity;
+    act(indices), the (len(indices), k) targets; charge(d, width, order),
+    the bytes live while level d + 1 is built from a level d of width
+    elements; visit(d, targets, track), which records the targets of one
+    chunk and, when track, returns the collision candidates (girth values)
+    it already sees among them; close(d, track) -> (level d + 1, more
+    candidates); and codes(), the sorted element codes.  A level whose
+    charge exceeds the budget is never built; peak_bytes is the largest
+    charge.
 
     While the girth is tracked at level d, an element of level d has one
     neighbour in level d - 1: a second would have made it a target reached
     twice from level d - 1, adding 2d and ending the tracking.  So no rule
     needs to know which neighbour is the parent.
     """
-    n, m, k = gens[0].n, gens[0].m, len(gens)
-    root = modmat.encode(ModMatrix.identity(n, m))
-    store = (_Table if table else _Levels)(gens, root, collect)
-    cur = np.array([root], dtype=np.int64)
+    k = len(gens)
+    store = (_Table if table else _Levels)(gens, collect)
+    cur = np.array([store.root], dtype=np.int64)
     sizes = [1]
     order = 1
     peak = 0
@@ -504,9 +586,12 @@ def bfs(
         raise BudgetExceededError(
             0, 1, f"element codes or their products need more than 63 bits at n={n}, m={m}"
         )
+    # a girth-only search stops at a ball far smaller than the group, so it
+    # never pays for a table over the whole index space
+    space = m**3 if _sl2_ranked(gens) else size
     res = _bfs(
         gens,
-        table=3 * size <= memory_budget,
+        table=not girth_only and 3 * space <= memory_budget,
         want_girth=want_girth,
         girth_only=girth_only,
         collect=collect,

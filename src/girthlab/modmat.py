@@ -3,9 +3,10 @@
 The element code is the row-major, little-endian base-m packing of the n^2
 residues.  Read in base m^n, its digit i is the code of row i, which is how
 the dense-table BFS acts on codes without decoding them (cayley.row_action).
-Codes are int64 in the BFS (with either visited set), the spectral neighbour
-build and DOT export, so each of them rejects a code space m^(n^2) above
-2^63.
+Codes are int64 in the BFS, the spectral neighbour build and DOT export, so
+each of them rejects a code space m^(n^2) above 2^63.  The BFS's table over
+SL_2(F_p) indexes an element by its rank below p^3 rather than by its code
+(cayley._sl2_ranks), but it still hands back codes.
 """
 
 from __future__ import annotations

@@ -207,10 +207,10 @@ def test_dense_and_sparse_paths_agree():
     for res in (dense, sparse):
         assert (res.order, res.girth, res.diameter) == (ref.order, ref.girth, ref.diameter)
     # the girth-only early return: both stores stop at the same level, inside
-    # the reference ball, with the peak_bytes the separate engines reported
+    # the reference ball; the table's charge starts from its 7^3 ranks
     dense = _engine(gens, table=True, girth_only=True, **kw)
     sparse = _engine(gens, table=False, girth_only=True, **kw)
-    for res, peak in ((dense, 2893), (sparse, 848)):
+    for res, peak in ((dense, 7**3 + 9 * 12 + 8 * 4 * 12), (sparse, 848)):
         assert (res.order, res.girth, res.sphere_sizes) == (
             dense.order,
             dense.girth,
@@ -292,15 +292,18 @@ def test_girth_none_for_acyclic_graph():
     assert closure([M]) == 2
 
 
-def test_girth_and_diameter_against_networkx():
-    # independent oracle on random generator sets over small moduli
+def test_girth_and_diameter_against_networkx(monkeypatch):
+    # independent oracle on random generator sets over small moduli, with at
+    # least ten cases through each index map of the table: SL_2 ranks
+    # (determinant-1 sets mod 3 or 5) and raw codes (determinant != 1, or
+    # m = 4)
     import random
 
     import networkx as nx
 
     rng = random.Random(314)
-    cases = 0
-    while cases < 25:
+    cases = {True: 0, False: 0}  # by _sl2_ranked
+    while min(cases.values()) < 10:
         m = rng.choice([3, 4, 5])
         rows = [[rng.randrange(m) for _ in range(2)] for _ in range(2)]
         try:
@@ -330,6 +333,16 @@ def test_girth_and_diameter_against_networkx():
         assert got == expect_girth, (rows, m, got, expect_girth)
         assert res.diameter == expect_diameter
         assert res.order == G.number_of_nodes()
+        ranked = cayley._sl2_ranked(symmetrize(gens))
+        assert ranked == (m != 4 and g1.det() == 1)
+        if ranked:
+            # the rank table collects the same sorted codes as one over codes
+            with monkeypatch.context() as raw:
+                raw.setattr(cayley, "_sl2_ranked", lambda gens: False)
+                by_code = cayley.bfs(gens, want_girth=True, collect=True)
+            assert by_code.peak_bytes - res.peak_bytes == m**4 - m**3
+            assert by_code.codes.dtype == res.codes.dtype == np.uint64
+            assert np.array_equal(by_code.codes, res.codes)
         # each store's collision rule against the same oracle, also on the
         # girth-only early return
         for table in (True, False):
@@ -346,7 +359,7 @@ def test_girth_and_diameter_against_networkx():
                 assert got == expect_girth, (rows, m, table, girth_only, got)
                 if not girth_only:
                     assert (res.order, res.diameter) == (G.number_of_nodes(), expect_diameter)
-        cases += 1
+        cases[ranked] += 1
 
 
 def test_composite_modulus_closure():
@@ -479,9 +492,10 @@ def test_engines_agree_on_the_girth_only_early_return(monkeypatch, spec, m, expe
 @pytest.mark.parametrize("p,expect_girth,ball", [(307, 18, 13_121), (401, 20, 39_365)])
 def test_frontier_girth_ball_past_dense_limit(p, expect_girth, ball):
     X, Y = spec_generators(SPEC2, p)
-    # one byte short of the dense table on any host: the frontier runs
-    res = cayley.bfs([X, Y], want_girth=True, girth_only=True, memory_budget=3 * p**4 - 1)
-    assert res.peak_bytes < p**4  # no dense table, whose charge alone is p^4 bytes
+    # a budget that holds the rank table: a girth-only search still takes
+    # frontier search, whose ball is far smaller than the group
+    res = cayley.bfs([X, Y], want_girth=True, girth_only=True, memory_budget=3 * p**3)
+    assert res.peak_bytes < p**3  # no table, whose charge alone is p^3 bytes
     assert (res.girth, res.order) == (expect_girth, ball)
     # the girth closes at the first level past a tree ball
     tree = tuple([1] + [4 * 3 ** (d - 1) for d in range(1, len(res.sphere_sizes))])
@@ -491,20 +505,22 @@ def test_frontier_girth_ball_past_dense_limit(p, expect_girth, ball):
 @pytest.mark.parametrize("spec,m", [(SPEC2, 13), (SPEC3, 3)])
 @pytest.mark.parametrize("want_girth", [False, True])
 def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, want_girth):
-    # both stores return each level sorted, so their levels are equal arrays;
-    # while the girth is tracked at a level, each of its elements has exactly
-    # one neighbour in the previous level, which is why the collision rule
-    # needs no parent
+    # both stores return each level sorted by index, so the table's levels,
+    # unranked and sorted, equal the frontier's; while the girth is tracked
+    # at a level, each of its elements has exactly one neighbour in the
+    # previous level, which is why the collision rule needs no parent
     gens = symmetrize(spec_generators(spec, m))
     n = gens[0].n
+    assert cayley._sl2_ranked(gens) == (n == 2)
     act = cayley.row_action(n, m, gens)
     closed = {}
     for store in (cayley._Table, cayley._Levels):
         calls = closed[store] = []
 
-        def spy(self, d, track, close=store.close, calls=calls):
+        def spy(self, d, track, close=store.close, calls=calls, table=store is cayley._Table):
             nxt, cands = close(self, d, track)
-            calls.append((nxt, track))
+            assert (np.diff(nxt) > 0).all()  # sorted by index
+            calls.append((np.sort(self.unrank(nxt)) if table else nxt, track))
             return nxt, cands
 
         monkeypatch.setattr(store, "close", spy)
@@ -547,9 +563,13 @@ def test_code_space_over_63_bits_raises_at_depth_zero(gen):
 
 
 def test_frontier_budget_is_charged_before_each_level():
-    X, Y = spec_generators(SPEC2, 61)
-    budget = 3 * 61**4 - 1  # one byte short of the dense table
-    res = cayley.bfs([X, Y], want_girth=True, memory_budget=budget)
+    # bfs() takes the rank table whenever the budget holds its 3 * 61^3
+    # bytes, and frontier search peaks far above that, so no budget gives a
+    # full frontier sweep of SL_2(F_61): the store is forced here
+    gens = symmetrize(spec_generators(SPEC2, 61))
+    kw = dict(table=False, want_girth=True, girth_only=False, collect=False)
+    budget = 1 << 30
+    res = _engine(gens, memory_budget=budget, **kw)
     assert (res.order, res.girth, res.diameter) == (226_920, 16, 15)
     assert res.peak_bytes <= budget
     # before building level d + 1: codes of levels d - 1 and d, one chunk's
@@ -565,7 +585,7 @@ def test_frontier_budget_is_charged_before_each_level():
     ]
     assert res.peak_bytes == max(charges)
     with pytest.raises(BudgetExceededError) as exc:
-        cayley.bfs([X, Y], want_girth=True, memory_budget=res.peak_bytes - 1)
+        _engine(gens, memory_budget=res.peak_bytes - 1, **kw)
     d = charges.index(max(charges))
     # the level the budget cannot hold is never allocated
     assert (exc.value.depth_reached, exc.value.order_so_far) == (d, sum(sizes[: d + 1]))
@@ -604,20 +624,21 @@ def test_export_dot_matches_per_element_reference(p):
 
 
 def test_dense_peak_bytes_counts_table_frontier_and_targets():
+    # SL_2(F_7) is indexed by rank: the table holds 7^3 bytes, not 7^4
     X, Y = spec_generators(SPEC2, 7)
     res = cayley.bfs([X, Y], want_girth=True)
     chunk = min(res.max_frontier, cayley._CHUNK)
-    assert res.peak_bytes == 7**4 + 9 * res.max_frontier + 8 * res.degree * chunk
+    assert res.peak_bytes == 7**3 + 9 * res.max_frontier + 8 * res.degree * chunk
 
 
 def test_table_budget_is_charged_before_each_level():
-    # a budget that holds 3 m^(n^2) bytes selects the table, whose own charge
-    # (table, 9 bytes per element of level d, one chunk's targets) can still
-    # exceed it on a tiny group
+    # a budget that holds 3 bytes per index (5^3 SL_2 ranks) selects the
+    # table, whose own charge (table, 9 bytes per element of level d, one
+    # chunk's targets) can still exceed it on a tiny group
     X, Y = spec_generators(SPEC2, 5)
-    budget = 3 * 5**4
+    budget = 3 * 5**3
     sizes = cayley.bfs([X, Y]).sphere_sizes
-    charges = [5**4 + 9 * w + 8 * 4 * min(w, cayley._CHUNK) for w in sizes]
+    charges = [5**3 + 9 * w + 8 * 4 * min(w, cayley._CHUNK) for w in sizes]
     d = next(i for i, c in enumerate(charges) if c > budget)
     with pytest.raises(BudgetExceededError) as exc:
         cayley.bfs([X, Y], memory_budget=budget)
@@ -626,9 +647,84 @@ def test_table_budget_is_charged_before_each_level():
 
 def test_more_than_255_generators_give_the_complete_graph():
     # the 256 nonzero shears of Z/257 generate it with every other element
-    # as a neighbour: K_257.  The budget is far below the dense table's
-    # 3 * 257^4 bytes, so frontier search runs
+    # as a neighbour: K_257.  The budget holds the 3 * 257^3 bytes of the
+    # rank table, so the table runs
     gens = [ModMatrix.from_rows([[1, b], [0, 1]], 257) for b in range(1, 129)]
     assert len(symmetrize(gens)) == 256
     res = cayley.bfs(gens, want_girth=True, memory_budget=1 << 30)
     assert (res.order, res.girth, res.diameter, res.degree) == (257, 3, 1, 256)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 7, 11])
+def test_sl2_ranks_index_the_group_and_act_like_row_action(m):
+    # every rank with a nonzero row 0 unranks to a distinct element of
+    # SL_2(F_m), and acting on ranks then unranking equals row_action on codes
+    rng = np.random.default_rng(m)
+    gens = []
+    while len(gens) < 3:
+        g = ModMatrix.from_rows(rng.integers(0, m, size=(2, 2)).tolist(), m)
+        if g.det() == 1:
+            gens.append(g)
+    assert cayley._sl2_ranked(gens)
+    act, unrank = cayley._sl2_ranks(m, gens)
+    ranks = np.arange(m, m**3)  # r0 = 0 (ranks below m) is unused
+    codes = unrank(ranks)
+    assert len(np.unique(codes)) == len(codes) == group_order_sl(2, m)
+    assert all(modmat.decode(c, 2, m).det() == 1 for c in codes.tolist())
+    assert unrank(np.array([m])).tolist() == [modmat.encode(ModMatrix.identity(2, m))]
+    tgts = act(ranks)
+    assert tgts.shape == (len(ranks), 3)
+    want = cayley.row_action(2, m, gens)(codes)
+    assert np.array_equal(unrank(tgts.ravel()).reshape(tgts.shape), want)
+
+
+def test_index_map_follows_the_generators():
+    # ranks only for n = 2, a prime modulus and determinant-1 generators
+    shear = [[1, 1], [0, 1]]
+    assert cayley._sl2_ranked([ModMatrix.from_rows(shear, 7)])
+    assert not cayley._sl2_ranked([ModMatrix.from_rows(shear, 9)])  # composite
+    assert not cayley._sl2_ranked(
+        [ModMatrix.from_rows(shear, 7), ModMatrix.from_rows([[3, 0], [0, 1]], 7)]
+    )  # determinant 3
+    assert not cayley._sl2_ranked([ModMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 7)])
+
+
+def test_girth_only_search_never_takes_the_table(monkeypatch):
+    # even a budget that holds the 3 * 307^3-byte rank table many times over
+    # keeps a girth-only search on frontier search; the spy allocates nothing
+    chosen = []
+
+    def spy(gens, *, table, **kw):
+        chosen.append((table, kw["girth_only"]))
+        return cayley.BfsResult(1, None, None, len(gens), 1, 0)
+
+    monkeypatch.setattr(cayley, "_bfs", spy)
+    X, Y = spec_generators(SPEC2, 307)
+    cayley.bfs([X, Y], want_girth=True, girth_only=True, memory_budget=1 << 45)
+    cayley.bfs([X, Y], want_girth=True, memory_budget=3 * 307**3)
+    cayley.bfs([X, Y], want_girth=True, memory_budget=3 * 307**3 - 1)
+    assert chosen == [(False, True), (True, False), (False, False)]
+
+
+def _conjugated(gens, m):
+    # h^-1 g h for a fixed h of determinant 1
+    h = ModMatrix.from_rows([[2, 1], [1, 1]], m)
+    return [modmat.inverse(h) @ g @ h for g in gens]
+
+
+@pytest.mark.parametrize("m", [5, 11, 23, 61])
+def test_conjugate_generators_give_the_same_graph(m):
+    # conjugation by h is an automorphism of SL_2(F_m), so it maps the
+    # Cayley graph of the generators onto that of their conjugates: order,
+    # girth, diameter and sphere sizes agree, although the generators differ
+    gens = list(spec_generators(SPEC2, m))
+    conj = _conjugated(gens, m)
+    assert {g.entries for g in gens}.isdisjoint(g.entries for g in conj)
+    res, res_conj = (cayley.bfs(g, want_girth=True) for g in (gens, conj))
+    assert (res.order, res.girth, res.diameter, res.sphere_sizes) == (
+        res_conj.order,
+        res_conj.girth,
+        res_conj.diameter,
+        res_conj.sphere_sizes,
+    )
+    assert res.order == group_order_sl(2, m)
