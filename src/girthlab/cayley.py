@@ -15,7 +15,8 @@ One vectorized, deterministic level loop (_bfs) does the sweep: chunking,
 the collision rule, the level bookkeeping and the memory budget.  Only its
 visited set varies.  A girth-only search always takes frontier search,
 whose ball is far smaller than the group; a full sweep takes the table
-whenever 3 bytes per index of the table fit the budget:
+whenever 3 bytes per index of the table, and the rank action's tables,
+fit the budget:
 
 - _Table: one byte per index holding depth mod 3 (0xFF marks an unplaced
   index), after Kunkle & Cooperman, "Twenty-Six Moves Suffice for Rubik's
@@ -33,7 +34,12 @@ whenever 3 bytes per index of the table fit the budget:
   level is closed in sorted order of its indices: row i of M g is
   row_i(M) g, so the targets of one generator from a sorted level fall into
   few contiguous stretches of the table, and the next level's lookups stay
-  cache-local.  codes() unranks the placed indices and sorts them.
+  cache-local.  A level is acted on in chunks sized for the cache, not for
+  the budget: _TARGET_BYTES of int64 targets (2^14 elements at degree 4).
+  The action's gathers make temporaries of the chunk's length, and visit
+  reads the table at one generator column of targets at a time and writes
+  the new indices back, so all of these passes stay in cache.  codes()
+  unranks the placed indices and sorts them.
 - _Levels: frontier search (Korf et al., "Frontier Search", J. ACM 52(5),
   2005), which keeps only the sorted codes of levels d - 1 and d while it
   builds d + 1, so a girth-only ball search costs memory in proportion to
@@ -43,7 +49,10 @@ whenever 3 bytes per index of the table fit the budget:
   d in sorted order, so both stores return the same levels, each sorted by
   its index.  The sort's temporaries are not charged to the memory budget.
   Generators act by decode, product and encode (_product_action), which
-  needs no table of m^n rows.
+  needs no table of m^n rows.  Its chunks stay at 2^19 elements: they touch
+  no table, the gathered targets of the whole level are kept until close
+  anyway, and 2^14-element chunks cost the girth-only ball search memory
+  without making it faster.
 
 Codes are int64 in both, so the code space m^(n^2) must fit in 63 bits.
 """
@@ -82,8 +91,9 @@ def _default_memory_budget() -> int:
 
 DEFAULT_MEMORY_BUDGET = _default_memory_budget()  # bytes, read once at import
 _SENT = np.uint8(0xFF)
-_CHUNK = 1 << 19
+_CHUNK = 1 << 19  # frontier search's elements per chunk
 _BLOCK_BYTES = 1 << 18  # a row-block table of row_action stays in cache
+_TARGET_BYTES = 1 << 19  # a chunk of the table's int64 targets stays in cache
 _DOT_LIMIT = 10_000
 
 CSV_COLUMNS = ("p", "order", "full", "girth", "diameter", "ratio", "seconds", "peak_bytes")
@@ -344,6 +354,11 @@ def _sl2_ranks(m: int, gens: Sequence[ModMatrix]):
     return act, unrank
 
 
+def _rank_tables_bytes(k: int, m: int) -> int:
+    """Bytes of _sl2_ranks's two int64 tables over the m^2 row-0 codes per generator."""
+    return 16 * k * m * m
+
+
 def _member(level: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Mask of the codes found in a sorted level."""
     if not len(level):
@@ -362,21 +377,26 @@ class _Table:
     def __init__(self, gens: List[ModMatrix], collect: bool):
         n, m = gens[0].n, gens[0].m
         self.k = len(gens)
+        # elements per chunk, whose targets stay in cache
+        self.chunk = max(1, _TARGET_BYTES // (8 * self.k))
         if _sl2_ranked(gens):
             self.act, self.unrank = _sl2_ranks(m, gens)
             self.root, size = m, m**3  # the identity: r0 = 1, t = 0
+            self.tables = _rank_tables_bytes(self.k, m)
         else:
             self.act, self.unrank = row_action(n, m, gens), np.asarray
             self.root, size = modmat.encode(ModMatrix.identity(n, m)), m ** (n * n)
+            self.tables = 0
         self.dist = np.full(size, _SENT, dtype=np.uint8)
         self.dist[self.root] = 0
         self.new: List[np.ndarray] = []  # next-level indices
 
     def charge(self, d: int, width: int, order: int) -> int:
-        # the table, 9 bytes per element of level d (its 8-byte index; the
-        # ninth byte is spare) and the int64 target block of one chunk.  Not
-        # charged: the action's tables
-        return len(self.dist) + 9 * width + 8 * self.k * min(width, _CHUNK)
+        # the table, the rank action's tables, 9 bytes per element of level d
+        # (its 8-byte index; the ninth byte is spare) and the int64 target
+        # block of one chunk.  Not charged: row_action's tables, each within
+        # _BLOCK_BYTES
+        return len(self.dist) + self.tables + 9 * width + 8 * self.k * min(width, self.chunk)
 
     def visit(self, d: int, tgts: np.ndarray, track: bool) -> Set[int]:
         here, above = d % 3, (d + 1) % 3
@@ -417,6 +437,7 @@ class _Levels:
         n, m = gens[0].n, gens[0].m
         self.k = len(gens)
         self.act = _product_action(n, m, gens)
+        self.chunk = _CHUNK
         self.root = modmat.encode(ModMatrix.identity(n, m))
         self.prev = np.empty(0, dtype=np.int64)
         self.cur = np.array([self.root], dtype=np.int64)
@@ -426,12 +447,10 @@ class _Levels:
     def charge(self, d: int, width: int, order: int) -> int:
         # live while level d + 1 is built: the codes of levels d - 1 and d
         # (of every level when collecting), one chunk's target block, and
-        # the k targets of 8 bytes gathered per element of level d, which
-        # the unchanged formula counts as 9 (k - 1) + 1 bytes (9 k + 1 at
-        # the root).  Not charged: the sort temporaries of close
+        # the k targets of 8 bytes gathered per element of level d.  Not
+        # charged: the sort temporaries of close
         kept = order if self.levels is not None else len(self.prev) + width
-        grown = (self.k if d == 0 else self.k - 1) * width
-        return 8 * kept + width + 8 * self.k * min(width, _CHUNK) + 9 * grown
+        return 8 * kept + width + 8 * self.k * (min(width, self.chunk) + width)
 
     def visit(self, d: int, tgts: np.ndarray, track: bool) -> Set[int]:
         # only gather the targets: close sorts and probes the whole level once
@@ -482,8 +501,9 @@ def _bfs(
     """The level-synchronous sweep, over a _Table (table) or _Levels store.
 
     A store indexes elements in its own way (_Table by SL_2 rank or by code,
-    _Levels by code) and provides root, the index of the identity;
-    act(indices), the (len(indices), k) targets; charge(d, width, order),
+    _Levels by code) and provides root, the index of the identity; chunk,
+    the number of elements acted on at once; act(indices), the
+    (len(indices), k) targets; charge(d, width, order),
     the bytes live while level d + 1 is built from a level d of width
     elements; visit(d, targets, track), which records the targets of one
     chunk and, when track, returns the collision candidates (girth values)
@@ -512,8 +532,8 @@ def _bfs(
         peak = max(peak, charge)
         track = want_girth and girth is None
         cands: Set[int] = set()
-        for s in range(0, len(cur), _CHUNK):
-            tgts = store.act(cur[s : s + _CHUNK])
+        for s in range(0, len(cur), store.chunk):
+            tgts = store.act(cur[s : s + store.chunk])
             cands |= store.visit(d, tgts, track)
         # level d is not needed to close d + 1: free it before the close
         # builds the next level
@@ -588,10 +608,13 @@ def bfs(
         )
     # a girth-only search stops at a ball far smaller than the group, so it
     # never pays for a table over the whole index space
-    space = m**3 if _sl2_ranked(gens) else size
+    if _sl2_ranked(gens):
+        space, tables = m**3, _rank_tables_bytes(len(gens), m)
+    else:
+        space, tables = size, 0
     res = _bfs(
         gens,
-        table=not girth_only and 3 * space <= memory_budget,
+        table=not girth_only and 3 * space + tables <= memory_budget,
         want_girth=want_girth,
         girth_only=girth_only,
         collect=collect,

@@ -207,10 +207,15 @@ def test_dense_and_sparse_paths_agree():
     for res in (dense, sparse):
         assert (res.order, res.girth, res.diameter) == (ref.order, ref.girth, ref.diameter)
     # the girth-only early return: both stores stop at the same level, inside
-    # the reference ball; the table's charge starts from its 7^3 ranks
+    # the reference ball; the table's charge starts from its 7^3 ranks and
+    # the 16 * 4 * 7^2 bytes of the rank action's tables, frontier search's
+    # from the codes of levels 1 and 2 and the targets of level 2
     dense = _engine(gens, table=True, girth_only=True, **kw)
     sparse = _engine(gens, table=False, girth_only=True, **kw)
-    for res, peak in ((dense, 7**3 + 9 * 12 + 8 * 4 * 12), (sparse, 848)):
+    for res, peak in (
+        (dense, 7**3 + 16 * 4 * 7**2 + 9 * 12 + 8 * 4 * 12),
+        (sparse, 8 * (4 + 12) + 12 + 8 * 4 * (12 + 12)),
+    ):
         assert (res.order, res.girth, res.sphere_sizes) == (
             dense.order,
             dense.girth,
@@ -340,7 +345,10 @@ def test_girth_and_diameter_against_networkx(monkeypatch):
             with monkeypatch.context() as raw:
                 raw.setattr(cayley, "_sl2_ranked", lambda gens: False)
                 by_code = cayley.bfs(gens, want_girth=True, collect=True)
-            assert by_code.peak_bytes - res.peak_bytes == m**4 - m**3
+            # the code table charges m^4 bytes, the rank table m^3 bytes and
+            # its action's tables
+            k = len(symmetrize(gens))
+            assert by_code.peak_bytes - res.peak_bytes == m**4 - m**3 - 16 * k * m**2
             assert by_code.codes.dtype == res.codes.dtype == np.uint64
             assert np.array_equal(by_code.codes, res.codes)
         # each store's collision rule against the same oracle, also on the
@@ -440,22 +448,44 @@ def test_dense_and_sparse_engines_agree_past_depth_three(spec, m):
 
 
 def test_frontier_chunks_do_not_change_the_result(monkeypatch):
-    # chunks of 5 codes split every level, so next-level duplicates (the
-    # girth-9 collision at p = 11) arrive from different chunks
-    gens = symmetrize(spec_generators(SPEC2, 11))
-    ref = _bfs_reference(gens)
-    monkeypatch.setattr(cayley, "_CHUNK", 5)
-    for table in (False, True):
-        res = _engine(
-            gens, table=table, want_girth=True, girth_only=False, collect=True, memory_budget=1 << 30
-        )
-        assert (res.order, res.girth, res.diameter, res.sphere_sizes) == (
-            ref.order,
-            ref.girth,
-            ref.diameter,
-            ref.sphere_sizes,
-        )
-        assert res.codes.tolist() == ref.codes
+    # chunks of 5 elements split every level, so next-level duplicates (the
+    # girth-9 collision at p = 11) arrive from different chunks; the default
+    # chunks and chunks at least as wide as the widest level must give the
+    # same graph.  Both stores, over SL_2 ranks (p = 11, 13) and raw codes
+    # (SL_3(F_3)); the spy records how many elements each visit gets
+    widths = []
+    for store in (cayley._Table, cayley._Levels):
+
+        def spy(self, d, tgts, track, visit=store.visit):
+            widths.append(len(tgts))
+            return visit(self, d, tgts, track)
+
+        monkeypatch.setattr(store, "visit", spy)
+    kw = dict(want_girth=True, girth_only=False, collect=True, memory_budget=1 << 30)
+    for spec, m in ((SPEC2, 11), (SPEC2, 13), (SPEC3, 3)):
+        gens = symmetrize(spec_generators(spec, m))
+        assert cayley._sl2_ranked(gens) == (spec is SPEC2)
+        ref = _bfs_reference(gens)
+        k = len(gens)
+        for chunk in (5, None, ref.max_frontier):
+            for table in (False, True):
+                # each store's own chunk: the table's from _TARGET_BYTES
+                with monkeypatch.context() as mp:
+                    if chunk and table:
+                        mp.setattr(cayley, "_TARGET_BYTES", 8 * k * chunk)
+                    elif chunk:
+                        mp.setattr(cayley, "_CHUNK", chunk)
+                    default = cayley._TARGET_BYTES // (8 * k) if table else cayley._CHUNK
+                    widths.clear()
+                    res = _engine(gens, table=table, **kw)
+                assert (res.order, res.girth, res.diameter, res.sphere_sizes) == (
+                    ref.order,
+                    ref.girth,
+                    ref.diameter,
+                    ref.sphere_sizes,
+                ), (m, chunk, table)
+                assert res.codes.tolist() == ref.codes
+                assert max(widths) == min(chunk or default, ref.max_frontier)
 
 
 @pytest.mark.parametrize(
@@ -492,9 +522,11 @@ def test_engines_agree_on_the_girth_only_early_return(monkeypatch, spec, m, expe
 @pytest.mark.parametrize("p,expect_girth,ball", [(307, 18, 13_121), (401, 20, 39_365)])
 def test_frontier_girth_ball_past_dense_limit(p, expect_girth, ball):
     X, Y = spec_generators(SPEC2, p)
-    # a budget that holds the rank table: a girth-only search still takes
-    # frontier search, whose ball is far smaller than the group
-    res = cayley.bfs([X, Y], want_girth=True, girth_only=True, memory_budget=3 * p**3)
+    # a budget that holds the rank table and its action's tables: a
+    # girth-only search still takes frontier search, whose ball is far
+    # smaller than the group
+    budget = 3 * p**3 + 16 * 4 * p**2
+    res = cayley.bfs([X, Y], want_girth=True, girth_only=True, memory_budget=budget)
     assert res.peak_bytes < p**3  # no table, whose charge alone is p^3 bytes
     assert (res.girth, res.order) == (expect_girth, ball)
     # the girth closes at the first level past a tree ball
@@ -573,14 +605,13 @@ def test_frontier_budget_is_charged_before_each_level():
     assert (res.order, res.girth, res.diameter) == (226_920, 16, 15)
     assert res.peak_bytes <= budget
     # before building level d + 1: codes of levels d - 1 and d, one chunk's
-    # targets, and the gathered targets of level d, counted as 9 (k - 1) + 1
-    # bytes per element (9 k + 1 at the root)
+    # targets, and the k gathered 8-byte targets per element of level d
     k, sizes = res.degree, res.sphere_sizes
     charges = [
         8 * (sizes[d - 1] if d else 0)
         + 9 * sizes[d]
         + 8 * k * min(sizes[d], cayley._CHUNK)
-        + 9 * (k if d == 0 else k - 1) * sizes[d]
+        + 8 * k * sizes[d]
         for d in range(len(sizes))
     ]
     assert res.peak_bytes == max(charges)
@@ -624,21 +655,26 @@ def test_export_dot_matches_per_element_reference(p):
 
 
 def test_dense_peak_bytes_counts_table_frontier_and_targets():
-    # SL_2(F_7) is indexed by rank: the table holds 7^3 bytes, not 7^4
+    # SL_2(F_7) is indexed by rank: the table holds 7^3 bytes, not 7^4, and
+    # the rank action's two int64 tables 8 * 4 * 7^2 bytes each
     X, Y = spec_generators(SPEC2, 7)
     res = cayley.bfs([X, Y], want_girth=True)
-    chunk = min(res.max_frontier, cayley._CHUNK)
-    assert res.peak_bytes == 7**3 + 9 * res.max_frontier + 8 * res.degree * chunk
+    k = res.degree
+    chunk = min(res.max_frontier, cayley._TARGET_BYTES // (8 * k))
+    assert res.peak_bytes == 7**3 + 16 * k * 7**2 + 9 * res.max_frontier + 8 * k * chunk
 
 
 def test_table_budget_is_charged_before_each_level():
-    # a budget that holds 3 bytes per index (5^3 SL_2 ranks) selects the
-    # table, whose own charge (table, 9 bytes per element of level d, one
-    # chunk's targets) can still exceed it on a tiny group
+    # a budget that holds 3 bytes per index (5^3 SL_2 ranks) and the rank
+    # action's tables selects the table, whose own charge (table, rank
+    # tables, 9 bytes per element of level d, one chunk's targets) can still
+    # exceed it on a tiny group
     X, Y = spec_generators(SPEC2, 5)
-    budget = 3 * 5**3
+    tables = 16 * 4 * 5**2
+    budget = 3 * 5**3 + tables
     sizes = cayley.bfs([X, Y]).sphere_sizes
-    charges = [5**3 + 9 * w + 8 * 4 * min(w, cayley._CHUNK) for w in sizes]
+    chunk = cayley._TARGET_BYTES // (8 * 4)
+    charges = [5**3 + tables + 9 * w + 8 * 4 * min(w, chunk) for w in sizes]
     d = next(i for i, c in enumerate(charges) if c > budget)
     with pytest.raises(BudgetExceededError) as exc:
         cayley.bfs([X, Y], memory_budget=budget)
@@ -648,11 +684,40 @@ def test_table_budget_is_charged_before_each_level():
 def test_more_than_255_generators_give_the_complete_graph():
     # the 256 nonzero shears of Z/257 generate it with every other element
     # as a neighbour: K_257.  The budget holds the 3 * 257^3 bytes of the
-    # rank table, so the table runs
+    # rank table but not the 16 * 256 * 257^2 bytes (270 MB) of the rank
+    # action's tables, so frontier search runs
     gens = [ModMatrix.from_rows([[1, b], [0, 1]], 257) for b in range(1, 129)]
     assert len(symmetrize(gens)) == 256
-    res = cayley.bfs(gens, want_girth=True, memory_budget=1 << 30)
+    res = cayley.bfs(gens, want_girth=True, memory_budget=100 << 20)
     assert (res.order, res.girth, res.diameter, res.degree) == (257, 3, 1, 256)
+    assert res.peak_bytes < 257**3
+
+
+def test_shears_at_100_mib_stay_below_the_budget():
+    # the same call in a fresh interpreter: its peak RSS, the import
+    # included, stays below the 100 MiB budget.  The peak is VmHWM of the
+    # child's own address space; ru_maxrss would carry over the peak of the
+    # test process that spawned it
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "from girthlab import cayley\n"
+        "from girthlab.modmat import ModMatrix\n"
+        "gens = [ModMatrix.from_rows([[1, b], [0, 1]], 257) for b in range(1, 129)]\n"
+        "res = cayley.bfs(gens, want_girth=True, memory_budget=100 << 20)\n"
+        "hwm = next(l for l in open('/proc/self/status') if l.startswith('VmHWM:'))\n"
+        "print(res.order, res.girth, hwm.split()[1])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cayley.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    order, girth_found, rss_kib = map(int, out)
+    assert (order, girth_found) == (257, 3)
+    assert rss_kib * 1024 < 100 << 20
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 11])
@@ -701,8 +766,9 @@ def test_girth_only_search_never_takes_the_table(monkeypatch):
     monkeypatch.setattr(cayley, "_bfs", spy)
     X, Y = spec_generators(SPEC2, 307)
     cayley.bfs([X, Y], want_girth=True, girth_only=True, memory_budget=1 << 45)
-    cayley.bfs([X, Y], want_girth=True, memory_budget=3 * 307**3)
-    cayley.bfs([X, Y], want_girth=True, memory_budget=3 * 307**3 - 1)
+    need = 3 * 307**3 + 16 * 4 * 307**2  # the rank table and its action's tables
+    cayley.bfs([X, Y], want_girth=True, memory_budget=need)
+    cayley.bfs([X, Y], want_girth=True, memory_budget=need - 1)
     assert chosen == [(False, True), (True, False), (False, False)]
 
 

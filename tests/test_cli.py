@@ -425,7 +425,7 @@ _UNGUARANTEED_EXACT = {
   "m": 3,
   "n": 2,
   "order": 24,
-  "peak_bytes": 437,
+  "peak_bytes": 1013,
   "schema_version": 1,
   "seconds": 0.0,
 %s
@@ -437,9 +437,9 @@ _UNGUARANTEED_EXACT = {
         ["dg-table", *_UNGUARANTEED, "--primes", "3..7"],
         """\
 p,order,full,girth,diameter,ratio,seconds,peak_bytes
-3,24,true,3,4,1.333333,0.000,437
-5,120,true,5,6,1.200000,0.000,2093
-7,336,true,6,7,1.166667,0.000,4853
+3,24,true,3,4,1.333333,0.000,1013
+5,120,true,5,6,1.200000,0.000,3693
+7,336,true,6,7,1.166667,0.000,7989
 """,
     ),
     "verify-generation": (
