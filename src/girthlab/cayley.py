@@ -38,8 +38,14 @@ fit the budget:
   the budget: _TARGET_BYTES of int64 targets (2^14 elements at degree 4).
   The action's gathers make temporaries of the chunk's length, and visit
   reads the table at one generator column of targets at a time and writes
-  the new indices back, so all of these passes stay in cache.  codes()
-  unranks the placed indices and sorts them.
+  the new indices back, so all of these passes stay in cache.  It picks the
+  unplaced targets with np.compress, a third of the cost of a boolean mask
+  index on a chunk.  A level's indices are int32 while the index space is
+  at most 2^31 (_index_dtype) and int64 past it, so the pieces of the next
+  level, their concatenation and the in-place sort in close take half the
+  bytes.  The targets stay int64 and are narrowed only as visit keeps the
+  new ones: numpy gathers through int32 indices about 1.5 times slower.
+  codes() unranks the placed indices and sorts them.
 - _Levels: frontier search (Korf et al., "Frontier Search", J. ACM 52(5),
   2005), which keeps only the sorted codes of levels d - 1 and d while it
   builds d + 1, so a girth-only ball search costs memory in proportion to
@@ -52,7 +58,10 @@ fit the budget:
   needs no table of m^n rows.  Its chunks stay at 2^19 elements: they touch
   no table, the gathered targets of the whole level are kept until close
   anyway, and 2^14-element chunks cost the girth-only ball search memory
-  without making it faster.
+  without making it faster.  Its codes stay int64, because they pass 2^31
+  at n = 2 for m > 215, and close keeps its boolean mask indexing, because
+  np.compress there builds an 8-byte index for every kept element and
+  raised the ball search's peak RSS without making it faster.
 
 Codes are int64 in both, so the code space m^(n^2) must fit in 63 bits.
 """
@@ -359,6 +368,15 @@ def _rank_tables_bytes(k: int, m: int) -> int:
     return 16 * k * m * m
 
 
+def _index_dtype(space: int):
+    """dtype of _Table's level indices over an index space of that size.
+
+    int32 while every index, below space, fits in it (space <= 2^31), int64
+    past that.
+    """
+    return np.int32 if space <= 2**31 else np.int64
+
+
 def _member(level: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Mask of the codes found in a sorted level."""
     if not len(level):
@@ -389,13 +407,15 @@ class _Table:
             self.tables = 0
         self.dist = np.full(size, _SENT, dtype=np.uint8)
         self.dist[self.root] = 0
-        self.new: List[np.ndarray] = []  # next-level indices
+        self.dtype = _index_dtype(size)
+        self.new: List[np.ndarray] = []  # next-level indices, of self.dtype
 
     def charge(self, d: int, width: int, order: int) -> int:
         # the table, the rank action's tables, 9 bytes per element of level d
-        # (its 8-byte index; the ninth byte is spare) and the int64 target
-        # block of one chunk.  Not charged: row_action's tables, each within
-        # _BLOCK_BYTES
+        # (its index of 4 bytes, or 8 past an index space of 2^31; the rest
+        # is spare) and the int64 target block of one chunk.  Not charged:
+        # level d + 1's pieces as visit keeps them and their concatenation
+        # in close, and row_action's tables, each within _BLOCK_BYTES
         return len(self.dist) + self.tables + 9 * width + 8 * self.k * min(width, self.chunk)
 
     def visit(self, d: int, tgts: np.ndarray, track: bool) -> Set[int]:
@@ -412,9 +432,11 @@ class _Table:
                     cands.add(2 * d + 1)
                 if bool((dv == above).any()):
                     cands.add(2 * d + 2)
-            new = t[dv == _SENT]
+            new = np.compress(dv == _SENT, t)
+            # scatter through the int64 targets, which index faster than
+            # int32 ones; only the kept level is narrowed
             self.dist[new] = above
-            self.new.append(new)
+            self.new.append(new.astype(self.dtype, copy=False))
         return cands
 
     def close(self, d: int, track: bool):

@@ -552,6 +552,9 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
         def spy(self, d, track, close=store.close, calls=calls, table=store is cayley._Table):
             nxt, cands = close(self, d, track)
             assert (np.diff(nxt) > 0).all()  # sorted by index
+            # the table's levels hold 4-byte indices: m^3 ranks and m^9 codes
+            # stay below 2^31; frontier search keeps int64 codes
+            assert nxt.dtype == (np.int32 if table else np.int64)
             calls.append((np.sort(self.unrank(nxt)) if table else nxt, track))
             return nxt, cands
 
@@ -575,6 +578,12 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
             assert (in_prev.sum(axis=1) == 1).all()
         prev = codes
     assert (tracked > 0) == want_girth
+
+
+def test_index_dtype_narrows_up_to_two_to_the_31():
+    # every index lies below the index space, so 2^31 indices fit in int32
+    assert cayley._index_dtype(2**31) == np.int32
+    assert cayley._index_dtype(2**31 + 1) == np.int64
 
 
 @pytest.mark.parametrize(
@@ -718,6 +727,34 @@ def test_shears_at_100_mib_stay_below_the_budget():
     order, girth_found, rss_kib = map(int, out)
     assert (order, girth_found) == (257, 3)
     assert rss_kib * 1024 < 100 << 20
+
+
+def test_table_closure_rss_stays_within_a_quarter_of_peak_bytes():
+    # the SL_4(F_3) closure over its 3^16-byte code table, in a fresh
+    # interpreter: the growth of its peak RSS (VmHWM) over the BFS stays
+    # within 1.25 times the charged peak_bytes
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "from girthlab import cayley, words\n"
+        "def hwm():\n"
+        "    line = next(l for l in open('/proc/self/status') if l.startswith('VmHWM:'))\n"
+        "    return int(line.split()[1]) * 1024\n"
+        "gens = [words._unit_band(4, 3, upper=u) for u in (True, False)]\n"
+        "before = hwm()\n"
+        "res = cayley.bfs(gens, memory_budget=1 << 30)\n"
+        "print(res.order, res.peak_bytes, hwm() - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cayley.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    order, peak, grown = map(int, out)
+    assert (order, peak) == (group_order_sl(4, 3), 82_415_891)
+    assert grown <= 1.25 * peak, grown / peak
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 11])
