@@ -50,10 +50,14 @@ fit the budget:
   2005), which keeps only the sorted codes of levels d - 1 and d while it
   builds d + 1, so a girth-only ball search costs memory in proportion to
   the ball, not to the code space.  The chunks of a level only gather their
-  targets; when the level closes, its targets are sorted once, deduplicated
-  by comparing neighbours, and their distinct codes probe levels d - 1 and
-  d in sorted order, so both stores return the same levels, each sorted by
-  its index.  The sort's temporaries are not charged to the memory budget.
+  targets; when the level closes, its targets are sorted once and a mask
+  marks the first occurrence of each code.  Then the sorted levels d - 1 and
+  d, which hold far fewer codes than the k |L_d| targets, probe the targets:
+  each hit clears its code's mask, and what the mask keeps is level d + 1,
+  copied once.  The girth candidates come from the same probes, so both
+  stores return the same levels, each sorted by its index.  Not charged to
+  the memory budget: the sort's temporaries, the mask and the probe
+  positions of levels d - 1 and d.
   Generators act by decode, product and encode (_product_action), which
   needs no table of m^n rows.  Its chunks stay at 2^19 elements: they touch
   no table, the gathered targets of the whole level are kept until close
@@ -242,8 +246,11 @@ def row_action(n: int, m: int, gens: Sequence[ModMatrix]):
         high = np.asarray(codes, dtype=np.int64)
         out = np.zeros((len(high), len(gens)), dtype=np.int64)
         for size, table in low:
-            high, block = np.divmod(high, size)
-            out += np.take(table, block, axis=0)
+            # numpy floor-divides by a scalar more than twice as fast as it
+            # runs np.divmod
+            q = high // size
+            out += np.take(table, high - q * size, axis=0)
+            high = q
         out += np.take(top, high, axis=0)
         return out
 
@@ -283,8 +290,9 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
         rest = np.asarray(codes, dtype=np.int64)
         digits = []  # digits[n r + c]: entry (r, c) of every code
         for _ in range(n * n):
-            rest, digit = np.divmod(rest, m)
-            digits.append(digit)
+            q = rest // m  # faster than np.divmod, as in row_action
+            digits.append(rest - q * m)
+            rest = q
         out = np.zeros((k, len(rest)), dtype=np.int64)
         for col, plan in zip(out, plans):
             for weight, ((i, w), *more) in plan:
@@ -377,14 +385,6 @@ def _index_dtype(space: int):
     return np.int32 if space <= 2**31 else np.int64
 
 
-def _member(level: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Mask of the codes found in a sorted level."""
-    if not len(level):
-        return np.zeros(len(codes), dtype=bool)
-    at = np.minimum(level.searchsorted(codes), len(level) - 1)
-    return level[at] == codes
-
-
 class _Table:
     """Visited set over a whole index space: one byte per index, depth mod 3.
 
@@ -470,7 +470,8 @@ class _Levels:
         # live while level d + 1 is built: the codes of levels d - 1 and d
         # (of every level when collecting), one chunk's target block, and
         # the k targets of 8 bytes gathered per element of level d.  Not
-        # charged: the sort temporaries of close
+        # charged, in close: the sort temporaries, the one-byte mask over
+        # the targets and the probe positions of levels d - 1 and d
         kept = order if self.levels is not None else len(self.prev) + width
         return 8 * kept + width + 8 * self.k * (min(width, self.chunk) + width)
 
@@ -480,27 +481,42 @@ class _Levels:
         return set()
 
     def close(self, d: int, track: bool):
-        # one sort of the level's targets; its distinct codes then probe the
-        # sorted levels d - 1 and d in order, which keeps the probes local
+        # one sort of the level's targets; the codes of levels d - 1 and d,
+        # far fewer than the k |L_d| targets, then probe them in order.  The
+        # mask of first occurrences, cleared at every hit, leaves level d + 1
         joined = np.concatenate(self.new)
         self.new = []
         joined.sort()
-        first = np.empty(len(joined), dtype=bool)
-        first[:1] = True
-        np.not_equal(joined[1:], joined[:-1], out=first[1:])
-        reached = joined[first]
-        in_prev = _member(self.prev, reached)
-        in_cur = _member(self.cur, reached)
-        nxt = reached[~(in_prev | in_cur)]
+        keep = np.empty(len(joined), dtype=bool)
+        keep[:1] = True
+        np.not_equal(joined[1:], joined[:-1], out=keep[1:])
+
+        def probe(level):
+            # the first position of each code found among the targets, and
+            # the mask of the codes found; a code past the last target gets
+            # len(joined), clamped onto a target that differs from it
+            at = joined.searchsorted(level)
+            np.minimum(at, len(joined) - 1, out=at)
+            hit = joined[at] == level
+            at = at[hit]
+            keep[at] = False
+            return at, hit
+
+        prev_at, prev_hit = probe(self.prev)
+        cur_at, _ = probe(self.cur)
+        nxt = joined[keep]
         cands: Set[int] = set()
         if track:
-            # a target in level d closes a cycle of length 2d + 1, and a
-            # target reached twice outside level d - 1 one of length 2d + 2
-            # (a repeated code of level d only repeats the 2d + 1 cycle;
-            # those of level d - 1 are the shared parents)
-            if bool(in_cur.any()):
+            # a target in level d closes a cycle of length 2d + 1
+            if len(cur_at):
                 cands.add(2 * d + 1)
-            if not _member(self.prev, joined[1:][~first[1:]]).all():
+            # a code reached twice outside level d - 1 closes one of length
+            # 2d + 2 (a repeated code of level d only repeats the 2d + 1
+            # cycle; those of level d - 1 are the shared parents): the
+            # targets outside level d - 1 outnumber their distinct codes,
+            # those of levels d and d + 1
+            in_prev = joined.searchsorted(self.prev[prev_hit], side="right") - prev_at
+            if len(joined) - int(in_prev.sum()) > len(cur_at) + len(nxt):
                 cands.add(2 * d + 2)
         self.prev, self.cur = self.cur, nxt
         if self.levels is not None:

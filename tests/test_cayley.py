@@ -574,10 +574,84 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
         if track:
             tracked += 1
             tgts = act(codes)
-            in_prev = cayley._member(prev, tgts.ravel()).reshape(tgts.shape)
+            in_prev = np.isin(tgts, prev)
             assert (in_prev.sum(axis=1) == 1).all()
         prev = codes
     assert (tracked > 0) == want_girth
+
+
+def _close_levels(prev, cur, targets, d, track):
+    """_Levels.close on hand-built levels d - 1 and d and level d's targets."""
+    store = cayley._Levels(s3_generators(), collect=True)
+    store.prev = np.array(prev, dtype=np.int64)
+    store.cur = np.array(cur, dtype=np.int64)
+    store.levels = []
+    # the targets arrive in chunks, as visit gathers them
+    targets = np.array(targets, dtype=np.int64)
+    store.new = [targets[: len(targets) // 2], targets[len(targets) // 2 :]]
+    nxt, cands = store.close(d, track)
+    assert np.array_equal(store.prev, cur)
+    assert store.cur is nxt and store.levels == [nxt] and store.new == []
+    return nxt.tolist(), cands
+
+
+def _close_reference(prev, cur, targets, d, track):
+    """The same close on Python sets: level d + 1 and the girth candidates."""
+    prev, cur = set(prev), set(cur)
+    nxt = sorted(set(targets) - prev - cur)
+    cands = set()
+    if track:
+        if cur & set(targets):
+            cands.add(2 * d + 1)
+        repeated = {t for t in targets if targets.count(t) > 1}
+        if repeated - prev:
+            cands.add(2 * d + 2)
+    return nxt, cands
+
+
+@pytest.mark.parametrize(
+    "prev,cur,targets,d,want",
+    [
+        # the shared parents of level d - 1 are repeats but close no cycle
+        ([2, 5], [7], [5, 2, 5, 9, 2, 11], 1, ([9, 11], set())),
+        # a new code reached twice: 2d + 2
+        ([2], [7], [2, 9, 11, 9], 2, ([9, 11], {6})),
+        # a target in level d: 2d + 1
+        ([2], [7, 8], [2, 8, 11], 1, ([11], {3})),
+        # both, and a repeated code of level d
+        ([2], [7, 8], [2, 8, 8, 11, 11], 3, ([11], {7, 8})),
+        # targets below the first and above the last level code, and level
+        # codes past the last target, which searchsorted places at the end
+        ([50, 60], [70, 80], [65, 1, 50, 3], 4, ([1, 3, 65], set())),
+        ([1], [2], [20, 10], 1, ([10, 20], set())),
+        ([1], [2, 3], [3, 20, 10, 3], 1, ([10, 20], {3, 4})),
+        # depth 0: no level d - 1, and the root's targets
+        ([], [0], [4, 3, 6, 5], 0, ([3, 4, 5, 6], set())),
+        ([], [0], [4, 3, 3, 5], 0, ([3, 4, 5], {2})),
+        ([], [0], [0, 3], 0, ([3], {1})),
+    ],
+)
+def test_levels_close_finds_the_next_level_and_candidates(prev, cur, targets, d, want):
+    for track in (False, True):
+        got = _close_levels(prev, cur, targets, d, track)
+        assert got == _close_reference(prev, cur, targets, d, track)
+        assert got == (want if track else (want[0], set()))
+
+
+def test_levels_close_matches_a_set_reference_on_random_levels():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        # disjoint levels d - 1 and d, as the search keeps them, and level
+        # d's targets, some repeated, drawn from a small code range
+        codes = rng.permutation(40)
+        d = int(rng.integers(0, 5))
+        width = int(rng.integers(0, 8)) if d else 0
+        prev = sorted(codes[:width].tolist())
+        cur = sorted(codes[width : width + int(rng.integers(1, 8))].tolist())
+        targets = rng.integers(0, 40, size=int(rng.integers(1, 25))).tolist()
+        for track in (False, True):
+            got = _close_levels(prev, cur, targets, d, track)
+            assert got == _close_reference(prev, cur, targets, d, track)
 
 
 def test_index_dtype_narrows_up_to_two_to_the_31():
