@@ -230,10 +230,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     spec, spec_info = _spec_or_unguaranteed(args)
     X, Y = cayley.spec_generators(spec, args.p)
     report = spectral.second_eigenvalue(
-        [X, Y],
-        order_limit=args.order_limit,
-        seed=args.seed,
-        memory_budget=args.memory_budget,
+        [X, Y], seed=args.seed, memory_budget=args.memory_budget
     )
     _emit(args, _json({"spec": spec_info, "p": args.p, **report.to_json()}))
     return EXIT_OK
@@ -394,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectral", parents=[common])
     _add_spec_args(sp)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--order-limit", type=int, default=2_000_000)
 
     vp = sub.add_parser("verify")
     vsub = vp.add_subparsers(dest="vcmd", required=True)

@@ -3,10 +3,13 @@
 The element code is the row-major, little-endian base-m packing of the n^2
 residues.  Read in base m^n, its digit i is the code of row i, which is how
 the dense-table BFS acts on codes without decoding them (cayley.row_action).
-Codes are int64 in the BFS, the spectral neighbour build and DOT export, so
-each of them rejects a code space m^(n^2) above 2^63.  The BFS's table over
-SL_2(F_p) indexes an element by its rank below p^3 rather than by its code
-(cayley._sl2_ranks), but it still hands back codes.
+Frontier search, and the neighbour map that the spectral solver and DOT
+export share, decode a code into its n^2 residues instead
+(cayley._product_action), which needs no table over the m^n row codes.  The
+BFS's table over SL_2(F_p) indexes an element by its rank below p^3 rather
+than by its code (cayley._sl2_ranks), but it still hands back codes.  Codes
+are int64 throughout, so the BFS rejects a code space m^(n^2) above 2^63, and
+the neighbour map acts only on the codes of a BFS.
 """
 
 from __future__ import annotations

@@ -33,6 +33,8 @@ from .params import GraphSpec
 
 _MAX_DIM = 8
 _CHECK_EVERY = 5  # Lanczos steps between convergence tests of pass 1
+_TOL = 1e-6  # pass 1 stops once Paige's residual estimate is at most this
+_MAX_ITER = 500_000  # Lanczos steps of pass 1 at most
 _BREAKDOWN = 1e-12  # beta below this times the degree: an invariant subspace
 
 
@@ -201,10 +203,7 @@ def _top_ritz(alphas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
 def second_eigenvalue(
     generators: Sequence[ModMatrix],
     *,
-    order_limit: int = 2_000_000,
     seed: int = 0,
-    tol: float = 1e-6,
-    max_iter: int = 500_000,
     memory_budget: int = cayley.DEFAULT_MEMORY_BUDGET,
 ) -> SpectralGapReport:
     """Second-largest adjacency eigenvalue of the Cayley graph on the group
@@ -213,9 +212,9 @@ def second_eigenvalue(
     Two-pass Lanczos on the mean-free subspace, where the top eigenvalue of
     the adjacency A is lambda_2.  Pass 1 keeps only the tridiagonal T and
     stops when Paige's estimate beta_j |s_j| of the top Ritz pair's residual
-    is at most tol (checked every few steps), when beta_j <= tol, which
+    is at most _TOL (checked every few steps), when beta_j <= _TOL, which
     bounds that estimate (beta_j ~ 0 means the Krylov space is invariant), or
-    after max_iter steps.  Pass 2 repeats the steps from the same seeded
+    after _MAX_ITER steps.  Pass 2 repeats the steps from the same seeded
     start vector to build the Ritz vector y, made mean-free and unit.
 
     second_eigenvalue is the Rayleigh quotient rho = y.Ay, iterations the
@@ -223,27 +222,20 @@ def second_eigenvalue(
     interval [rho - residual, rho + residual] contains an eigenvalue of A on
     the mean-free subspace (Parlett, The Symmetric Eigenvalue Problem,
     section 4.5).  Deterministic for a fixed seed.
+
+    Memory is charged to memory_budget by the BFS and by the neighbour map
+    (cayley.neighbour_map), which raise BudgetExceededError when it does not
+    fit.  Lanczos then holds the map and at most seven float64 vectors of the
+    order, which the map's charge covers when n >= 2.
     """
     gens = cayley.symmetrize(generators)
     for g in gens:
         if g.is_identity():
             raise DegenerateSpecError("identity generator; adjacency undefined")
-    n, m = gens[0].n, gens[0].m
     res = cayley.bfs(gens, collect=True, memory_budget=memory_budget)
-    if res.order > order_limit:
-        raise ParameterError(
-            f"group order {res.order} exceeds the order limit {order_limit}"
-        )
-    order = res.order
-    k = len(gens)
-    codes = np.asarray(res.codes, dtype=np.int64)
-    # one contiguous row of neighbour indices per generator: k gathers of
-    # whole rows are about 3x faster than one gather of an (order, k) block
-    tgts = cayley.row_action(n, m, gens)(codes).T
-    nbr = np.searchsorted(codes, tgts)
-    if not bool((codes[nbr] == tgts).all()):
-        raise AssertionError("neighbor landed outside the enumerated group")
-    del tgts
+    nbr = cayley.neighbour_map(gens, res, memory_budget=memory_budget)
+    order, k = nbr.shape[1], len(gens)
+    del res  # the codes are not needed past the map
 
     def matvec(v: np.ndarray) -> np.ndarray:
         w = v[nbr[0]]
@@ -262,9 +254,9 @@ def second_eigenvalue(
         alphas.append(alpha)
         betas.append(beta)
         steps = len(alphas)
-        if beta <= max(tol, _BREAKDOWN * k) or steps >= max_iter:
+        if beta <= max(_TOL, _BREAKDOWN * k) or steps >= _MAX_ITER:
             break
-        if steps % _CHECK_EVERY == 0 and beta * abs(_top_ritz(alphas, betas)[-1]) <= tol:
+        if steps % _CHECK_EVERY == 0 and beta * abs(_top_ritz(alphas, betas)[-1]) <= _TOL:
             break
     s = _top_ritz(alphas, betas)
 

@@ -349,7 +349,7 @@ def test_girth_and_diameter_against_networkx(monkeypatch):
             # its action's tables
             k = len(symmetrize(gens))
             assert by_code.peak_bytes - res.peak_bytes == m**4 - m**3 - 16 * k * m**2
-            assert by_code.codes.dtype == res.codes.dtype == np.uint64
+            assert by_code.codes.dtype == res.codes.dtype == np.int64
             assert np.array_equal(by_code.codes, res.codes)
         # each store's collision rule against the same oracle, also on the
         # girth-only early return
@@ -443,7 +443,7 @@ def test_dense_and_sparse_engines_agree_past_depth_three(spec, m):
             ref.max_frontier,
         )
         assert res.sphere_sizes == ref.sphere_sizes
-        assert res.codes.dtype == np.uint64
+        assert res.codes.dtype == np.int64
         assert res.codes.tolist() == ref.codes
 
 
@@ -735,6 +735,53 @@ def _export_dot_reference(generators):
 def test_export_dot_matches_per_element_reference(p):
     gens = list(spec_generators(SPEC2, p))
     assert export_dot(gens) == _export_dot_reference(gens)
+
+
+def test_export_dot_keeps_an_identity_generator_out_of_the_edges():
+    # the identity adds only loops, which the simple graph drops: a lone
+    # identity gives one vertex and no edge, as does the BFS
+    assert export_dot([ModMatrix.identity(2, 3)]) == 'graph cayley {\n  v28 [label="28"];\n}\n'
+    gens = list(spec_generators(SPEC2, 3))
+    assert export_dot(gens + [ModMatrix.identity(2, 3)]) == export_dot(gens)
+
+
+def test_neighbour_map_positions_match_decode_product_encode():
+    # row j holds the position of M g_j among the sorted codes, for every M
+    gens = symmetrize(spec_generators(SPEC3, 3))
+    res = cayley.bfs(gens, collect=True)
+    nbr = cayley.neighbour_map(gens, res, memory_budget=1 << 30)
+    codes = res.codes.tolist()
+    assert nbr.shape == (len(gens), res.order) and nbr.flags.c_contiguous
+    for i, code in enumerate(codes):
+        M = modmat.decode(code, 3, 3)
+        assert [codes[p] for p in nbr[:, i]] == [modmat.encode(M @ g) for g in gens]
+
+
+def test_export_dot_of_the_mod_9973_cycle_fits_one_gib():
+    # the shear [[1, 1], [0, 1]] generates a cycle of 9,973 elements mod
+    # 9,973, under the DOT cap.  In a fresh interpreter whose address space
+    # is capped at 1 GiB, its export needs no table over the 9,973^2 row
+    # codes.  One BLAS thread keeps numpy's import small on any host
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from girthlab import cayley\n"
+        "from girthlab.modmat import ModMatrix\n"
+        "dot = cayley.export_dot([ModMatrix.from_rows([[1, 1], [0, 1]], 9973)])\n"
+        "lines = dot.splitlines()\n"
+        "print(sum('label=' in l for l in lines), sum(' -- ' in l for l in lines))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cayley.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split() == ["9973", "9973"]
 
 
 def test_dense_peak_bytes_counts_table_frontier_and_targets():

@@ -165,6 +165,23 @@ def test_spectral_subcommand(capsys):
     assert data["seed"] == 0
 
 
+def test_spectral_over_the_budget_exits_two_with_the_partial_result(capsys):
+    # the BFS of the 120 elements at p = 5 fits 10,000 bytes; their
+    # neighbour map, 8 * 120 * (4 + max(2^2 + 4, 4 + 3)) = 11,520 bytes, does not
+    code, out, _ = run_capture(
+        capsys,
+        [
+            "spectral", "--n", "2", "--l", "1", "--a", "2", "--b", "2",
+            "--p", "5", "--memory-budget", "10000",
+        ],
+    )
+    assert code == EXIT_BUDGET
+    data = json.loads(out)
+    assert data["partial"] is True
+    assert data["order_so_far"] == 120
+    assert "neighbour map" in data["error"]
+
+
 def test_verify_freeness_clean(capsys):
     code, out, _ = run_capture(
         capsys,
@@ -545,8 +562,3 @@ def test_cli_defaults_come_from_the_parser(capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["seed"] == 0
-
-    args = cli.build_parser().parse_args(
-        ["spectral", "--n", "2", "--l", "1", "--a", "2", "--b", "2", "--p", "3"]
-    )
-    assert args.order_limit == 2_000_000

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from girthlab.cayley import spec_generators
+from girthlab import cayley
+from girthlab.cayley import BudgetExceededError, spec_generators
 from girthlab.exactmat import ExactMatrix, ParameterError, ShapeError, magic_pair, power_closed_form
 from girthlab.modmat import ModMatrix
 from girthlab.params import validate
@@ -230,7 +231,16 @@ def test_second_eigenvalue_deterministic():
     assert r1.residual == r2.residual
 
 
-def test_second_eigenvalue_order_limit():
-    X, Y = spec_generators(SPEC2, 13)
-    with pytest.raises(ParameterError):
-        second_eigenvalue([X, Y], order_limit=1000)
+def test_second_eigenvalue_budget_is_its_neighbour_map_charge():
+    # 8 N (k + max(n^2 + 4, k + 3)) bytes for the N = 120 elements at n = 2
+    # and degree 4, above the BFS's own peak: one byte less raises the
+    # partial result at the BFS's full depth, and exactly the charge runs as
+    # the default does
+    X, Y = spec_generators(SPEC2, 5)
+    charge = 8 * 120 * (4 + max(2 * 2 + 4, 4 + 3))
+    full = cayley.bfs([X, Y], collect=True, memory_budget=charge)
+    assert full.peak_bytes < charge
+    with pytest.raises(BudgetExceededError) as exc:
+        second_eigenvalue([X, Y], memory_budget=charge - 1)
+    assert (exc.value.depth_reached, exc.value.order_so_far) == (full.diameter, 120)
+    assert second_eigenvalue([X, Y], memory_budget=charge) == second_eigenvalue([X, Y])
