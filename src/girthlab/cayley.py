@@ -53,8 +53,9 @@ fit the budget:
   marks the first occurrence of each code.  Then the sorted levels d - 1 and
   d, which hold far fewer codes than the k |L_d| targets, probe the targets:
   each hit clears its code's mask, and what the mask keeps is level d + 1,
-  copied once.  The girth candidates come from the same probes, so both
-  stores return the same levels, each sorted by its index.  Not charged to
+  copied once.  The girth candidates come from the same probes and counts:
+  while the girth is tracked, exactly |L_d| targets lie in level d - 1.
+  Both stores return the same levels, each sorted by its index.  Not charged to
   the memory budget: the sort's temporaries, the mask and the probe
   positions of levels d - 1 and d.
   Generators act by decode, product and encode (_product_action), which
@@ -84,7 +85,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import modmat
-from .exactmat import ParameterError, magic_pair, power_closed_form
+from .exactmat import ParameterError, generator_pair
 from .modmat import ModMatrix
 from .params import GraphSpec
 
@@ -373,9 +374,18 @@ def _sl2_ranks(m: int, gens: Sequence[ModMatrix]):
     return act, unrank
 
 
-def _rank_tables_bytes(k: int, m: int) -> int:
-    """Bytes of _sl2_ranks's two int64 tables over the m^2 row-0 codes per generator."""
-    return 16 * k * m * m
+def _table_index(gens: Sequence[ModMatrix]) -> Tuple[bool, int, int]:
+    """How _Table indexes the elements: (ranked, index space, bytes of the
+    rank action's tables).
+
+    By SL_2 rank when _sl2_ranked: m^3 indices, and _sl2_ranks's two int64
+    tables over the m^2 row-0 codes per generator.  Otherwise by the code
+    itself: m^(n^2) indices and no rank tables.
+    """
+    n, m = gens[0].n, gens[0].m
+    if _sl2_ranked(gens):
+        return True, m**3, 16 * len(gens) * m * m
+    return False, m ** (n * n), 0
 
 
 def _index_dtype(space: int):
@@ -394,19 +404,18 @@ class _Table:
     element code itself (m^(n^2) bytes).
     """
 
-    def __init__(self, gens: List[ModMatrix], collect: bool):
+    def __init__(self, gens: List[ModMatrix], collect: bool, index: Tuple[bool, int, int]):
         n, m = gens[0].n, gens[0].m
         self.k = len(gens)
         # elements per chunk, whose targets stay in cache
         self.chunk = max(1, _TARGET_BYTES // (8 * self.k))
-        if _sl2_ranked(gens):
+        ranked, size, self.tables = index  # from _table_index
+        if ranked:
             self.act, self.unrank = _sl2_ranks(m, gens)
-            self.root, size = m, m**3  # the identity: r0 = 1, t = 0
-            self.tables = _rank_tables_bytes(self.k, m)
+            self.root = m  # the identity: r0 = 1, t = 0
         else:
             self.act, self.unrank = row_action(n, m, gens), np.asarray
-            self.root, size = modmat.encode(ModMatrix.identity(n, m)), m ** (n * n)
-            self.tables = 0
+            self.root = modmat.encode(ModMatrix.identity(n, m))
         self.dist = np.full(size, _SENT, dtype=np.uint8)
         self.dist[self.root] = 0
         self.dtype = _index_dtype(size)
@@ -494,18 +503,17 @@ class _Levels:
         np.not_equal(joined[1:], joined[:-1], out=keep[1:])
 
         def probe(level):
-            # the first position of each code found among the targets, and
-            # the mask of the codes found; a code past the last target gets
-            # len(joined), clamped onto a target that differs from it
+            # the first position of each code found among the targets; a
+            # code past the last target gets len(joined), clamped onto a
+            # target that differs from it
             at = joined.searchsorted(level)
             np.minimum(at, len(joined) - 1, out=at)
-            hit = joined[at] == level
-            at = at[hit]
+            at = at[joined[at] == level]
             keep[at] = False
-            return at, hit
+            return at
 
-        prev_at, prev_hit = probe(self.prev)
-        cur_at, _ = probe(self.cur)
+        probe(self.prev)
+        cur_at = probe(self.cur)
         nxt = joined[keep]
         cands: Set[int] = set()
         if track:
@@ -516,9 +524,11 @@ class _Levels:
             # 2d + 2 (a repeated code of level d only repeats the 2d + 1
             # cycle; those of level d - 1 are the shared parents): the
             # targets outside level d - 1 outnumber their distinct codes,
-            # those of levels d and d + 1
-            in_prev = joined.searchsorted(self.prev[prev_hit], side="right") - prev_at
-            if len(joined) - int(in_prev.sum()) > len(cur_at) + len(nxt):
+            # those of levels d and d + 1.  While the girth is tracked,
+            # each element of level d has one neighbour in level d - 1
+            # (_bfs), so |L_d| targets lie there, and none at d = 0
+            in_prev = len(self.cur) if d else 0
+            if len(joined) - in_prev > len(cur_at) + len(nxt):
                 cands.add(2 * d + 2)
         self.prev, self.cur = self.cur, nxt
         if self.levels is not None:
@@ -533,12 +543,14 @@ def _bfs(
     gens: List[ModMatrix],
     *,
     table: bool,
+    index: Tuple[bool, int, int],
     want_girth: bool,
     girth_only: bool,
     collect: bool,
     memory_budget: int,
 ) -> BfsResult:
-    """The level-synchronous sweep, over a _Table (table) or _Levels store.
+    """The level-synchronous sweep, over a _Table (table) indexed as index
+    (_table_index) says, or over a _Levels store.
 
     A store indexes elements in its own way (_Table by SL_2 rank or by code,
     _Levels by code) and provides root, the index of the identity; chunk,
@@ -558,7 +570,7 @@ def _bfs(
     needs to know which neighbour is the parent.
     """
     k = len(gens)
-    store = (_Table if table else _Levels)(gens, collect)
+    store = _Table(gens, collect, index) if table else _Levels(gens, collect)
     cur = np.array([store.root], dtype=np.int64)
     sizes = [1]
     order = 1
@@ -648,13 +660,12 @@ def bfs(
         )
     # a girth-only search stops at a ball far smaller than the group, so it
     # never pays for a table over the whole index space
-    if _sl2_ranked(gens):
-        space, tables = m**3, _rank_tables_bytes(len(gens), m)
-    else:
-        space, tables = size, 0
+    index = _table_index(gens)
+    _, space, tables = index
     res = _bfs(
         gens,
         table=not girth_only and 3 * space + tables <= memory_budget,
+        index=index,
         want_girth=want_girth,
         girth_only=girth_only,
         collect=collect,
@@ -694,9 +705,8 @@ def spec_generators(spec: GraphSpec, m: int) -> Tuple[ModMatrix, ModMatrix]:
     Rejects the degenerate reductions: an identity image (the excluded
     congruence a, b = 0 mod p) and equal images X = Y.
     """
-    A, B = magic_pair(spec.n, spec.a, spec.b, allow_small=True)
-    X = modmat.reduce(power_closed_form(A, spec.l), m)
-    Y = modmat.reduce(power_closed_form(B, spec.l), m)
+    pair = generator_pair(spec.n, spec.l, spec.a, spec.b, allow_small=True)
+    X, Y = (modmat.reduce(M, m) for M in pair)
     if X.is_identity() or Y.is_identity():
         if spec.a % m and spec.b % m:
             raise DegenerateSpecError(
@@ -795,10 +805,12 @@ def neighbour_map(
     contiguous row per generator, from which k gathers of whole rows are about
     3x faster than one gather of an (N, k) block.  The targets come from
     _product_action as a (k, N) block, and one searchsorted finds all their
-    positions.  Before anything is allocated, 8 N (k + max(n^2 + 4, k + 3))
+    positions.  Before anything is allocated, 8 N (k + max(n^2 + 4, k + 3, 7))
     bytes are charged to memory_budget: beside the codes and the targets,
     first the decode's n^2 digit arrays and its three temporaries, then the
-    positions and one row's membership check.  Raises BudgetExceededError, at
+    positions and one row's membership check, and, once the codes and the
+    targets are freed, the seven float64 vectors that spectral's Lanczos
+    holds beside the positions.  Raises BudgetExceededError, at
     the BFS's full depth, when they do not fit, and AssertionError when a
     neighbour is not among the codes.
 
@@ -809,7 +821,7 @@ def neighbour_map(
     """
     codes = res.codes
     n, m, k, N = gens[0].n, gens[0].m, len(gens), len(codes)
-    charge = 8 * N * (k + max(n * n + 4, k + 3))
+    charge = 8 * N * (k + max(n * n + 4, k + 3, 7))
     if charge > memory_budget:
         raise BudgetExceededError(
             res.diameter, N, f"the neighbour map of {N} vertices needs {charge} bytes"

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import cayley, modmat, params, spectral, words
 from .cayley import BudgetExceededError, DegenerateSpecError
-from .exactmat import ParameterError, magic_pair, power_closed_form
+from .exactmat import ParameterError, generator_pair, magic_pair
 from .modmat import is_prime
 from .params import GraphSpec
 from .words import RecipeError
@@ -155,8 +155,7 @@ def _matrix_rows(M) -> list:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     A, B = magic_pair(args.n, args.a, args.b)
-    X = power_closed_form(A, args.l)
-    Y = power_closed_form(B, args.l)
+    X, Y = generator_pair(args.n, args.l, args.a, args.b)
     payload = {
         "n": args.n,
         "l": args.l,

@@ -1,16 +1,25 @@
-"""Exact integer matrices and reduced words.
+"""Exact integer matrices, the exact-arithmetic core, and reduced words.
 
 Everything here is arbitrary precision: the top-left entry of an
 alternating product grows like (ab+1)^k and blows through 64 bits after a
 handful of syllables, so no operation is allowed a fixed-width fast path.
 All values are immutable and all operations are pure.
+
+Each exact algorithm exists once, in _Square, which ExactMatrix and
+modmat.ModMatrix share: the product, the adjugate inverse and the
+square-and-multiply power.  Only the ring differs: an integer matrix is
+invertible when its determinant is +-1, a matrix mod m when its determinant
+is a unit mod m.  So matrix_power and eval_word take either kind, and a
+word evaluated at a pair mod m equals the reduction of its value over Z.
+generator_pair builds the pair (X, Y) = (A^l, B^l) that every claim is
+about.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 class ParameterError(ValueError):
@@ -36,12 +45,109 @@ def binom_general(k: int, r: int) -> int:
     return num // factorial(r)
 
 
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free (Bareiss)
+    elimination; the empty matrix has determinant 1."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _adjugate(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """adj(M) of an integer matrix: entry (j, i) is the (i, j) cofactor, from
+    the exact determinants of the minors."""
+    n = len(rows)
+    return [
+        [
+            (-1) ** (i + j) * _det([r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i])
+            for i in range(n)
+        ]
+        for j in range(n)
+    ]
+
+
+class _Square:
+    """The exact algorithms that integer matrices (ExactMatrix) and matrices
+    mod m (modmat.ModMatrix) share, each written once.
+
+    A subclass holds the dimension n, its rows in entries, and m, the
+    modulus or None over Z.  It provides _new(rows), the matrix of its own
+    kind with these integer rows (reduced mod m when there is one), and
+    _det_inverse(), the inverse of det M in its ring, which raises the
+    subclass's own error when det M is not a unit.
+    """
+
+    def __getitem__(self, ij: Tuple[int, int]) -> int:
+        i, j = ij
+        return self.entries[i][j]
+
+    def __matmul__(self, other):
+        if (self.n, self.m) != (other.n, other.m):
+            raise ShapeError(
+                f"dimension or modulus mismatch: {self.n} vs {other.n}, {self.m} vs {other.m}"
+            )
+        n = self.n
+        a, b = self.entries, other.entries
+        return self._new(
+            [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        )
+
+    def transpose(self):
+        return self._new(zip(*self.entries))
+
+    def is_identity(self) -> bool:
+        return all(
+            self.entries[i][j] == (1 if i == j else 0)
+            for i in range(self.n)
+            for j in range(self.n)
+        )
+
+    def inverse(self):
+        """Inverse via the adjugate: adj(M) times the inverse of det M."""
+        d_inv = self._det_inverse()
+        return self._new([[x * d_inv for x in row] for row in _adjugate(self.entries)])
+
+    def pow(self, k: int):
+        """M^k by square-and-multiply; a negative k goes through the inverse."""
+        if k < 0:
+            return self.inverse().pow(-k)
+        n = self.n
+        result = self._new([[int(i == j) for j in range(n)] for i in range(n)])
+        base = self
+        while k:
+            if k & 1:
+                result = result @ base
+            k >>= 1
+            if k:
+                base = base @ base
+        return result
+
+
 @dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(_Square):
     """Square matrix over the integers, stored as a tuple of row tuples."""
 
     n: int
     entries: Tuple[Tuple[int, ...], ...]
+    m = None  # no modulus over Z; a class attribute, not a dataclass field
 
     def __post_init__(self):
         if self.n < 1 or len(self.entries) != self.n:
@@ -58,73 +164,18 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def __getitem__(self, ij: Tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.n != other.n:
-            raise ShapeError(f"dimension mismatch: {self.n} vs {other.n}")
-        n = self.n
-        a, b = self.entries, other.entries
-        rows = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        return ExactMatrix(n, rows)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.n, tuple(zip(*self.entries)))
-
-    def is_identity(self) -> bool:
-        return all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+    def _new(self, rows) -> "ExactMatrix":
+        return ExactMatrix(self.n, tuple(map(tuple, rows)))
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
-        n = self.n
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for r in range(k + 1, n):
-                    if m[r][k] != 0:
-                        m[k], m[r] = m[r], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return _det(self.entries)
 
-    def inverse(self) -> "ExactMatrix":
-        """Inverse of a determinant +-1 integer matrix, via the adjugate."""
+    def _det_inverse(self) -> int:
         d = self.det()
         if d not in (1, -1):
             raise ShapeError(f"matrix not invertible over Z (det={d})")
-        n = self.n
-        cof = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = ExactMatrix(
-                    n - 1,
-                    tuple(
-                        tuple(self.entries[r][c] for c in range(n) if c != j)
-                        for r in range(n)
-                        if r != i
-                    ),
-                ) if n > 1 else None
-                md = minor.det() if minor is not None else 1
-                cof[j][i] = (-1) ** (i + j) * md * d
-        return ExactMatrix.from_rows(cof)
+        return d  # a unit of Z is its own inverse
 
     def magic_profile(self) -> Optional[Tuple[str, int]]:
         """("upper", a) or ("lower", b) if this is a magic matrix, else None.
@@ -248,6 +299,15 @@ def magic_pair(n: int, a: int, b: int, *, allow_small: bool = False) -> Tuple[Ex
     return A, B
 
 
+def generator_pair(
+    n: int, l: int, a: int, b: int, *, allow_small: bool = False
+) -> Tuple[ExactMatrix, ExactMatrix]:
+    """The generators (X, Y) = (A^l, B^l) of the magic pair (magic_pair), in
+    closed form; allow_small as for magic_pair."""
+    A, B = magic_pair(n, a, b, allow_small=allow_small)
+    return power_closed_form(A, l), power_closed_form(B, l)
+
+
 def power_closed_form(M: ExactMatrix, k: int) -> ExactMatrix:
     """M^k for a magic matrix M, in closed form.
 
@@ -270,29 +330,21 @@ def power_closed_form(M: ExactMatrix, k: int) -> ExactMatrix:
     return ExactMatrix(n, tuple(rows))
 
 
-def matrix_power(M: ExactMatrix, k: int) -> ExactMatrix:
-    """M^k for any invertible integer matrix; closed form when M is magic."""
-    if M.magic_profile() is not None:
+def matrix_power(M, k: int):
+    """M^k for any invertible matrix, integer or mod m; closed form when M is
+    a magic integer matrix."""
+    if isinstance(M, ExactMatrix) and M.magic_profile() is not None:
         return power_closed_form(M, k)
-    if k < 0:
-        return matrix_power(M.inverse(), -k)
-    result = ExactMatrix.identity(M.n)
-    base = M
-    while k:
-        if k & 1:
-            result = result @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return result
+    return M.pow(k)
 
 
-def eval_word(w: Word, X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
-    """Evaluate a reduced word at the pair (X, Y) over the integers."""
+def eval_word(w: Word, X, Y):
+    """Evaluate a reduced word at the pair (X, Y): two integer matrices, or
+    two matrices mod the same m (modmat.ModMatrix)."""
     if X.n != Y.n:
         raise ShapeError(f"dimension mismatch: {X.n} vs {Y.n}")
     gens = {"X": X, "Y": Y}
-    result = ExactMatrix.identity(X.n)
+    result = X.pow(0)  # the identity, of X's kind
     for letter, exp in w.syllables:
         result = result @ matrix_power(gens[letter], exp)
     return result

@@ -1,5 +1,11 @@
 """Matrices over Z/mZ: reduction, compact codes, inverses, group orders.
 
+ModMatrix shares its product, adjugate inverse and square-and-multiply
+power with the integer matrices (exactmat._Square): each is exact on the
+integer lift and reduced mod m, and only the division by the determinant
+is the ring's own.  So exactmat.eval_word evaluates a word at a pair mod m
+too, and its value is the reduction of the word's value over Z.
+
 The element code is the row-major, little-endian base-m packing of the n^2
 residues.  Read in base m^n, its digit i is the code of row i, which is how
 the dense-table BFS acts on codes without decoding them (cayley.row_action).
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Tuple
 
-from .exactmat import ExactMatrix, ParameterError, ShapeError
+from .exactmat import ExactMatrix, ParameterError, ShapeError, _det, _Square
 
 
 class NonInvertibleError(ValueError):
@@ -51,7 +57,7 @@ def is_prime(p: int) -> bool:
 
 
 @dataclass(frozen=True)
-class ModMatrix:
+class ModMatrix(_Square):
     """Square matrix over Z/mZ with all entries canonical in [0, m)."""
 
     n: int
@@ -76,47 +82,18 @@ class ModMatrix:
     def identity(cls, n: int, m: int) -> "ModMatrix":
         return cls(n, m, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __matmul__(self, other: "ModMatrix") -> "ModMatrix":
-        if self.n != other.n or self.m != other.m:
-            raise ShapeError("dimension or modulus mismatch")
-        n, m = self.n, self.m
-        a, b = self.entries, other.entries
-        rows = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) % m for j in range(n))
-            for i in range(n)
-        )
-        return ModMatrix(n, m, rows)
-
-    def is_identity(self) -> bool:
-        return all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+    def _new(self, rows) -> "ModMatrix":
+        return ModMatrix(self.n, self.m, tuple(tuple(x % self.m for x in row) for row in rows))
 
     def det(self) -> int:
         """Determinant mod m (exact integer determinant of the lift, reduced)."""
-        return ExactMatrix(self.n, self.entries).det() % self.m
+        return _det(self.entries) % self.m
 
-    def pow(self, k: int) -> "ModMatrix":
-        if k < 0:
-            return inverse(self).pow(-k)
-        result = ModMatrix.identity(self.n, self.m)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return result
-
-    def transpose(self) -> "ModMatrix":
-        return ModMatrix(self.n, self.m, tuple(zip(*self.entries)))
+    def _det_inverse(self) -> int:
+        d = self.det()
+        if gcd(d, self.m) != 1:
+            raise NonInvertibleError(f"determinant {d} not invertible mod {self.m}")
+        return pow(d, -1, self.m)
 
 
 def reduce(M: ExactMatrix, m: int) -> ModMatrix:
@@ -142,26 +119,7 @@ def group_order_sl(n: int, p: int) -> int:
 
 def inverse(M: ModMatrix) -> ModMatrix:
     """Inverse mod m via the adjugate; requires gcd(det, m) = 1."""
-    d = M.det()
-    if gcd(d, M.m) != 1:
-        raise NonInvertibleError(f"determinant {d} not invertible mod {M.m}")
-    d_inv = pow(d, -1, M.m)
-    n, m = M.n, M.m
-    if n == 1:
-        return ModMatrix(1, m, ((d_inv,),))
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = ExactMatrix(
-                n - 1,
-                tuple(
-                    tuple(M.entries[r][c] for c in range(n) if c != j)
-                    for r in range(n)
-                    if r != i
-                ),
-            )
-            cof[j][i] = (-1) ** (i + j) * minor.det() * d_inv % m
-    return ModMatrix(n, m, tuple(tuple(row) for row in cof))
+    return M.inverse()
 
 
 def encode(M: ModMatrix) -> int:

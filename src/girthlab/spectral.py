@@ -5,7 +5,10 @@ The girth bound rests on submultiplicativity: a product of c generator
 matrices has operator norm at most gamma^c with gamma the largest generator
 norm, so two distinct short products cannot collide mod p until gamma^c
 reaches p/2.  Collisions at depth c force girth >= 2c - 1, giving
-girth >= 2 log_gamma(p/2) - 1.
+girth >= 2 log_gamma(p/2) - 1.  The squared norms come from
+gram_lambda_max, whose float is checked in exact arithmetic to lie above the
+top eigenvalue of the Gram matrix: each is an upper bound, not an estimate
+that may fall short of the true value.
 
 The second adjacency eigenvalue lambda_2 comes from two-pass Lanczos on the
 mean-free subspace, where it is the top eigenvalue.  The report's
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import cayley
 from .cayley import DegenerateSpecError
-from .exactmat import ExactMatrix, ParameterError, ShapeError, magic_pair, power_closed_form
+from .exactmat import ExactMatrix, ParameterError, ShapeError, generator_pair
 from .modmat import ModMatrix
 from .params import GraphSpec
 
@@ -82,31 +85,40 @@ class SpectralGapReport:
         }
 
 
-def gram_lambda_max(M: ExactMatrix, *, tol: float = 1e-9, max_iter: int = 100_000) -> float:
-    """Top eigenvalue of M M^T by power iteration with a Rayleigh-quotient
-    convergence test at relative tolerance tol."""
+def gram_lambda_max(M: ExactMatrix) -> float:
+    """The least float above the top eigenvalue of M M^T: an upper bound of
+    it, equal to it up to rounding.
+
+    np.linalg.eigvalsh gives an estimate, which may fall on either side of
+    the true value.  It moves one unit in the last place at a time to the
+    least float x with x I - M M^T positive definite, checked exactly
+    (_above_spectrum).
+    """
     if M.n > _MAX_DIM:
         raise ShapeError(f"gram computations support n <= {_MAX_DIM}, got {M.n}")
-    n = M.n
     gram = (M @ M.transpose()).entries
     if any(abs(x) > 2.0**1020 for row in gram for x in row):
         raise ShapeError("entries overflow double precision; power is too large")
-    G = np.array([[float(x) for x in row] for row in gram], dtype=float)
-    # deterministic start with a slight tilt so no eigenvector is missed
-    v = np.ones(n) + np.arange(n) / (10.0 * n)
-    v /= np.linalg.norm(v)
-    lam = float(v @ (G @ v))
-    for _ in range(max_iter):
-        w = G @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new = float(v @ (G @ v))
-        if abs(new - lam) <= tol * abs(new):
-            return new
-        lam = new
-    return lam
+    x = float(np.linalg.eigvalsh(np.array(gram, dtype=float))[-1])
+    while not _above_spectrum(x, gram):
+        x = math.nextafter(x, math.inf)
+    while _above_spectrum(below := math.nextafter(x, -math.inf), gram):
+        x = below
+    return x
+
+
+def _above_spectrum(x: float, gram: Sequence[Sequence[int]]) -> bool:
+    """Whether x I - G is positive definite for the symmetric integer G, that
+    is, whether x exceeds every eigenvalue of G.
+
+    Exact: x = num / den, and by Sylvester's criterion num I - den G is
+    positive definite when all its leading principal minors are positive.
+    """
+    num, den = x.as_integer_ratio()
+    S = [[num * (i == j) - den * g for j, g in enumerate(row)] for i, row in enumerate(gram)]
+    return all(
+        ExactMatrix.from_rows([row[:k] for row in S[:k]]).det() > 0 for k in range(1, len(S) + 1)
+    )
 
 
 def gram_char_poly(M: ExactMatrix) -> tuple:
@@ -162,9 +174,8 @@ def girth_lower_bound(spec: GraphSpec, p: int) -> GirthBound:
     """
     if p < 3:
         raise ParameterError(f"bound needs p >= 3, got {p}")
-    A, B = magic_pair(spec.n, spec.a, spec.b, allow_small=True)
-    lam = gram_lambda_max(power_closed_form(A, spec.l))
-    beta = gram_lambda_max(power_closed_form(B, spec.l))
+    X, Y = generator_pair(spec.n, spec.l, spec.a, spec.b, allow_small=True)
+    lam, beta = gram_lambda_max(X), gram_lambda_max(Y)
     gamma = max(math.sqrt(lam), math.sqrt(beta))
     raw = bound_formula(gamma, p)
     reported = max(3, math.ceil(raw))
@@ -226,7 +237,7 @@ def second_eigenvalue(
     Memory is charged to memory_budget by the BFS and by the neighbour map
     (cayley.neighbour_map), which raise BudgetExceededError when it does not
     fit.  Lanczos then holds the map and at most seven float64 vectors of the
-    order, which the map's charge covers when n >= 2.
+    order, which the map's charge covers.
     """
     gens = cayley.symmetrize(generators)
     for g in gens:

@@ -40,12 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cayley, modmat
 from .cayley import BudgetExceededError
-from .exactmat import (
-    ParameterError,
-    Word,
-    magic_pair,
-    power_closed_form,
-)
+from .exactmat import ParameterError, Word, eval_word, generator_pair
 from .modmat import ModMatrix
 from .params import GraphSpec
 
@@ -322,9 +317,7 @@ def freeness_scan(
     """
     if max_length < 2:
         raise ParameterError(f"max_length must be >= 2, got {max_length}")
-    A, B = magic_pair(n, a, b, allow_small=True)
-    X = power_closed_form(A, l)
-    Y = power_closed_form(B, l)
+    X, Y = generator_pair(n, l, a, b, allow_small=True)
     mats = [X.entries, X.inverse().entries, Y.entries, Y.inverse().entries]
     nu = max(max(sum(abs(x) for x in row) for row in m) for m in mats)
     gens = np.array(mats, dtype=np.int64 if nu**max_length < 1 << 63 else object)
@@ -382,15 +375,6 @@ def schreier_generators(m: int) -> SubgroupGenerators:
     return out
 
 
-def eval_word_mod(w: Word, X: ModMatrix, Y: ModMatrix) -> ModMatrix:
-    """Evaluate a reduced word at a pair of mod-m matrices."""
-    result = ModMatrix.identity(X.n, X.m)
-    table = {"X": X, "Y": Y}
-    for letter, exp in w.syllables:
-        result = result @ table[letter].pow(exp)
-    return result
-
-
 def _w(*pairs) -> Word:
     return Word.of(pairs)
 
@@ -432,6 +416,37 @@ def _sl3_expected_steps() -> List[Tuple[str, Word, Tuple[Tuple[int, ...], ...]]]
     ]
 
 
+def _replay(
+    X: ModMatrix, Y: ModMatrix, expected_steps, pair: str, memory_budget: int
+) -> RecipeReplay:
+    """Replay a recipe at the pair (X, Y) over F_q, q = X.m: each step's word
+    must evaluate bit-exactly to its displayed matrix, and the BFS closure of
+    {X, Y} must count |SL_n(F_q)|.  A closure past the memory budget leaves
+    the step checks standing and flags the replay partial.  Raises
+    RecipeError on a mismatch; pair names the generators in its message.
+    """
+    steps: List[RecipeStep] = []
+    for label, word, expected in expected_steps:
+        got = eval_word(word, X, Y)
+        if got.entries != expected:
+            raise RecipeError(
+                f"step {label}: computed {got.entries}, displayed {expected}"
+            )
+        steps.append(RecipeStep(label, word, got))
+    expected_order = modmat.group_order_sl(X.n, X.m)
+    order: Optional[int] = None
+    partial = False
+    try:
+        order = cayley.closure([X, Y], memory_budget=memory_budget)
+    except BudgetExceededError:
+        partial = True
+    if order is not None and order != expected_order:
+        raise RecipeError(
+            f"closure of {pair} has order {order}, expected {expected_order}"
+        )
+    return RecipeReplay(tuple(steps), X.m, X.n, expected_order, order, partial)
+
+
 def replay_recipe_sl3_mod3(
     a: int,
     b: int,
@@ -447,30 +462,8 @@ def replay_recipe_sl3_mod3(
         raise ParameterError(
             f"recipe needs a = 1 and b = -1 (mod 3), got a={a}, b={b}"
         )
-    A, B = magic_pair(3, a, b)
-    X = modmat.reduce(power_closed_form(A, 4), 3)
-    Y = modmat.reduce(power_closed_form(B, 4), 3)
-    steps: List[RecipeStep] = []
-    for label, word, expected in _sl3_expected_steps():
-        got = eval_word_mod(word, X, Y)
-        if got.entries != expected:
-            raise RecipeError(
-                f"step {label}: computed {got.entries}, displayed {expected}"
-            )
-        steps.append(RecipeStep(label, word, got))
-    expected_order = modmat.group_order_sl(3, 3)
-    order: Optional[int] = None
-    partial = False
-    try:
-        order = cayley.closure([X, Y], memory_budget=memory_budget)
-    except BudgetExceededError:
-        partial = True
-    if order is not None and order != expected_order:
-        raise RecipeError(
-            f"closure of the generator pair mod 3 has order {order}, "
-            f"expected {expected_order}"
-        )
-    return RecipeReplay(tuple(steps), 3, 3, expected_order, order, partial)
+    X, Y = (modmat.reduce(M, 3) for M in generator_pair(3, 4, a, b))
+    return _replay(X, Y, _sl3_expected_steps(), "the generator pair mod 3", memory_budget)
 
 
 def _unit_band(n: int, m: int, *, upper: bool) -> ModMatrix:
@@ -563,24 +556,6 @@ def replay_recipe_qt(
         )
     Ap = _unit_band(n, q, upper=True)
     Bp = _unit_band(n, q, upper=False)
-    steps: List[RecipeStep] = []
-    for label, word, expected in _qt_expected_steps(q, t):
-        got = eval_word_mod(word, Ap, Bp)
-        if got.entries != expected:
-            raise RecipeError(
-                f"step {label}: computed {got.entries}, displayed {expected}"
-            )
-        steps.append(RecipeStep(label, word, got))
-    expected_order = modmat.group_order_sl(n, q)
-    order: Optional[int] = None
-    partial = False
-    try:
-        order = cayley.closure([Ap, Bp], memory_budget=memory_budget)
-    except BudgetExceededError:
-        partial = True
-    if order is not None and order != expected_order:
-        raise RecipeError(
-            f"closure of the unit-band pair over F_{q} has order {order}, "
-            f"expected {expected_order}"
-        )
-    return RecipeReplay(tuple(steps), q, n, expected_order, order, partial)
+    return _replay(
+        Ap, Bp, _qt_expected_steps(q, t), f"the unit-band pair over F_{q}", memory_budget
+    )

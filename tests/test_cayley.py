@@ -192,9 +192,9 @@ def _bfs_reference(generators):
 
 
 def _engine(gens, *, table, **kw):
-    # the one BFS loop with its visited set forced: the dense table or the
-    # sorted levels of frontier search
-    return cayley._bfs(gens, table=table, **kw)
+    # the one BFS loop with its visited set forced: the dense table, indexed
+    # as bfs() would index it, or the sorted levels of frontier search
+    return cayley._bfs(gens, table=table, index=cayley._table_index(gens), **kw)
 
 
 def test_dense_and_sparse_paths_agree():
@@ -581,7 +581,14 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
 
 
 def _close_levels(prev, cur, targets, d, track):
-    """_Levels.close on hand-built levels d - 1 and d and level d's targets."""
+    """_Levels.close on hand-built levels d - 1 and d and level d's targets.
+
+    The levels keep the invariant that close relies on while the girth is
+    tracked: at d >= 1, exactly len(cur) targets lie in level d - 1, one
+    parent per element of level d (a shared parent counts once per child).
+    """
+    if d:
+        assert sum(t in prev for t in targets) == len(cur)
     store = cayley._Levels(s3_generators(), collect=True)
     store.prev = np.array(prev, dtype=np.int64)
     store.cur = np.array(cur, dtype=np.int64)
@@ -612,19 +619,20 @@ def _close_reference(prev, cur, targets, d, track):
 @pytest.mark.parametrize(
     "prev,cur,targets,d,want",
     [
-        # the shared parents of level d - 1 are repeats but close no cycle
-        ([2, 5], [7], [5, 2, 5, 9, 2, 11], 1, ([9, 11], set())),
+        # a parent of level d - 1 shared by both elements of level d is a
+        # repeat but closes no cycle
+        ([2, 5], [7, 8], [5, 9, 5, 11], 1, ([9, 11], set())),
         # a new code reached twice: 2d + 2
         ([2], [7], [2, 9, 11, 9], 2, ([9, 11], {6})),
         # a target in level d: 2d + 1
-        ([2], [7, 8], [2, 8, 11], 1, ([11], {3})),
+        ([2], [7, 8], [2, 8, 11, 2], 1, ([11], {3})),
         # both, and a repeated code of level d
-        ([2], [7, 8], [2, 8, 8, 11, 11], 3, ([11], {7, 8})),
+        ([2], [7, 8], [2, 8, 8, 11, 11, 2], 3, ([11], {7, 8})),
         # targets below the first and above the last level code, and level
         # codes past the last target, which searchsorted places at the end
-        ([50, 60], [70, 80], [65, 1, 50, 3], 4, ([1, 3, 65], set())),
-        ([1], [2], [20, 10], 1, ([10, 20], set())),
-        ([1], [2, 3], [3, 20, 10, 3], 1, ([10, 20], {3, 4})),
+        ([50, 60], [70, 80], [65, 1, 50, 3, 60], 4, ([1, 3, 65], set())),
+        ([1], [2], [20, 1, 10], 1, ([10, 20], set())),
+        ([1], [2, 3], [3, 1, 20, 10, 3, 1], 1, ([10, 20], {3, 4})),
         # depth 0: no level d - 1, and the root's targets
         ([], [0], [4, 3, 6, 5], 0, ([3, 4, 5, 6], set())),
         ([], [0], [4, 3, 3, 5], 0, ([3, 4, 5], {2})),
@@ -642,13 +650,16 @@ def test_levels_close_matches_a_set_reference_on_random_levels():
     rng = np.random.default_rng(7)
     for _ in range(300):
         # disjoint levels d - 1 and d, as the search keeps them, and level
-        # d's targets, some repeated, drawn from a small code range
+        # d's targets, some repeated, drawn from a small code range: one
+        # parent in level d - 1 per element of level d, the rest outside it
         codes = rng.permutation(40)
         d = int(rng.integers(0, 5))
-        width = int(rng.integers(0, 8)) if d else 0
+        width = int(rng.integers(1, 8)) if d else 0
         prev = sorted(codes[:width].tolist())
         cur = sorted(codes[width : width + int(rng.integers(1, 8))].tolist())
-        targets = rng.integers(0, 40, size=int(rng.integers(1, 25))).tolist()
+        parents = rng.choice(prev, size=len(cur)).tolist() if d else []
+        rest = codes[width:][rng.integers(0, 40 - width, size=int(rng.integers(1, 25)))]
+        targets = rng.permutation(parents + rest.tolist()).tolist()
         for track in (False, True):
             got = _close_levels(prev, cur, targets, d, track)
             assert got == _close_reference(prev, cur, targets, d, track)

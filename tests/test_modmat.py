@@ -132,3 +132,24 @@ def test_entries_validated():
         ModMatrix(2, 5, ((1, 7), (0, 1)))
     with pytest.raises(ParameterError):
         ModMatrix(2, 1, ((0, 0), (0, 0)))
+
+
+def test_integer_and_modular_matrices_share_inverse_and_power():
+    # one adjugate inverse and one square-and-multiply power serve both
+    # kinds; only the division by the determinant, and its error, differ
+    from girthlab.exactmat import ExactMatrix, ShapeError
+
+    E = ExactMatrix.from_rows([[2, 1], [1, 1]])
+    assert (E.pow(-3) @ E.pow(3)).is_identity()
+    assert reduce(E.pow(-3), 7) == reduce(E, 7).pow(-3) == inverse(reduce(E, 7)).pow(3)
+    assert E.transpose() == E and E.transpose()[0, 1] == 1
+    assert ExactMatrix.from_rows([[-1]]).inverse() == ExactMatrix.from_rows([[-1]])
+    assert ModMatrix.from_rows([[3]], 7).inverse() == ModMatrix.from_rows([[5]], 7)
+    with pytest.raises(ShapeError):
+        ExactMatrix.from_rows([[2]]).inverse()
+    with pytest.raises(NonInvertibleError):
+        ModMatrix.from_rows([[2]], 4).inverse()
+    with pytest.raises(ShapeError):
+        E @ reduce(E, 7)
+    with pytest.raises(ShapeError):
+        reduce(E, 5) @ reduce(E, 7)

@@ -2,6 +2,7 @@
 second eigenvalues."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -244,3 +245,59 @@ def test_second_eigenvalue_budget_is_its_neighbour_map_charge():
         second_eigenvalue([X, Y], memory_budget=charge - 1)
     assert (exc.value.depth_reached, exc.value.order_so_far) == (full.diameter, 120)
     assert second_eigenvalue([X, Y], memory_budget=charge) == second_eigenvalue([X, Y])
+
+
+def test_gram_lambda_max_is_at_least_the_exact_top_eigenvalue():
+    # A = [[1, 2], [0, 1]] of (2, 1, 2, 2): A A^T = [[5, 2], [2, 1]] has the
+    # top eigenvalue 3 + 2 sqrt 2, and x >= 3 + 2 sqrt 2 iff x >= 3 and
+    # (x - 3)^2 >= 8, checked exactly
+    A, B = magic_pair(2, 2, 2)
+    bound = girth_lower_bound(SPEC2, 1009)
+    for x in (gram_lambda_max(A), gram_lambda_max(B), bound.lambda_max, bound.beta_max):
+        assert x >= 3 and (Fraction(x) - 3) ** 2 >= 8
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        magic_power(2, 2, 1),
+        magic_power(3, 2, 4),
+        magic_power(3, 4, 4, upper=False),
+        magic_power(4, 4, 10),
+        magic_power(4, 7, 10, upper=False),
+        ExactMatrix.from_rows([[1, 5, 2], [0, 3, 1], [2, 0, 1]]),
+    ],
+)
+def test_gram_lambda_max_is_the_least_float_above_the_top_eigenvalue(M):
+    # against the exact characteristic polynomial det(G - t I): past the top
+    # eigenvalue it has the sign (-1)^n, and one float lower it is zero or
+    # has the other sign (each top eigenvalue here is simple and far from
+    # the next)
+    coeffs = gram_char_poly(M)
+
+    def charpoly(t):
+        value = Fraction(0)
+        for c in coeffs:
+            value = value * Fraction(t) + c
+        return value
+
+    x = gram_lambda_max(M)
+    sign = (-1) ** M.n
+    assert charpoly(x) * sign > 0
+    assert charpoly(math.nextafter(x, -math.inf)) * sign <= 0
+    assert gram_lambda_max(M) == gram_lambda_max(M.transpose())
+
+
+def test_neighbour_map_charge_holds_the_lanczos_vectors_at_n_1():
+    # [[2]] generates the cycle of order 100 mod 101 (k = 2: 2 and 51).
+    # Lanczos holds the two rows of positions and seven vectors of N
+    # doubles, 8 N (2 + 7) bytes; the charge 8 N (k + max(n^2 + 4, k + 3))
+    # of 5600 bytes fell below that, so a budget between the two ran
+    g = ModMatrix.from_rows([[2]], 101)
+    charge = 8 * 100 * (2 + 7)
+    for budget in (6400, charge - 1):
+        with pytest.raises(BudgetExceededError):
+            second_eigenvalue([g], memory_budget=budget)
+    report = second_eigenvalue([g], memory_budget=charge)
+    assert report.order == 100
+    assert report.second_eigenvalue == pytest.approx(2 * math.cos(2 * math.pi / 100), abs=1e-6)

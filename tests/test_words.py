@@ -9,11 +9,19 @@ import pytest
 from girthlab import cayley, modmat
 from girthlab import words as words_mod
 from girthlab.cayley import DegenerateSpecError
-from girthlab.exactmat import ExactMatrix, ParameterError, Word, magic_pair, power_closed_form
+from girthlab.exactmat import (
+    ExactMatrix,
+    ParameterError,
+    ShapeError,
+    Word,
+    eval_word,
+    magic_pair,
+    power_closed_form,
+)
+from girthlab.modmat import ModMatrix
 from girthlab.params import validate
 from girthlab.words import (
     DEFAULT_WORD_BUDGET,
-    eval_word_mod,
     freeness_scan,
     identity_word_length_mod_p,
     letters_to_word,
@@ -420,14 +428,17 @@ def test_qt_recipe_rejects_bad_shape():
 
 
 def test_eval_word_mod_matches_exact_reduction():
+    # one eval_word takes either kind of pair: mod 11 it lands on the
+    # reduction of the word's value over Z
     A, B = magic_pair(3, 4, 2)
     X, Y = power_closed_form(A, 4), power_closed_form(B, 4)
     w = Word.of([("X", 2), ("Y", -3), ("X", 1)])
-    from girthlab.exactmat import eval_word
-
     exact = modmat.reduce(eval_word(w, X, Y), 11)
-    modded = eval_word_mod(w, modmat.reduce(X, 11), modmat.reduce(Y, 11))
+    modded = eval_word(w, modmat.reduce(X, 11), modmat.reduce(Y, 11))
+    assert isinstance(modded, ModMatrix)
     assert exact.entries == modded.entries
+    with pytest.raises(ShapeError):
+        eval_word(w, X, modmat.reduce(Y, 11))  # one integer, one modular
 
 
 def test_report_json_roundtrip():
