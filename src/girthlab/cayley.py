@@ -23,15 +23,22 @@ fit the budget:
   Cube" (ISSAC 2007).  A placed neighbour of a depth-d vertex has depth
   d - 1, d or d + 1, three distinct residues, so the collision rule stays
   exact and depth has no limit.  The index is the element's rank in
-  SL_2(F_m) when n = 2, m is prime and every generator has determinant 1
-  (_sl2_ranks: m^3 indices instead of m^4 codes), and its code otherwise.
-  On ranks the generators act through two tables over the m^2 row-0 codes
-  each.  On codes they act through row tables (row_action): the rows of an
+  SL_n(F_m) when n >= 2, m is prime and every generator has determinant 1
+  (_ranked), and its code otherwise (a composite modulus, a generator of
+  determinant != 1, or n = 1).  For n = 2 (_sl2_ranks) that is m^3 indices
+  instead of m^4 codes, and the generators act through two tables over the
+  m^2 row-0 codes each.  For n >= 3 (_sln_ranks) it is m^(n^2-1) indices
+  instead of m^(n^2): one byte per element of the 12,130,560 of
+  SL_4(F_3) in 14,348,907 bytes, not 43,046,721.  There the generators act
+  on the top rows 0..n-2 through row_action, and on the last row through a
+  class table over the tops and a step table over (class, last row) pairs.
+  On codes they act through row tables (row_action): the rows of an
   element are grouped into blocks of consecutive rows, and each block is
   looked up in one table of its block codes small enough to stay in cache,
   so a step is a few small gathers with no decode, product or encode.  Each
   level is closed in sorted order of its indices: row i of M g is
-  row_i(M) g, so the targets of one generator from a sorted level fall into
+  row_i(M) g, and the top rows are the high digits of both codes and SL_n
+  ranks, so the targets of one generator from a sorted level fall into
   few contiguous stretches of the table, and the next level's lookups stay
   cache-local.  A level is acted on in chunks sized for the cache, not for
   the budget: _TARGET_BYTES of int64 targets (2^14 elements at degree 4).
@@ -77,6 +84,7 @@ graph, not the modulus, and it is charged to the memory budget.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,6 +120,7 @@ _SENT = np.uint8(0xFF)
 _CHUNK = 1 << 19  # frontier search's elements per chunk
 _BLOCK_BYTES = 1 << 18  # a row-block table of row_action stays in cache
 _TARGET_BYTES = 1 << 19  # a chunk of the table's int64 targets stays in cache
+_CLASS_CHUNK = 1 << 16  # entries of _sln_ranks's class table built at once
 _DOT_LIMIT = 10_000
 
 CSV_COLUMNS = ("p", "order", "full", "girth", "diameter", "ratio", "seconds", "peak_bytes")
@@ -195,23 +204,30 @@ def symmetrize(generators: Sequence[ModMatrix]) -> List[ModMatrix]:
     return out
 
 
-def _row_blocks(n: int, m: int, k: int) -> List[int]:
-    """Rows per block of row_action's tables, from row 0 up.
+def _digits(x: np.ndarray, count: int, m: int) -> List[np.ndarray]:
+    """The lowest count base-m digits of every entry of x, lowest first."""
+    return [x // m**i % m for i in range(count)]
+
+
+def _row_blocks(n: int, m: int, k: int, rows: int) -> List[int]:
+    """Rows per block of row_action's tables over rows 0..rows-1, from row 0 up.
 
     Every block has r rows, the most (at least one) whose table of m^(n r)
     block codes by k int64 targets fits in _BLOCK_BYTES; a last block takes
     the rows left over.
     """
     r = 1
-    while r < n and 8 * k * m ** (n * (r + 1)) <= _BLOCK_BYTES:
+    while r < rows and 8 * k * m ** (n * (r + 1)) <= _BLOCK_BYTES:
         r += 1
-    blocks = [r] * (n // r)
-    if n % r:
-        blocks.append(n % r)
+    blocks = [r] * (rows // r)
+    if rows % r:
+        blocks.append(rows % r)
     return blocks
 
 
-def row_action(n: int, m: int, gens: Sequence[ModMatrix]):
+def row_action(
+    n: int, m: int, gens: Sequence[ModMatrix], scale: int = 1, rows: Optional[int] = None
+):
     """Right multiplication by every generator, acting on element codes.
 
     Row i of an element M is the base-(m^n) digit i of its code, and row i of
@@ -225,36 +241,41 @@ def row_action(n: int, m: int, gens: Sequence[ModMatrix]):
     block boundary and one gather of len(gens)-wide rows per block, summed:
     SL_4(F_3) takes two gathers of 6,561-row tables instead of four of
     81-row ones.  Returns act(codes) -> int64 array of shape (len(codes),
-    len(gens)) whose column j holds the codes of M g_j; codes must lie below
-    m^(n^2) <= 2^63.
+    len(gens)) whose column j holds the codes of M g_j times scale (the
+    tables hold the scaled codes); codes must lie below m^(n^2), and their
+    images times scale below 2^63.  With rows < n the blocks cover rows
+    0..rows-1 only, so the codes must have zero rows above those: the
+    tops of _sln_ranks, whose zero last row would cost a gather of its own
+    at n = 3.
     """
     base = m**n
-    r = np.arange(base, dtype=np.int64)
-    digits = np.stack([r // m**x % m for x in range(n)], axis=1)
+    digits = np.stack(_digits(np.arange(base, dtype=np.int64), n, m), axis=1)
     weights = m ** np.arange(n, dtype=np.int64)
     row_codes = np.array(
         [(digits @ np.array(g.entries, dtype=np.int64)) % m @ weights for g in gens],
         dtype=np.int64,
     ).reshape(len(gens), base).T  # (row code, generator)
     blocks = []  # (number of block codes, table), from row 0 up
-    scale = 1  # place weight of the block's lowest row
-    for rows in _row_blocks(n, m, len(gens)):
-        c = np.arange(base**rows, dtype=np.int64)
-        table = sum(row_codes[c // base**j % base] * (scale * base**j) for j in range(rows))
-        blocks.append((base**rows, table))
-        scale *= base**rows
+    for r in _row_blocks(n, m, len(gens), rows or n):
+        c = np.arange(base**r, dtype=np.int64)
+        table = sum(row_codes[c // base**j % base] * (scale * base**j) for j in range(r))
+        blocks.append((base**r, table))
+        scale *= base**r  # the place weight of the next block's lowest row
     *low, (_, top) = blocks
 
     def act(codes) -> np.ndarray:
         high = np.asarray(codes, dtype=np.int64)
-        out = np.zeros((len(high), len(gens)), dtype=np.int64)
-        for size, table in low:
+        parts = []  # the lower blocks' codes
+        for size, _ in low:
             # numpy floor-divides by a scalar more than twice as fast as it
             # runs np.divmod
             q = high // size
-            out += np.take(table, high - q * size, axis=0)
+            parts.append(high - q * size)
             high = q
-        out += np.take(top, high, axis=0)
+        # the highest block's gather starts the sum: no zero fill
+        out = np.take(top, high, axis=0)
+        for part, (_, table) in zip(parts, low):
+            out += np.take(table, part, axis=0)
         return out
 
     return act
@@ -310,14 +331,15 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
     return act
 
 
-def _sl2_ranked(gens: Sequence[ModMatrix]) -> bool:
-    """Whether _Table indexes elements by SL_2 rank (_sl2_ranks).
+def _ranked(gens: Sequence[ModMatrix]) -> bool:
+    """Whether _Table indexes elements by rank in SL_n(F_m).
 
-    Only when n = 2, m is prime and every generator has determinant 1, so
-    that every element reached lies in SL_2(F_m).
+    Only when n >= 2, m is prime and every generator has determinant 1, so
+    that every element reached lies in SL_n(F_m): by _sl2_ranks when n = 2,
+    by _sln_ranks when n >= 3.
     """
     n, m = gens[0].n, gens[0].m
-    return n == 2 and modmat.is_prime(m) and all(g.det() == 1 for g in gens)
+    return n >= 2 and modmat.is_prime(m) and all(g.det() == 1 for g in gens)
 
 
 def _sl2_ranks(m: int, gens: Sequence[ModMatrix]):
@@ -331,9 +353,12 @@ def _sl2_ranks(m: int, gens: Sequence[ModMatrix]):
     v0(r0) g + t row_0(M g), on the line of T_g[r0] at t + s_g[r0] for a
     shift s_g[r0] that does not depend on t.  So rank(M g) = T_g[r0] m +
     (t + s_g[r0]) mod m, from two tables over the m^2 row-0 codes per
-    generator and one of the 2m residues.  Returns (act, unrank): act(ranks)
-    with row_action's contract, as a transposed view like _product_action's,
-    and unrank(ranks), the element codes of the ranks in order.
+    generator and one of the 2m residues.  n = 2 keeps this shift form:
+    _sln_ranks's step table over the (class, t) pairs would hold k m^3
+    int64 entries, more than the m^3-byte table it serves.  Returns (act,
+    unrank): act(ranks) with row_action's contract, as a transposed view
+    like _product_action's, and unrank(ranks), the element codes of the
+    ranks in order.
     """
     r0 = np.arange(m * m, dtype=np.int64)
     a, b = r0 % m, r0 // m
@@ -374,18 +399,138 @@ def _sl2_ranks(m: int, gens: Sequence[ModMatrix]):
     return act, unrank
 
 
+def _pivot(vec: Sequence[np.ndarray]) -> np.ndarray:
+    """Position of the first nonzero entry of each vector, given entrywise
+    (0 for the zero vector)."""
+    at = np.zeros(np.shape(vec[0]), dtype=np.int8)
+    for y in reversed(range(len(vec))):
+        at[vec[y] != 0] = y
+    return at
+
+
+def _class_dtype(n: int, m: int) -> np.dtype:
+    """dtype of _sln_ranks's class table: the smallest unsigned integer that
+    holds the m^n codes of a cofactor vector."""
+    return np.min_scalar_type(m**n - 1)
+
+
+def _sln_ranks(n: int, m: int, gens: Sequence[ModMatrix]):
+    """Right multiplication on the ranks of SL_n(F_m) for n >= 3, and the
+    unrank map.
+
+    The code of M is top + m^(n(n-1)) r: top, its low digits, holds rows
+    0..n-2 and r is the code of the last row.  det M = C . r for the cofactor
+    vector C = C(top), so det M = 1 fixes the last row's entry at the pivot
+    j, the first nonzero entry of C, from its other n - 1 entries, whose
+    code is s.  The rank is s + m^(n-1) top: m^(n^2-1) ranks index the
+    elements, and those whose top has C = 0 are unused.  The top rows are
+    the rank's high digits, as they are the code's, so the targets of a
+    sorted level stay in few stretches of the table (_Table); with s high
+    instead, the SL_4(F_3) closure's lookups took about 40% longer.  Row i
+    of M g is row_i(M) g, so row_action moves a top (a code whose last row
+    is zero) to the top of M g, and as det g = 1 the cofactor vector of M g
+    is C g^(-T).  Two tables give the rest.  cls[top], over the
+    m^(n(n-1)) tops, holds the code of C(top).  step_g[c m^(n-1) + s], over
+    the m^(2n-1) pairs of a class c and an s, lifts s to the last row r by
+    solving C . r = 1 at j, forms r g and holds the code s' of r g without
+    its entry at the pivot of C g^(-T).  So the rank of M g is
+    m^(n-1) row_action(top)_g + step_g[cls[top] m^(n-1) + s], with the
+    factor m^(n-1) built into row_action's tables: three gathers and a few
+    divisions, over a table m times smaller than the code table.  Both
+    tables are built from vectors of small integers, cls in chunks of rows
+    1..n-2; _table_index counts their bytes.  Returns (act, unrank) with
+    _sl2_ranks's contract.
+    """
+    k, top_size, lows = len(gens), m ** (n * (n - 1)), m ** (n - 1)
+    inv = np.array([0] + [pow(x, -1, m) for x in range(1, m)], dtype=np.int64)
+
+    def lift(C: List[np.ndarray], s: List[np.ndarray]) -> List[np.ndarray]:
+        # the last row, entrywise: s around the pivot j, and at j the entry
+        # that makes C . r = 1
+        j = _pivot(C)
+        r = [
+            np.where(j > x, s[x] if x < n - 1 else 0, s[x - 1] if x else 0) * (j != x)
+            for x in range(n)
+        ]
+        at_j = (1 - sum(c * e for c, e in zip(C, r))) * inv[np.choose(j, C)] % m
+        return [np.where(j == x, at_j, e) for x, e in enumerate(r)]
+
+    # C is linear in row 0: with top = row_0 + m^n rest, where rest holds
+    # rows 1..n-2, entry y of C is row_0 . K_y(rest) for the column
+    # K_y(rest)[x] = det [e_x; rest; e_y], a sum over the permutations that
+    # send row 0 to x and row n - 1 to y.  With dot[k, r], the dot product
+    # mod m of the rows whose codes are k and r, the m^n classes at one rest
+    # are sum_y m^y dot[code of K_y(rest)]: n gathers of whole rows of dot
+    rest = _digits(np.arange(m ** (n * (n - 2)), dtype=np.int32), n * (n - 2), m)
+    K = np.zeros((n, n, m ** (n * (n - 2))), dtype=np.int32)  # K[x, y] at every rest
+    for perm in itertools.permutations(range(n)):
+        term = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        for i in range(1, n - 1):
+            term = term * rest[n * (i - 1) + perm[i]]
+        K[perm[0], perm[-1]] += term
+    cols = sum(K[x] % m * m**x for x in range(n))  # cols[y]: code of K_y at every rest
+    dtype = _class_dtype(n, m)
+    row = [e.astype(np.uint16) for e in _digits(np.arange(m**n), n, m)]
+    dot = (sum(np.multiply.outer(e, e) for e in row) % m).astype(dtype)
+    cls = np.empty((len(cols[0]), m**n), dtype=dtype)
+    per = max(1, _CLASS_CHUNK // m**n)  # rests per chunk
+    for a in range(0, len(cls), per):
+        part = cls[a : a + per]
+        part[:] = 0
+        for y, at in enumerate(cols[:, a : a + per]):
+            part += np.take(dot, at, axis=0) * m**y
+    cls = cls.reshape(-1)
+
+    c, s = np.divmod(np.arange(m**n * lows, dtype=np.int32), lows)
+    C = _digits(c, n, m)
+    r = lift(C, _digits(s, n - 1, m))
+    step = np.empty((len(c), k), dtype=np.int64)
+    for col, g in zip(step.T, gens):
+        ge, gi = g.entries, modmat.inverse(g).entries
+        rg = [sum(e * ge[x][y] for x, e in enumerate(r)) % m for y in range(n)]
+        j = _pivot([sum(e * gi[y][x] for x, e in enumerate(C)) % m for y in range(n)])
+        col[:] = sum(np.where(j > z, rg[z], rg[z + 1]) * m**z for z in range(n - 1))
+    top_act = row_action(n, m, gens, lows, n - 1)
+
+    def act(ranks) -> np.ndarray:
+        ranks = np.asarray(ranks, dtype=np.int64)
+        top = ranks // lows
+        s = ranks - top * lows
+        at = np.multiply(np.take(cls, top), lows, dtype=np.int64)
+        at += s
+        out = top_act(top)
+        out += np.take(step, at, axis=0)
+        return out
+
+    def unrank(ranks) -> np.ndarray:
+        ranks = np.asarray(ranks, dtype=np.int64)
+        top = ranks // lows
+        s = ranks - top * lows
+        last = lift(_digits(np.take(cls, top).astype(np.int64), n, m), _digits(s, n - 1, m))
+        return top + top_size * sum(e * m**x for x, e in enumerate(last))
+
+    return act, unrank
+
+
 def _table_index(gens: Sequence[ModMatrix]) -> Tuple[bool, int, int]:
     """How _Table indexes the elements: (ranked, index space, bytes of the
     rank action's tables).
 
-    By SL_2 rank when _sl2_ranked: m^3 indices, and _sl2_ranks's two int64
-    tables over the m^2 row-0 codes per generator.  Otherwise by the code
-    itself: m^(n^2) indices and no rank tables.
+    By rank in SL_n(F_m) when _ranked.  For n = 2, m^3 indices, and
+    _sl2_ranks's two int64 tables over the m^2 row-0 codes per generator.
+    For n >= 3, m^(n^2-1) indices, and _sln_ranks's class table over the
+    m^(n(n-1)) tops (_class_dtype) and its int64 step table of m^(2n-1)
+    rows of k.  Otherwise, for a composite modulus, a generator of
+    determinant != 1 or n = 1, by the code itself: m^(n^2) indices and no
+    rank tables.
     """
-    n, m = gens[0].n, gens[0].m
-    if _sl2_ranked(gens):
-        return True, m**3, 16 * len(gens) * m * m
-    return False, m ** (n * n), 0
+    n, m, k = gens[0].n, gens[0].m, len(gens)
+    if not _ranked(gens):
+        return False, m ** (n * n), 0
+    if n == 2:
+        return True, m**3, 16 * k * m * m
+    cls = _class_dtype(n, m).itemsize * m ** (n * (n - 1))
+    return True, m ** (n * n - 1), cls + 8 * k * m ** (2 * n - 1)
 
 
 def _index_dtype(space: int):
@@ -400,8 +545,9 @@ def _index_dtype(space: int):
 class _Table:
     """Visited set over a whole index space: one byte per index, depth mod 3.
 
-    The index is the SL_2 rank when _sl2_ranked (m^3 bytes), otherwise the
-    element code itself (m^(n^2) bytes).
+    The index is the rank in SL_n(F_m) when _ranked (m^3 bytes for n = 2,
+    m^(n^2-1) for n >= 3), otherwise the element code itself (m^(n^2)
+    bytes); unrank maps indices back to codes.
     """
 
     def __init__(self, gens: List[ModMatrix], collect: bool, index: Tuple[bool, int, int]):
@@ -410,9 +556,13 @@ class _Table:
         # elements per chunk, whose targets stay in cache
         self.chunk = max(1, _TARGET_BYTES // (8 * self.k))
         ranked, size, self.tables = index  # from _table_index
-        if ranked:
+        if ranked and n == 2:
             self.act, self.unrank = _sl2_ranks(m, gens)
             self.root = m  # the identity: r0 = 1, t = 0
+        elif ranked:
+            self.act, self.unrank = _sln_ranks(n, m, gens)
+            # the identity: its top rows, C = e_(n-1) and s = 0
+            self.root = m ** (n - 1) * sum(m ** (i * (n + 1)) for i in range(n - 1))
         else:
             self.act, self.unrank = row_action(n, m, gens), np.asarray
             self.root = modmat.encode(ModMatrix.identity(n, m))
@@ -422,11 +572,13 @@ class _Table:
         self.new: List[np.ndarray] = []  # next-level indices, of self.dtype
 
     def charge(self, d: int, width: int, order: int) -> int:
-        # the table, the rank action's tables, 9 bytes per element of level d
-        # (its index of 4 bytes, or 8 past an index space of 2^31; the rest
+        # the table, the rank action's tables (_sl2_ranks's shift tables, or
+        # _sln_ranks's class and step tables), 9 bytes per element of level
+        # d (its index of 4 bytes, or 8 past an index space of 2^31; the rest
         # is spare) and the int64 target block of one chunk.  Not charged:
         # level d + 1's pieces as visit keeps them and their concatenation
-        # in close, and row_action's tables, each within _BLOCK_BYTES
+        # in close, row_action's tables, each within _BLOCK_BYTES, and the
+        # temporaries that build _sln_ranks's tables before the first level
         return len(self.dist) + self.tables + 9 * width + 8 * self.k * min(width, self.chunk)
 
     def visit(self, d: int, tgts: np.ndarray, track: bool) -> Set[int]:
@@ -460,7 +612,13 @@ class _Table:
         return nxt, set()
 
     def codes(self) -> np.ndarray:
-        return np.sort(self.unrank(np.flatnonzero(self.dist != _SENT)))
+        # unranked in place, a chunk at a time: _sln_ranks's unrank makes
+        # a few dozen temporaries of its input's length
+        out = np.flatnonzero(self.dist != _SENT)
+        for at in range(0, len(out), _CHUNK):
+            out[at : at + _CHUNK] = self.unrank(out[at : at + _CHUNK])
+        out.sort()
+        return out
 
 
 class _Levels:

@@ -1,5 +1,6 @@
 """Cayley graph BFS: closure, girth, diameter, tables, export."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -307,7 +308,7 @@ def test_girth_and_diameter_against_networkx(monkeypatch):
     import networkx as nx
 
     rng = random.Random(314)
-    cases = {True: 0, False: 0}  # by _sl2_ranked
+    cases = {True: 0, False: 0}  # by _ranked
     while min(cases.values()) < 10:
         m = rng.choice([3, 4, 5])
         rows = [[rng.randrange(m) for _ in range(2)] for _ in range(2)]
@@ -338,12 +339,12 @@ def test_girth_and_diameter_against_networkx(monkeypatch):
         assert got == expect_girth, (rows, m, got, expect_girth)
         assert res.diameter == expect_diameter
         assert res.order == G.number_of_nodes()
-        ranked = cayley._sl2_ranked(symmetrize(gens))
+        ranked = cayley._ranked(symmetrize(gens))
         assert ranked == (m != 4 and g1.det() == 1)
         if ranked:
             # the rank table collects the same sorted codes as one over codes
             with monkeypatch.context() as raw:
-                raw.setattr(cayley, "_sl2_ranked", lambda gens: False)
+                raw.setattr(cayley, "_ranked", lambda gens: False)
                 by_code = cayley.bfs(gens, want_girth=True, collect=True)
             # the code table charges m^4 bytes, the rank table m^3 bytes and
             # its action's tables
@@ -399,7 +400,7 @@ def test_row_action_matches_matrix_product(n, m):
     gens = [
         ModMatrix.from_rows(rng.integers(0, m, size=(n, n)).tolist(), m) for _ in range(4)
     ]
-    assert cayley._row_blocks(n, m, len(gens)) == ROW_BLOCKS[n, m]
+    assert cayley._row_blocks(n, m, len(gens), n) == ROW_BLOCKS[n, m]
     # the lowest and highest codes, whose block digits are all 0 or all m^(n r) - 1
     codes = np.concatenate([[0, m ** (n * n) - 1], rng.integers(0, m ** (n * n), size=300)])
     tgts = cayley.row_action(n, m, gens)(codes)
@@ -451,8 +452,9 @@ def test_frontier_chunks_do_not_change_the_result(monkeypatch):
     # chunks of 5 elements split every level, so next-level duplicates (the
     # girth-9 collision at p = 11) arrive from different chunks; the default
     # chunks and chunks at least as wide as the widest level must give the
-    # same graph.  Both stores, over SL_2 ranks (p = 11, 13) and raw codes
-    # (SL_3(F_3)); the spy records how many elements each visit gets
+    # same graph.  Both stores, over SL_2 ranks (p = 11, 13), SL_3 ranks
+    # (SL_3(F_3)) and codes (the composite modulus 9); the spy records how
+    # many elements each visit gets
     widths = []
     for store in (cayley._Table, cayley._Levels):
 
@@ -462,9 +464,9 @@ def test_frontier_chunks_do_not_change_the_result(monkeypatch):
 
         monkeypatch.setattr(store, "visit", spy)
     kw = dict(want_girth=True, girth_only=False, collect=True, memory_budget=1 << 30)
-    for spec, m in ((SPEC2, 11), (SPEC2, 13), (SPEC3, 3)):
+    for spec, m in ((SPEC2, 11), (SPEC2, 13), (SPEC3, 3), (SPEC2, 9)):
         gens = symmetrize(spec_generators(spec, m))
-        assert cayley._sl2_ranked(gens) == (spec is SPEC2)
+        assert cayley._ranked(gens) == (m != 9)
         ref = _bfs_reference(gens)
         k = len(gens)
         for chunk in (5, None, ref.max_frontier):
@@ -543,7 +545,7 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
     # previous level, which is why the collision rule needs no parent
     gens = symmetrize(spec_generators(spec, m))
     n = gens[0].n
-    assert cayley._sl2_ranked(gens) == (n == 2)
+    assert cayley._ranked(gens)
     act = cayley.row_action(n, m, gens)
     closed = {}
     for store in (cayley._Table, cayley._Levels):
@@ -552,8 +554,8 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
         def spy(self, d, track, close=store.close, calls=calls, table=store is cayley._Table):
             nxt, cands = close(self, d, track)
             assert (np.diff(nxt) > 0).all()  # sorted by index
-            # the table's levels hold 4-byte indices: m^3 ranks and m^9 codes
-            # stay below 2^31; frontier search keeps int64 codes
+            # the table's levels hold 4-byte indices: m^3 and m^8 ranks stay
+            # below 2^31; frontier search keeps int64 codes
             assert nxt.dtype == (np.int32 if table else np.int64)
             calls.append((np.sort(self.unrank(nxt)) if table else nxt, track))
             return nxt, cands
@@ -862,9 +864,12 @@ def test_shears_at_100_mib_stay_below_the_budget():
 
 
 def test_table_closure_rss_stays_within_a_quarter_of_peak_bytes():
-    # the SL_4(F_3) closure over its 3^16-byte code table, in a fresh
+    # the SL_4(F_3) closure over its 3^15-byte rank table, in a fresh
     # interpreter: the growth of its peak RSS (VmHWM) over the BFS stays
-    # within 1.25 times the charged peak_bytes
+    # within 1.25 times the charged peak_bytes: the table, the 3^12-byte
+    # class table, the 8 * 4 * 3^7 bytes of the step table, 9 bytes for
+    # each of the 4,316,098 elements of the widest level and one chunk's
+    # 8 * 4 * 2^14 bytes of targets
     import os
     import subprocess
     import sys
@@ -885,7 +890,8 @@ def test_table_closure_rss_stays_within_a_quarter_of_peak_bytes():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     order, peak, grown = map(int, out)
-    assert (order, peak) == (group_order_sl(4, 3), 82_415_891)
+    assert (order, peak) == (group_order_sl(4, 3), 54_319_502)
+    assert peak == 3**15 + 3**12 + 8 * 4 * 3**7 + 9 * 4_316_098 + 8 * 4 * 2**14
     assert grown <= 1.25 * peak, grown / peak
 
 
@@ -899,7 +905,7 @@ def test_sl2_ranks_index_the_group_and_act_like_row_action(m):
         g = ModMatrix.from_rows(rng.integers(0, m, size=(2, 2)).tolist(), m)
         if g.det() == 1:
             gens.append(g)
-    assert cayley._sl2_ranked(gens)
+    assert cayley._ranked(gens)
     act, unrank = cayley._sl2_ranks(m, gens)
     ranks = np.arange(m, m**3)  # r0 = 0 (ranks below m) is unused
     codes = unrank(ranks)
@@ -912,15 +918,113 @@ def test_sl2_ranks_index_the_group_and_act_like_row_action(m):
     assert np.array_equal(unrank(tgts.ravel()).reshape(tgts.shape), want)
 
 
+def _dets(codes, n, m):
+    """Determinants mod m of the elements of the codes, by Leibniz's sum."""
+    digits = [codes // m**i % m for i in range(n * n)]
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        for i in range(n):
+            term = term * digits[n * i + perm[i]]
+        total = total + term
+    return total % m
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 5), (3, 7), (4, 3)])
+def test_sln_ranks_index_the_group_and_act_like_row_action(n, m):
+    # the used ranks, those whose top rows are independent, unrank to
+    # distinct elements of SL_n(F_m), and the unused ones to singular
+    # matrices; acting on used ranks then unranking equals row_action on
+    # their codes.  Every rank for n = 3, a sample for SL_4(F_3)
+    rng = np.random.default_rng(100 * n + m)
+    gens = []
+    while len(gens) < 3:
+        g = ModMatrix.from_rows(rng.integers(0, m, size=(n, n)).tolist(), m)
+        if g.det() == 1:
+            gens.append(g)
+    gens = symmetrize(gens)
+    assert cayley._ranked(gens)
+    act, unrank = cayley._sln_ranks(n, m, gens)
+    space = m ** (n * n - 1)
+    if n == 3:
+        ranks = np.arange(space)
+    else:
+        ranks = np.unique(rng.integers(0, space, size=200_000))
+    used, codes = [], []
+    for at in range(0, len(ranks), 1 << 20):
+        part = unrank(ranks[at : at + (1 << 20)])
+        dets = _dets(part, n, m)
+        assert ((dets == 0) | (dets == 1)).all()
+        used.append(ranks[at : at + (1 << 20)][dets == 1])
+        codes.append(part[dets == 1])
+    used, codes = np.concatenate(used), np.concatenate(codes)
+    assert (np.diff(np.sort(codes)) > 0).all()
+    if n == 3:
+        assert len(codes) == group_order_sl(n, m)
+    else:
+        # |SL_4(F_3)| / 3^15 = 0.845 of the ranks are used
+        assert abs(len(codes) / len(ranks) - group_order_sl(n, m) / space) < 0.01
+    root = cayley._Table(gens, False, cayley._table_index(gens)).root
+    assert unrank(np.array([root])).tolist() == [modmat.encode(ModMatrix.identity(n, m))]
+    sample = rng.choice(len(used), size=min(len(used), 20_000), replace=False)
+    tgts = act(used[sample])
+    assert tgts.shape == (len(sample), len(gens))
+    want = cayley.row_action(n, m, gens)(codes[sample])
+    assert np.array_equal(unrank(tgts.ravel()).reshape(tgts.shape), want)
+
+
+@pytest.mark.parametrize("spec,m", [(SPEC3, 3), (SPEC3, 5), (validate(3, 4, 2, 4), 5)])
+def test_sln_rank_table_matches_the_code_table(monkeypatch, spec, m):
+    # the same sweep over SL_3 ranks and, with the predicate off, over codes:
+    # the same spheres, girth, diameter and collected codes, and the code
+    # table charges m^9 bytes where the rank table charges m^8 and the
+    # class and step tables
+    gens = spec_generators(spec, m)
+    res = cayley.bfs(gens, want_girth=True, collect=True)
+    with monkeypatch.context() as raw:
+        raw.setattr(cayley, "_ranked", lambda gens: False)
+        by_code = cayley.bfs(gens, want_girth=True, collect=True)
+    assert (res.sphere_sizes, res.girth, res.diameter) == (
+        by_code.sphere_sizes,
+        by_code.girth,
+        by_code.diameter,
+    )
+    assert res.order == group_order_sl(3, m)
+    assert np.array_equal(res.codes, by_code.codes)
+    tables = cayley._table_index(symmetrize(gens))[2]
+    assert tables == cayley._class_dtype(3, m).itemsize * m**6 + 8 * 4 * m**5
+    assert by_code.peak_bytes - res.peak_bytes == m**9 - m**8 - tables
+
+
 def test_index_map_follows_the_generators():
-    # ranks only for n = 2, a prime modulus and determinant-1 generators
+    # ranks only for n >= 2, a prime modulus and determinant-1 generators
     shear = [[1, 1], [0, 1]]
-    assert cayley._sl2_ranked([ModMatrix.from_rows(shear, 7)])
-    assert not cayley._sl2_ranked([ModMatrix.from_rows(shear, 9)])  # composite
-    assert not cayley._sl2_ranked(
+    assert cayley._ranked([ModMatrix.from_rows(shear, 7)])
+    assert not cayley._ranked([ModMatrix.from_rows(shear, 9)])  # composite
+    assert not cayley._ranked(
         [ModMatrix.from_rows(shear, 7), ModMatrix.from_rows([[3, 0], [0, 1]], 7)]
     )  # determinant 3
-    assert not cayley._sl2_ranked([ModMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]], 7)])
+    shear3 = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    assert cayley._ranked([ModMatrix.from_rows(shear3, 7)])
+    assert not cayley._ranked([ModMatrix.from_rows(shear3, 9)])  # composite
+    assert not cayley._ranked(
+        [ModMatrix.from_rows(shear3, 7), ModMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]], 7)]
+    )  # determinant 2
+    assert not cayley._ranked([ModMatrix.from_rows([[3]], 7)])  # n = 1
+    # the index space and the rank tables' bytes: SL_2 ranks, SL_3 ranks
+    # with a one-byte class table over 3^6 tops, two bytes over 7^6, and
+    # codes for a composite modulus
+    one = [ModMatrix.from_rows(shear, 7)]
+    assert cayley._table_index(symmetrize(one)) == (True, 7**3, 16 * 2 * 7**2)
+    for m, cls_bytes in ((3, 1), (7, 2)):
+        gens = symmetrize([ModMatrix.from_rows(shear3, m)])
+        assert cayley._table_index(gens) == (
+            True,
+            m**8,
+            cls_bytes * m**6 + 8 * 2 * m**5,
+        )
+    gens = symmetrize([ModMatrix.from_rows(shear3, 9)])
+    assert cayley._table_index(gens) == (False, 9**9, 0)
 
 
 def test_girth_only_search_never_takes_the_table(monkeypatch):
