@@ -15,29 +15,26 @@ One vectorized, deterministic level loop (_bfs) does the sweep: chunking,
 the collision rule, the level bookkeeping and the memory budget.  Only its
 visited set varies.  A girth-only search always takes frontier search,
 whose ball is far smaller than the group; a full sweep takes the table
-whenever 3 bytes per index of the table, and the rank action's tables,
-fit the budget:
+whenever its elements are ranked (_table_index) and 3 bytes per index of
+the table, and the rank action's tables, fit the budget:
 
 - _Table: one byte per index holding depth mod 3 (0xFF marks an unplaced
   index), after Kunkle & Cooperman, "Twenty-Six Moves Suffice for Rubik's
   Cube" (ISSAC 2007).  A placed neighbour of a depth-d vertex has depth
   d - 1, d or d + 1, three distinct residues, so the collision rule stays
   exact and depth has no limit.  The index is the element's rank in
-  SL_n(F_m) when n >= 2, m is prime and every generator has determinant 1
-  (_ranked), and its code otherwise (a composite modulus, a generator of
-  determinant != 1, or n = 1).  For n = 2 (_sl2_ranks) that is m^3 indices
-  instead of m^4 codes, and the generators act through two tables over the
-  m^2 row-0 codes each.  For n >= 3 (_sln_ranks) it is m^(n^2-1) indices
-  instead of m^(n^2): one byte per element of the 12,130,560 of
-  SL_4(F_3) in 14,348,907 bytes, not 43,046,721.  There the generators act
-  on the top rows 0..n-2 through row_action, and on the last row through a
-  class table over the tops and a step table over (class, last row) pairs.
-  On codes they act through row tables (row_action): the rows of an
-  element are grouped into blocks of consecutive rows, and each block is
-  looked up in one table of its block codes small enough to stay in cache,
-  so a step is a few small gathers with no decode, product or encode.  Each
-  level is closed in sorted order of its indices: row i of M g is
-  row_i(M) g, and the top rows are the high digits of both codes and SL_n
+  SL_n(F_m), so the table serves n >= 2, a prime m and generators of
+  determinant 1; every other full sweep (a composite modulus, a generator
+  of determinant != 1, or n = 1) takes frontier search.  For n = 2
+  (_sl2_ranks) that is m^3 indices instead of m^4 codes, and the
+  generators act through two tables over the m^2 row-0 codes each.  For
+  n >= 3 (_sln_ranks) it is m^(n^2-1) indices instead of m^(n^2): one
+  byte per element of the 12,130,560 of SL_4(F_3) in 14,348,907 bytes,
+  not 43,046,721.  There the generators act on the top rows 0..n-2
+  through cache-sized row tables (_top_action), and on the last row
+  through a class table over the tops and a step table over (class, last
+  row) pairs.  Each level is closed in sorted order of its indices: row i
+  of M g is row_i(M) g, and the top rows are the high digits of the
   ranks, so the targets of one generator from a sorted level fall into
   few contiguous stretches of the table, and the next level's lookups stay
   cache-local.  A level is acted on in chunks sized for the cache, not for
@@ -65,14 +62,15 @@ fit the budget:
   Both stores return the same levels, each sorted by its index.  Not charged to
   the memory budget: the sort's temporaries, the mask and the probe
   positions of levels d - 1 and d.
-  Generators act by decode, product and encode (_product_action), which
-  needs no table of m^n rows.  Its chunks stay at 2^19 elements: they touch
-  no table, the gathered targets of the whole level are kept until close
-  anyway, and 2^14-element chunks cost the girth-only ball search memory
-  without making it faster.  Its codes stay int64, because they pass 2^31
-  at n = 2 for m > 215, and close keeps its boolean mask indexing, because
-  np.compress there builds an 8-byte index for every kept element and
-  raised the ball search's peak RSS without making it faster.
+  Generators act by decode, product and encode (_product_action), the one
+  kernel on element codes, which needs no table of m^n rows.  Its chunks
+  stay at 2^19 elements: they touch no table, the gathered targets of the
+  whole level are kept until close anyway, and 2^14-element chunks cost
+  the girth-only ball search memory without making it faster.  Its codes
+  stay int64, because they pass 2^31 at n = 2 for m > 215, and close keeps
+  its boolean mask indexing, because np.compress there builds an 8-byte
+  index for every kept element and raised the ball search's peak RSS
+  without making it faster.
 
 Codes are int64 in both, so the code space m^(n^2) must fit in 63 bits.
 
@@ -118,7 +116,7 @@ def _default_memory_budget() -> int:
 DEFAULT_MEMORY_BUDGET = _default_memory_budget()  # bytes, read once at import
 _SENT = np.uint8(0xFF)
 _CHUNK = 1 << 19  # frontier search's elements per chunk
-_BLOCK_BYTES = 1 << 18  # a row-block table of row_action stays in cache
+_BLOCK_BYTES = 1 << 18  # a row-block table of _top_action stays in cache
 _TARGET_BYTES = 1 << 19  # a chunk of the table's int64 targets stays in cache
 _CLASS_CHUNK = 1 << 16  # entries of _sln_ranks's class table built at once
 _DOT_LIMIT = 10_000
@@ -209,13 +207,15 @@ def _digits(x: np.ndarray, count: int, m: int) -> List[np.ndarray]:
     return [x // m**i % m for i in range(count)]
 
 
-def _row_blocks(n: int, m: int, k: int, rows: int) -> List[int]:
-    """Rows per block of row_action's tables over rows 0..rows-1, from row 0 up.
+def _row_blocks(n: int, m: int, k: int) -> List[int]:
+    """Rows per block of _top_action's tables over the top rows 0..n-2, from
+    row 0 up.
 
     Every block has r rows, the most (at least one) whose table of m^(n r)
     block codes by k int64 targets fits in _BLOCK_BYTES; a last block takes
     the rows left over.
     """
+    rows = n - 1
     r = 1
     while r < rows and 8 * k * m ** (n * (r + 1)) <= _BLOCK_BYTES:
         r += 1
@@ -225,28 +225,22 @@ def _row_blocks(n: int, m: int, k: int, rows: int) -> List[int]:
     return blocks
 
 
-def row_action(
-    n: int, m: int, gens: Sequence[ModMatrix], scale: int = 1, rows: Optional[int] = None
-):
-    """Right multiplication by every generator, acting on element codes.
+def _top_action(n: int, m: int, gens: Sequence[ModMatrix]):
+    """Right multiplication by every generator on the tops of _sln_ranks.
 
-    Row i of an element M is the base-(m^n) digit i of its code, and row i of
-    M g is row_i(M) g.  So for each generator a table over the m^n row codes,
-    T_g[r] = code of the row vector r g, gives the code of M g as
-    sum_i T_g[row_i(M)] * m^(n i), bit-identical to modmat.encode(M @ g).
-    Consecutive rows are grouped into blocks (_row_blocks), each with one
-    table over its m^(n r) block codes that sums the scaled row codes of its
-    r rows, with the generators side by side; a block's table stays within
-    _BLOCK_BYTES, so it stays in cache.  One action is then one divmod per
-    block boundary and one gather of len(gens)-wide rows per block, summed:
-    SL_4(F_3) takes two gathers of 6,561-row tables instead of four of
-    81-row ones.  Returns act(codes) -> int64 array of shape (len(codes),
-    len(gens)) whose column j holds the codes of M g_j times scale (the
-    tables hold the scaled codes); codes must lie below m^(n^2), and their
-    images times scale below 2^63.  With rows < n the blocks cover rows
-    0..rows-1 only, so the codes must have zero rows above those: the
-    tops of _sln_ranks, whose zero last row would cost a gather of its own
-    at n = 3.
+    A top is the code of rows 0..n-2 of an element, and its row i is its
+    base-(m^n) digit i.  Row i of M g is row_i(M) g, so for each generator a
+    table over the m^n row codes, T_g[r] = code of the row vector r g, gives
+    the top of M g as sum_i T_g[row_i(M)] m^(n i).  Consecutive rows are
+    grouped into blocks (_row_blocks), each with one table over its m^(n r)
+    block codes that sums the scaled row codes of its r rows, with the
+    generators side by side; a block's table stays within _BLOCK_BYTES, so
+    it stays in cache.  One action is then one division per block boundary
+    and one gather of len(gens)-wide rows per block, summed: the three top
+    rows of SL_4(F_3) take a gather from a 6,561-row table and one from an
+    81-row table.  Returns act(tops) -> int64 array of shape (len(tops),
+    len(gens)) whose column j holds the top of M g_j times m^(n-1), its
+    place weight in the rank (the tables hold the scaled codes).
     """
     base = m**n
     digits = np.stack(_digits(np.arange(base, dtype=np.int64), n, m), axis=1)
@@ -256,15 +250,16 @@ def row_action(
         dtype=np.int64,
     ).reshape(len(gens), base).T  # (row code, generator)
     blocks = []  # (number of block codes, table), from row 0 up
-    for r in _row_blocks(n, m, len(gens), rows or n):
+    scale = m ** (n - 1)  # the place weight of the lowest row in the rank
+    for r in _row_blocks(n, m, len(gens)):
         c = np.arange(base**r, dtype=np.int64)
         table = sum(row_codes[c // base**j % base] * (scale * base**j) for j in range(r))
         blocks.append((base**r, table))
         scale *= base**r  # the place weight of the next block's lowest row
     *low, (_, top) = blocks
 
-    def act(codes) -> np.ndarray:
-        high = np.asarray(codes, dtype=np.int64)
+    def act(tops) -> np.ndarray:
+        high = np.asarray(tops, dtype=np.int64)
         parts = []  # the lower blocks' codes
         for size, _ in low:
             # numpy floor-divides by a scalar more than twice as fast as it
@@ -284,18 +279,19 @@ def row_action(
 def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
     """Right multiplication by every generator by decode, product and encode.
 
-    The kernel of frontier search and of neighbour_map: unlike row_action it
-    builds no table over the m^n row codes, so it costs nothing up front at
-    any modulus, and a frontier of 10^5 codes takes milliseconds.  A code is
+    The one kernel on element codes, shared by frontier search and
+    neighbour_map: it builds no table over the m^n row codes, so it costs
+    nothing up front at any modulus, and a frontier of 10^5 codes takes
+    milliseconds.  A code is
     decoded into n^2 contiguous digit arrays, one per entry.  Entry (r, x) of
     M g is sum_c digit(r, c) g[c, x] mod m, and it is added, times its place
     weight m^(n r + x), into the output column of g; zero terms are skipped,
     and an entry that is a lone digit needs no reduction.  Every operation acts on
-    a 1-D array of the chunk's length.  Returns act(codes) with row_action's
-    contract, as a transposed view of a (len(gens), len(codes)) block; exact
-    in int64 because every partial sum of a code stays below
-    m^(n^2) <= 2^63 and every product entry below n m^2, which bfs() also
-    keeps below 2^63.
+    a 1-D array of the chunk's length.  Returns act(codes) -> int64 array of
+    shape (len(codes), len(gens)) whose column j holds the codes of M g_j, as
+    a transposed view of a (len(gens), len(codes)) block; exact in int64
+    because every partial sum of a code stays below m^(n^2) <= 2^63 and
+    every product entry below n m^2, which bfs() also keeps below 2^63.
     """
     k = len(gens)
     # entry (r, x) of M g as its place weight m^(n r + x) and its nonzero
@@ -314,7 +310,7 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
         rest = np.asarray(codes, dtype=np.int64)
         digits = []  # digits[n r + c]: entry (r, c) of every code
         for _ in range(n * n):
-            q = rest // m  # faster than np.divmod, as in row_action
+            q = rest // m  # faster than np.divmod, as in _top_action
             digits.append(rest - q * m)
             rest = q
         out = np.zeros((k, len(rest)), dtype=np.int64)
@@ -331,17 +327,6 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
     return act
 
 
-def _ranked(gens: Sequence[ModMatrix]) -> bool:
-    """Whether _Table indexes elements by rank in SL_n(F_m).
-
-    Only when n >= 2, m is prime and every generator has determinant 1, so
-    that every element reached lies in SL_n(F_m): by _sl2_ranks when n = 2,
-    by _sln_ranks when n >= 3.
-    """
-    n, m = gens[0].n, gens[0].m
-    return n >= 2 and modmat.is_prime(m) and all(g.det() == 1 for g in gens)
-
-
 def _sl2_ranks(m: int, gens: Sequence[ModMatrix]):
     """Right multiplication on the ranks of SL_2(F_m), and the unrank map.
 
@@ -356,9 +341,9 @@ def _sl2_ranks(m: int, gens: Sequence[ModMatrix]):
     generator and one of the 2m residues.  n = 2 keeps this shift form:
     _sln_ranks's step table over the (class, t) pairs would hold k m^3
     int64 entries, more than the m^3-byte table it serves.  Returns (act,
-    unrank): act(ranks) with row_action's contract, as a transposed view
-    like _product_action's, and unrank(ranks), the element codes of the
-    ranks in order.
+    unrank): act(ranks), the ranks of every M g_j as _product_action gives
+    their codes, also as a transposed view, and unrank(ranks), the element
+    codes of the ranks in order.
     """
     r0 = np.arange(m * m, dtype=np.int64)
     a, b = r0 % m, r0 // m
@@ -427,19 +412,18 @@ def _sln_ranks(n: int, m: int, gens: Sequence[ModMatrix]):
     the rank's high digits, as they are the code's, so the targets of a
     sorted level stay in few stretches of the table (_Table); with s high
     instead, the SL_4(F_3) closure's lookups took about 40% longer.  Row i
-    of M g is row_i(M) g, so row_action moves a top (a code whose last row
-    is zero) to the top of M g, and as det g = 1 the cofactor vector of M g
-    is C g^(-T).  Two tables give the rest.  cls[top], over the
-    m^(n(n-1)) tops, holds the code of C(top).  step_g[c m^(n-1) + s], over
-    the m^(2n-1) pairs of a class c and an s, lifts s to the last row r by
-    solving C . r = 1 at j, forms r g and holds the code s' of r g without
-    its entry at the pivot of C g^(-T).  So the rank of M g is
-    m^(n-1) row_action(top)_g + step_g[cls[top] m^(n-1) + s], with the
-    factor m^(n-1) built into row_action's tables: three gathers and a few
-    divisions, over a table m times smaller than the code table.  Both
-    tables are built from vectors of small integers, cls in chunks of rows
-    1..n-2; _table_index counts their bytes.  Returns (act, unrank) with
-    _sl2_ranks's contract.
+    of M g is row_i(M) g, so _top_action moves a top to the top of M g, and
+    as det g = 1 the cofactor vector of M g is C g^(-T).  Two tables give
+    the rest.  cls[top], over the m^(n(n-1)) tops, holds the code of
+    C(top).  step_g[c m^(n-1) + s], over the m^(2n-1) pairs of a class c
+    and an s, lifts s to the last row r by solving C . r = 1 at j, forms
+    r g and holds the code s' of r g without its entry at the pivot of
+    C g^(-T).  So the rank of M g is _top_action(top)_g +
+    step_g[cls[top] m^(n-1) + s], as _top_action's tables hold the tops
+    times m^(n-1): three gathers and a few divisions, over a table m times
+    smaller than one indexed by codes.  Both tables are built from vectors
+    of small integers, cls in chunks of rows 1..n-2; _table_index counts
+    their bytes.  Returns (act, unrank) with _sl2_ranks's contract.
     """
     k, top_size, lows = len(gens), m ** (n * (n - 1)), m ** (n - 1)
     inv = np.array([0] + [pow(x, -1, m) for x in range(1, m)], dtype=np.int64)
@@ -490,7 +474,7 @@ def _sln_ranks(n: int, m: int, gens: Sequence[ModMatrix]):
         rg = [sum(e * ge[x][y] for x, e in enumerate(r)) % m for y in range(n)]
         j = _pivot([sum(e * gi[y][x] for x, e in enumerate(C)) % m for y in range(n)])
         col[:] = sum(np.where(j > z, rg[z], rg[z + 1]) * m**z for z in range(n - 1))
-    top_act = row_action(n, m, gens, lows, n - 1)
+    top_act = _top_action(n, m, gens)
 
     def act(ranks) -> np.ndarray:
         ranks = np.asarray(ranks, dtype=np.int64)
@@ -512,25 +496,24 @@ def _sln_ranks(n: int, m: int, gens: Sequence[ModMatrix]):
     return act, unrank
 
 
-def _table_index(gens: Sequence[ModMatrix]) -> Tuple[bool, int, int]:
-    """How _Table indexes the elements: (ranked, index space, bytes of the
-    rank action's tables).
+def _table_index(gens: Sequence[ModMatrix]) -> Optional[Tuple[int, int]]:
+    """How _Table indexes the elements by rank in SL_n(F_m): (index space,
+    bytes of the rank action's tables), or None when they are not ranked.
 
-    By rank in SL_n(F_m) when _ranked.  For n = 2, m^3 indices, and
-    _sl2_ranks's two int64 tables over the m^2 row-0 codes per generator.
-    For n >= 3, m^(n^2-1) indices, and _sln_ranks's class table over the
-    m^(n(n-1)) tops (_class_dtype) and its int64 step table of m^(2n-1)
-    rows of k.  Otherwise, for a composite modulus, a generator of
-    determinant != 1 or n = 1, by the code itself: m^(n^2) indices and no
-    rank tables.
+    Ranks need n >= 2, a prime m and generators of determinant 1, so that
+    every element reached lies in SL_n(F_m).  For n = 2 (_sl2_ranks), m^3
+    indices, and two int64 tables over the m^2 row-0 codes per generator.
+    For n >= 3 (_sln_ranks), m^(n^2-1) indices, and a class table over the
+    m^(n(n-1)) tops (_class_dtype) and an int64 step table of m^(2n-1) rows
+    of k.
     """
     n, m, k = gens[0].n, gens[0].m, len(gens)
-    if not _ranked(gens):
-        return False, m ** (n * n), 0
+    if n < 2 or not modmat.is_prime(m) or any(g.det() != 1 for g in gens):
+        return None
     if n == 2:
-        return True, m**3, 16 * k * m * m
+        return m**3, 16 * k * m * m
     cls = _class_dtype(n, m).itemsize * m ** (n * (n - 1))
-    return True, m ** (n * n - 1), cls + 8 * k * m ** (2 * n - 1)
+    return m ** (n * n - 1), cls + 8 * k * m ** (2 * n - 1)
 
 
 def _index_dtype(space: int):
@@ -545,27 +528,23 @@ def _index_dtype(space: int):
 class _Table:
     """Visited set over a whole index space: one byte per index, depth mod 3.
 
-    The index is the rank in SL_n(F_m) when _ranked (m^3 bytes for n = 2,
-    m^(n^2-1) for n >= 3), otherwise the element code itself (m^(n^2)
-    bytes); unrank maps indices back to codes.
+    The index is the rank in SL_n(F_m) (m^3 bytes for n = 2, m^(n^2-1) for
+    n >= 3); unrank maps indices back to codes.
     """
 
-    def __init__(self, gens: List[ModMatrix], collect: bool, index: Tuple[bool, int, int]):
+    def __init__(self, gens: List[ModMatrix], index: Tuple[int, int]):
         n, m = gens[0].n, gens[0].m
         self.k = len(gens)
         # elements per chunk, whose targets stay in cache
         self.chunk = max(1, _TARGET_BYTES // (8 * self.k))
-        ranked, size, self.tables = index  # from _table_index
-        if ranked and n == 2:
+        size, self.tables = index  # from _table_index
+        if n == 2:
             self.act, self.unrank = _sl2_ranks(m, gens)
             self.root = m  # the identity: r0 = 1, t = 0
-        elif ranked:
+        else:
             self.act, self.unrank = _sln_ranks(n, m, gens)
             # the identity: its top rows, C = e_(n-1) and s = 0
             self.root = m ** (n - 1) * sum(m ** (i * (n + 1)) for i in range(n - 1))
-        else:
-            self.act, self.unrank = row_action(n, m, gens), np.asarray
-            self.root = modmat.encode(ModMatrix.identity(n, m))
         self.dist = np.full(size, _SENT, dtype=np.uint8)
         self.dist[self.root] = 0
         self.dtype = _index_dtype(size)
@@ -577,7 +556,7 @@ class _Table:
         # d (its index of 4 bytes, or 8 past an index space of 2^31; the rest
         # is spare) and the int64 target block of one chunk.  Not charged:
         # level d + 1's pieces as visit keeps them and their concatenation
-        # in close, row_action's tables, each within _BLOCK_BYTES, and the
+        # in close, _top_action's tables, each within _BLOCK_BYTES, and the
         # temporaries that build _sln_ranks's tables before the first level
         return len(self.dist) + self.tables + 9 * width + 8 * self.k * min(width, self.chunk)
 
@@ -700,18 +679,17 @@ class _Levels:
 def _bfs(
     gens: List[ModMatrix],
     *,
-    table: bool,
-    index: Tuple[bool, int, int],
+    index: Optional[Tuple[int, int]],
     want_girth: bool,
     girth_only: bool,
     collect: bool,
     memory_budget: int,
 ) -> BfsResult:
-    """The level-synchronous sweep, over a _Table (table) indexed as index
-    (_table_index) says, or over a _Levels store.
+    """The level-synchronous sweep, over a _Table indexed as index
+    (_table_index) says, or over a _Levels store when index is None.
 
-    A store indexes elements in its own way (_Table by SL_2 rank or by code,
-    _Levels by code) and provides root, the index of the identity; chunk,
+    A store indexes elements in its own way (_Table by SL_n rank, _Levels by
+    code) and provides root, the index of the identity; chunk,
     the number of elements acted on at once; act(indices), the
     (len(indices), k) targets; charge(d, width, order),
     the bytes live while level d + 1 is built from a level d of width
@@ -728,7 +706,7 @@ def _bfs(
     needs to know which neighbour is the parent.
     """
     k = len(gens)
-    store = _Table(gens, collect, index) if table else _Levels(gens, collect)
+    store = _Levels(gens, collect) if index is None else _Table(gens, index)
     cur = np.array([store.root], dtype=np.int64)
     sizes = [1]
     order = 1
@@ -809,20 +787,20 @@ def bfs(
                 raise DegenerateSpecError("identity generator; girth undefined")
     else:
         gens = [g for g in gens if not g.is_identity()] or [ModMatrix.identity(n, m)]
-    size = m ** (n * n)
     # the second test matters only for n = 1, where a product entry (m - 1)^2
     # can overflow int64 although the code fits
-    if size > 2**63 or n * (m - 1) ** 2 >= 2**63:
+    if m ** (n * n) > 2**63 or n * (m - 1) ** 2 >= 2**63:
         raise BudgetExceededError(
             0, 1, f"element codes or their products need more than 63 bits at n={n}, m={m}"
         )
-    # a girth-only search stops at a ball far smaller than the group, so it
-    # never pays for a table over the whole index space
-    index = _table_index(gens)
-    _, space, tables = index
+    # the table needs ranked elements and 3 bytes per index beside the rank
+    # tables; a girth-only search stops at a ball far smaller than the
+    # group, so it never pays for a table over the whole index space
+    index = None if girth_only else _table_index(gens)
+    if index and 3 * index[0] + index[1] > memory_budget:
+        index = None
     res = _bfs(
         gens,
-        table=not girth_only and 3 * space + tables <= memory_budget,
         index=index,
         want_girth=want_girth,
         girth_only=girth_only,

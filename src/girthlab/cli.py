@@ -358,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--memory-budget", type=int, default=None, help="bytes")
     common.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--timings", action="store_true", help="emit real wall times")
     common.add_argument("-o", "--output", default=None, help="write to file")
     common.add_argument("--format", dest="fmt", default=None, choices=["json", "csv", "text", "dot"])
@@ -390,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("spectral", parents=[common])
     _add_spec_args(sp)
     sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--seed", type=int, default=0, help="start vector of the eigen-solver")
 
     vp = sub.add_parser("verify")
     vsub = vp.add_subparsers(dest="vcmd", required=True)

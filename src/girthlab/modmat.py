@@ -7,15 +7,16 @@ is the ring's own.  So exactmat.eval_word evaluates a word at a pair mod m
 too, and its value is the reduction of the word's value over Z.
 
 The element code is the row-major, little-endian base-m packing of the n^2
-residues.  Read in base m^n, its digit i is the code of row i, which is how
-the dense-table BFS acts on codes without decoding them (cayley.row_action).
-Frontier search, and the neighbour map that the spectral solver and DOT
-export share, decode a code into its n^2 residues instead
-(cayley._product_action), which needs no table over the m^n row codes.  The
-BFS's table over SL_2(F_p) indexes an element by its rank below p^3 rather
-than by its code (cayley._sl2_ranks), but it still hands back codes.  Codes
-are int64 throughout, so the BFS rejects a code space m^(n^2) above 2^63, and
-the neighbour map acts only on the codes of a BFS.
+residues.  Read in base m^n, its digit i is the code of row i.  Frontier
+search, and the neighbour map that the spectral solver and DOT export share,
+act on a code by decoding it into its n^2 residues (cayley._product_action),
+which needs no table over the m^n row codes.  The BFS's dense table over
+SL_n(F_p) indexes an element by its rank rather than by its code: below p^3
+for n = 2 (cayley._sl2_ranks), below p^(n^2-1) for n >= 3
+(cayley._sln_ranks, whose top rows act through tables over row codes), but
+it still hands back codes.  Codes are int64 throughout, so the BFS rejects
+a code space m^(n^2) above 2^63, and the neighbour map acts only on the
+codes of a BFS.
 """
 
 from __future__ import annotations

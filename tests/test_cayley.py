@@ -193,9 +193,11 @@ def _bfs_reference(generators):
 
 
 def _engine(gens, *, table, **kw):
-    # the one BFS loop with its visited set forced: the dense table, indexed
+    # the one BFS loop with its visited set forced: the rank table, indexed
     # as bfs() would index it, or the sorted levels of frontier search
-    return cayley._bfs(gens, table=table, index=cayley._table_index(gens), **kw)
+    index = cayley._table_index(gens) if table else None
+    assert index is not None or not table, "unranked elements have no table"
+    return cayley._bfs(gens, index=index, **kw)
 
 
 def test_dense_and_sparse_paths_agree():
@@ -298,17 +300,17 @@ def test_girth_none_for_acyclic_graph():
     assert closure([M]) == 2
 
 
-def test_girth_and_diameter_against_networkx(monkeypatch):
+def test_girth_and_diameter_against_networkx():
     # independent oracle on random generator sets over small moduli, with at
-    # least ten cases through each index map of the table: SL_2 ranks
-    # (determinant-1 sets mod 3 or 5) and raw codes (determinant != 1, or
-    # m = 4)
+    # least ten cases through the rank table (determinant-1 sets mod 3 or 5)
+    # and ten unranked ones (determinant != 1, or m = 4), which only
+    # frontier search sweeps
     import random
 
     import networkx as nx
 
     rng = random.Random(314)
-    cases = {True: 0, False: 0}  # by _ranked
+    cases = {True: 0, False: 0}  # by whether the elements are ranked
     while min(cases.values()) < 10:
         m = rng.choice([3, 4, 5])
         rows = [[rng.randrange(m) for _ in range(2)] for _ in range(2)]
@@ -339,22 +341,29 @@ def test_girth_and_diameter_against_networkx(monkeypatch):
         assert got == expect_girth, (rows, m, got, expect_girth)
         assert res.diameter == expect_diameter
         assert res.order == G.number_of_nodes()
-        ranked = cayley._ranked(symmetrize(gens))
+        ranked = cayley._table_index(symmetrize(gens)) is not None
         assert ranked == (m != 4 and g1.det() == 1)
         if ranked:
-            # the rank table collects the same sorted codes as one over codes
-            with monkeypatch.context() as raw:
-                raw.setattr(cayley, "_ranked", lambda gens: False)
-                by_code = cayley.bfs(gens, want_girth=True, collect=True)
-            # the code table charges m^4 bytes, the rank table m^3 bytes and
-            # its action's tables
-            k = len(symmetrize(gens))
-            assert by_code.peak_bytes - res.peak_bytes == m**4 - m**3 - 16 * k * m**2
+            # the rank table collects the same sorted codes, spheres, girth
+            # and diameter as frontier search
+            by_code = _engine(
+                symmetrize(gens),
+                table=False,
+                want_girth=True,
+                girth_only=False,
+                collect=True,
+                memory_budget=1 << 30,
+            )
+            assert (by_code.sphere_sizes, by_code.girth, by_code.diameter) == (
+                res.sphere_sizes,
+                res.girth,
+                res.diameter,
+            )
             assert by_code.codes.dtype == res.codes.dtype == np.int64
             assert np.array_equal(by_code.codes, res.codes)
         # each store's collision rule against the same oracle, also on the
         # girth-only early return
-        for table in (True, False):
+        for table in (True, False) if ranked else (False,):
             for girth_only in (False, True):
                 res = _engine(
                     symmetrize(gens),
@@ -380,37 +389,42 @@ def test_composite_modulus_closure():
     assert row.girth is not None
 
 
-# rows per block of row_action's tables for four generators: a block's
-# table holds m^(n r) codes of 4 int64 targets within 256 KiB
+# rows per block of _top_action's tables over the n - 1 top rows for four
+# generators: a block's table holds m^(n r) codes of 4 int64 targets
+# within 256 KiB
 ROW_BLOCKS = {
-    (2, 6): [2],
-    (3, 4): [2, 1],
-    (4, 3): [2, 2],  # SL_4(F_3): two tables of 6,561 codes
-    (5, 2): [2, 2, 1],
-    (2, 101): [1, 1],  # 101^4 codes would take 326 KB: one row per block
-    (1, 10_007): [1],
-    (3, 3): [2, 1],
-    (2, 7): [2],
+    (3, 4): [2],
+    (4, 3): [2, 1],  # SL_4(F_3): tables of 6,561 and 81 codes
+    (5, 2): [2, 2],
+    (3, 3): [2],
+    (3, 7): [1, 1],  # 7^6 codes would take 3.8 MB: one row per block
 }
 
 
 @pytest.mark.parametrize("n,m", list(ROW_BLOCKS))
-def test_row_action_matches_matrix_product(n, m):
+def test_top_action_matches_matrix_product(n, m):
+    # a top is the code of rows 0..n-2, an element whose last row is zero,
+    # so the top of M g is the code of M g; the action scales it by m^(n-1),
+    # its place weight in an SL_n rank.  Any matrices act, singular ones and
+    # composite moduli included
     rng = np.random.default_rng(1000 * n + m)
     gens = [
         ModMatrix.from_rows(rng.integers(0, m, size=(n, n)).tolist(), m) for _ in range(4)
     ]
-    assert cayley._row_blocks(n, m, len(gens), n) == ROW_BLOCKS[n, m]
-    # the lowest and highest codes, whose block digits are all 0 or all m^(n r) - 1
-    codes = np.concatenate([[0, m ** (n * n) - 1], rng.integers(0, m ** (n * n), size=300)])
-    tgts = cayley.row_action(n, m, gens)(codes)
+    assert cayley._row_blocks(n, m, len(gens)) == ROW_BLOCKS[n, m]
+    # the lowest and highest tops, whose block digits are all 0 or all m^(n r) - 1
+    space = m ** (n * (n - 1))
+    tops = np.concatenate([[0, space - 1], rng.integers(0, space, size=300)])
+    tgts = cayley._top_action(n, m, gens)(tops)
     assert tgts.shape == (302, 4)
     for j, g in enumerate(gens):
-        want = [modmat.encode(modmat.decode(c, n, m) @ g) for c in codes.tolist()]
+        want = [m ** (n - 1) * modmat.encode(modmat.decode(c, n, m) @ g) for c in tops.tolist()]
         assert tgts[:, j].tolist() == want
 
 
-@pytest.mark.parametrize("n,m", [(2, 6), (3, 4), (4, 3), (5, 2), (2, 101), (1, 10_007), (2, 1009)])
+@pytest.mark.parametrize(
+    "n,m", [(2, 6), (3, 4), (4, 3), (5, 2), (2, 101), (1, 10_007), (2, 1009), (2, 7)]
+)
 def test_product_action_matches_matrix_product(n, m):
     # random matrices, singular ones and zero entries included, so that the
     # kernel's skipped zero terms and lone digits are all exercised
@@ -429,14 +443,16 @@ def test_product_action_matches_matrix_product(n, m):
 @pytest.mark.parametrize("spec,m", [(SPEC3, 3), (SPEC2, 9), (SPEC2, 10), (SPEC2, 11)])
 def test_dense_and_sparse_engines_agree_past_depth_three(spec, m):
     # the dense table stores depth mod 3, so diameters above 3 wrap it; at
-    # p = 11 the first cycle (girth 9) closes at depth 4, past the wrap
+    # p = 11 the first cycle (girth 9) closes at depth 4, past the wrap.
+    # The composite moduli 9 and 10 have no ranks: frontier search alone
     gens = symmetrize(spec_generators(spec, m))
-    kw = dict(want_girth=True, girth_only=False, collect=True)
+    ranked = cayley._table_index(gens) is not None
+    assert ranked == (m not in (9, 10))
+    kw = dict(want_girth=True, girth_only=False, collect=True, memory_budget=1 << 30)
     ref = _bfs_reference(gens)
-    dense = _engine(gens, table=True, memory_budget=1 << 30, **kw)
-    sparse = _engine(gens, table=False, memory_budget=1 << 30, **kw)
-    assert dense.diameter > 3
-    for res in (dense, sparse):
+    assert ref.diameter > 3
+    for table in (True, False) if ranked else (False,):
+        res = _engine(gens, table=table, **kw)
         assert (res.order, res.girth, res.diameter, res.max_frontier) == (
             ref.order,
             ref.girth,
@@ -452,9 +468,9 @@ def test_frontier_chunks_do_not_change_the_result(monkeypatch):
     # chunks of 5 elements split every level, so next-level duplicates (the
     # girth-9 collision at p = 11) arrive from different chunks; the default
     # chunks and chunks at least as wide as the widest level must give the
-    # same graph.  Both stores, over SL_2 ranks (p = 11, 13), SL_3 ranks
-    # (SL_3(F_3)) and codes (the composite modulus 9); the spy records how
-    # many elements each visit gets
+    # same graph.  Both stores over SL_2 ranks (p = 11, 13) and SL_3 ranks
+    # (SL_3(F_3)), frontier search alone over the composite modulus 9; the
+    # spy records how many elements each visit gets
     widths = []
     for store in (cayley._Table, cayley._Levels):
 
@@ -466,11 +482,12 @@ def test_frontier_chunks_do_not_change_the_result(monkeypatch):
     kw = dict(want_girth=True, girth_only=False, collect=True, memory_budget=1 << 30)
     for spec, m in ((SPEC2, 11), (SPEC2, 13), (SPEC3, 3), (SPEC2, 9)):
         gens = symmetrize(spec_generators(spec, m))
-        assert cayley._ranked(gens) == (m != 9)
+        ranked = cayley._table_index(gens) is not None
+        assert ranked == (m != 9)
         ref = _bfs_reference(gens)
         k = len(gens)
         for chunk in (5, None, ref.max_frontier):
-            for table in (False, True):
+            for table in (False, True) if ranked else (False,):
                 # each store's own chunk: the table's from _TARGET_BYTES
                 with monkeypatch.context() as mp:
                     if chunk and table:
@@ -545,8 +562,8 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
     # previous level, which is why the collision rule needs no parent
     gens = symmetrize(spec_generators(spec, m))
     n = gens[0].n
-    assert cayley._ranked(gens)
-    act = cayley.row_action(n, m, gens)
+    assert cayley._table_index(gens) is not None
+    act = cayley._product_action(n, m, gens)
     closed = {}
     for store in (cayley._Table, cayley._Levels):
         calls = closed[store] = []
@@ -898,14 +915,15 @@ def test_table_closure_rss_stays_within_a_quarter_of_peak_bytes():
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 11])
 def test_sl2_ranks_index_the_group_and_act_like_row_action(m):
     # every rank with a nonzero row 0 unranks to a distinct element of
-    # SL_2(F_m), and acting on ranks then unranking equals row_action on codes
+    # SL_2(F_m), and acting on ranks then unranking equals the code kernel,
+    # _product_action, which is checked against matrix products on its own
     rng = np.random.default_rng(m)
     gens = []
     while len(gens) < 3:
         g = ModMatrix.from_rows(rng.integers(0, m, size=(2, 2)).tolist(), m)
         if g.det() == 1:
             gens.append(g)
-    assert cayley._ranked(gens)
+    assert cayley._table_index(gens) is not None
     act, unrank = cayley._sl2_ranks(m, gens)
     ranks = np.arange(m, m**3)  # r0 = 0 (ranks below m) is unused
     codes = unrank(ranks)
@@ -914,7 +932,7 @@ def test_sl2_ranks_index_the_group_and_act_like_row_action(m):
     assert unrank(np.array([m])).tolist() == [modmat.encode(ModMatrix.identity(2, m))]
     tgts = act(ranks)
     assert tgts.shape == (len(ranks), 3)
-    want = cayley.row_action(2, m, gens)(codes)
+    want = cayley._product_action(2, m, gens)(codes)
     assert np.array_equal(unrank(tgts.ravel()).reshape(tgts.shape), want)
 
 
@@ -934,8 +952,9 @@ def _dets(codes, n, m):
 def test_sln_ranks_index_the_group_and_act_like_row_action(n, m):
     # the used ranks, those whose top rows are independent, unrank to
     # distinct elements of SL_n(F_m), and the unused ones to singular
-    # matrices; acting on used ranks then unranking equals row_action on
-    # their codes.  Every rank for n = 3, a sample for SL_4(F_3)
+    # matrices; acting on used ranks then unranking equals the code kernel,
+    # _product_action, on their codes.  Every rank for n = 3, a sample for
+    # SL_4(F_3)
     rng = np.random.default_rng(100 * n + m)
     gens = []
     while len(gens) < 3:
@@ -943,7 +962,7 @@ def test_sln_ranks_index_the_group_and_act_like_row_action(n, m):
         if g.det() == 1:
             gens.append(g)
     gens = symmetrize(gens)
-    assert cayley._ranked(gens)
+    assert cayley._table_index(gens) is not None
     act, unrank = cayley._sln_ranks(n, m, gens)
     space = m ** (n * n - 1)
     if n == 3:
@@ -964,26 +983,25 @@ def test_sln_ranks_index_the_group_and_act_like_row_action(n, m):
     else:
         # |SL_4(F_3)| / 3^15 = 0.845 of the ranks are used
         assert abs(len(codes) / len(ranks) - group_order_sl(n, m) / space) < 0.01
-    root = cayley._Table(gens, False, cayley._table_index(gens)).root
+    root = cayley._Table(gens, cayley._table_index(gens)).root
     assert unrank(np.array([root])).tolist() == [modmat.encode(ModMatrix.identity(n, m))]
     sample = rng.choice(len(used), size=min(len(used), 20_000), replace=False)
     tgts = act(used[sample])
     assert tgts.shape == (len(sample), len(gens))
-    want = cayley.row_action(n, m, gens)(codes[sample])
+    want = cayley._product_action(n, m, gens)(codes[sample])
     assert np.array_equal(unrank(tgts.ravel()).reshape(tgts.shape), want)
 
 
 @pytest.mark.parametrize("spec,m", [(SPEC3, 3), (SPEC3, 5), (validate(3, 4, 2, 4), 5)])
-def test_sln_rank_table_matches_the_code_table(monkeypatch, spec, m):
-    # the same sweep over SL_3 ranks and, with the predicate off, over codes:
-    # the same spheres, girth, diameter and collected codes, and the code
-    # table charges m^9 bytes where the rank table charges m^8 and the
-    # class and step tables
-    gens = spec_generators(spec, m)
+def test_sln_rank_table_matches_the_code_table(spec, m):
+    # the same sweep over SL_3 ranks and over codes by frontier search: the
+    # same spheres, girth, diameter and collected codes.  The rank table
+    # charges m^8 bytes, the class and step tables, 9 bytes per element of
+    # the widest level and one chunk's targets
+    gens = symmetrize(spec_generators(spec, m))
     res = cayley.bfs(gens, want_girth=True, collect=True)
-    with monkeypatch.context() as raw:
-        raw.setattr(cayley, "_ranked", lambda gens: False)
-        by_code = cayley.bfs(gens, want_girth=True, collect=True)
+    kw = dict(want_girth=True, girth_only=False, collect=True, memory_budget=1 << 30)
+    by_code = _engine(gens, table=False, **kw)
     assert (res.sphere_sizes, res.girth, res.diameter) == (
         by_code.sphere_sizes,
         by_code.girth,
@@ -991,40 +1009,63 @@ def test_sln_rank_table_matches_the_code_table(monkeypatch, spec, m):
     )
     assert res.order == group_order_sl(3, m)
     assert np.array_equal(res.codes, by_code.codes)
-    tables = cayley._table_index(symmetrize(gens))[2]
-    assert tables == cayley._class_dtype(3, m).itemsize * m**6 + 8 * 4 * m**5
-    assert by_code.peak_bytes - res.peak_bytes == m**9 - m**8 - tables
+    space, tables = cayley._table_index(gens)
+    assert (space, tables) == (m**8, cayley._class_dtype(3, m).itemsize * m**6 + 8 * 4 * m**5)
+    chunk = min(res.max_frontier, cayley._TARGET_BYTES // (8 * 4))
+    assert res.peak_bytes == m**8 + tables + 9 * res.max_frontier + 8 * 4 * chunk
 
 
 def test_index_map_follows_the_generators():
-    # ranks only for n >= 2, a prime modulus and determinant-1 generators
+    # ranks only for n >= 2, a prime modulus and determinant-1 generators:
+    # the index space and the rank tables' bytes for SL_2 ranks, and for
+    # SL_3 ranks with a one-byte class table over 3^6 tops, two bytes over
+    # 7^6; None otherwise
     shear = [[1, 1], [0, 1]]
-    assert cayley._ranked([ModMatrix.from_rows(shear, 7)])
-    assert not cayley._ranked([ModMatrix.from_rows(shear, 9)])  # composite
-    assert not cayley._ranked(
-        [ModMatrix.from_rows(shear, 7), ModMatrix.from_rows([[3, 0], [0, 1]], 7)]
+    one = [ModMatrix.from_rows(shear, 7)]
+    assert cayley._table_index(symmetrize(one)) == (7**3, 16 * 2 * 7**2)
+    assert cayley._table_index([ModMatrix.from_rows(shear, 9)]) is None  # composite
+    assert (
+        cayley._table_index(
+            [ModMatrix.from_rows(shear, 7), ModMatrix.from_rows([[3, 0], [0, 1]], 7)]
+        )
+        is None
     )  # determinant 3
     shear3 = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
-    assert cayley._ranked([ModMatrix.from_rows(shear3, 7)])
-    assert not cayley._ranked([ModMatrix.from_rows(shear3, 9)])  # composite
-    assert not cayley._ranked(
-        [ModMatrix.from_rows(shear3, 7), ModMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]], 7)]
-    )  # determinant 2
-    assert not cayley._ranked([ModMatrix.from_rows([[3]], 7)])  # n = 1
-    # the index space and the rank tables' bytes: SL_2 ranks, SL_3 ranks
-    # with a one-byte class table over 3^6 tops, two bytes over 7^6, and
-    # codes for a composite modulus
-    one = [ModMatrix.from_rows(shear, 7)]
-    assert cayley._table_index(symmetrize(one)) == (True, 7**3, 16 * 2 * 7**2)
     for m, cls_bytes in ((3, 1), (7, 2)):
         gens = symmetrize([ModMatrix.from_rows(shear3, m)])
-        assert cayley._table_index(gens) == (
-            True,
-            m**8,
-            cls_bytes * m**6 + 8 * 2 * m**5,
+        assert cayley._table_index(gens) == (m**8, cls_bytes * m**6 + 8 * 2 * m**5)
+    assert cayley._table_index([ModMatrix.from_rows(shear3, 9)]) is None  # composite
+    assert (
+        cayley._table_index(
+            [
+                ModMatrix.from_rows(shear3, 7),
+                ModMatrix.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]], 7),
+            ]
         )
-    gens = symmetrize([ModMatrix.from_rows(shear3, 9)])
-    assert cayley._table_index(gens) == (False, 9**9, 0)
+        is None
+    )  # determinant 2
+    assert cayley._table_index([ModMatrix.from_rows([[3]], 7)]) is None  # n = 1
+
+
+def test_unranked_full_sweeps_take_frontier_search():
+    # a composite modulus, a generator of determinant 3 and n = 1 leave the
+    # elements unranked, so even a full sweep at the default budget takes
+    # frontier search: for (2, 1, 2, 2) mod 35 its peak over levels d of
+    # 8 (|L_(d-1)| + |L_d|) + |L_d| + 8 * 4 (min(|L_d|, 2^19) + |L_d|)
+    shear = [[1, 1], [0, 1]]
+    assert cayley._table_index(symmetrize([ModMatrix.from_rows(shear, 35)])) is None
+    det3 = [ModMatrix.from_rows(shear, 7), ModMatrix.from_rows([[3, 0], [0, 1]], 7)]
+    assert cayley._table_index(symmetrize(det3)) is None
+    assert cayley._table_index(symmetrize([ModMatrix.from_rows([[3]], 7)])) is None
+    res = cayley.bfs(spec_generators(SPEC2, 35), want_girth=True)
+    assert (res.order, res.girth, res.diameter, res.peak_bytes) == (40_320, 12, 13, 1_021_586)
+    sizes = res.sphere_sizes
+    assert res.peak_bytes == max(
+        8 * ((sizes[d - 1] if d else 0) + sizes[d])
+        + sizes[d]
+        + 8 * 4 * (min(sizes[d], cayley._CHUNK) + sizes[d])
+        for d in range(len(sizes))
+    )
 
 
 def test_girth_only_search_never_takes_the_table(monkeypatch):
@@ -1032,8 +1073,8 @@ def test_girth_only_search_never_takes_the_table(monkeypatch):
     # keeps a girth-only search on frontier search; the spy allocates nothing
     chosen = []
 
-    def spy(gens, *, table, **kw):
-        chosen.append((table, kw["girth_only"]))
+    def spy(gens, *, index, **kw):
+        chosen.append((index is not None, kw["girth_only"]))
         return cayley.BfsResult(1, None, None, len(gens), 1, 0)
 
     monkeypatch.setattr(cayley, "_bfs", spy)

@@ -165,6 +165,17 @@ def test_spectral_subcommand(capsys):
     assert data["seed"] == 0
 
 
+def test_seed_is_a_spectral_option_only(capsys):
+    # only spectral draws a random start vector: any other command rejects
+    # --seed as an unknown flag
+    spec = ["--n", "2", "--l", "1", "--a", "2", "--b", "2"]
+    code, out, _ = run_capture(capsys, ["dg-table", *spec, "--primes", "5", "--seed", "1"])
+    assert (code, out) == (EXIT_PARAM, "")
+    code, out, _ = run_capture(capsys, ["spectral", *spec, "--p", "5", "--seed", "3"])
+    assert code == EXIT_OK
+    assert json.loads(out)["seed"] == 3
+
+
 def test_spectral_over_the_budget_exits_two_with_the_partial_result(capsys):
     # the BFS of the 120 elements at p = 5 fits 10,000 bytes; their
     # neighbour map, 8 * 120 * (4 + max(2^2 + 4, 4 + 3)) = 11,520 bytes, does not
