@@ -5,11 +5,12 @@ Girth uses a collision rule: at the first level d where a frontier vertex
 touches a vertex of its own level (a cycle of length 2d + 1) or two
 frontier vertices reach the same new vertex (2d + 2), that length is the
 girth (vertex-transitivity makes the cycle through the identity shortest
-overall).  Until then the ball is a tree, so a frontier vertex's one
-neighbour in level d - 1 is its parent and closes no cycle.  Since right
-multiplication by a fixed generator is injective, targets within one
-(chunk, generator) batch are automatically distinct; the only collisions
-are genuine ones.
+overall).  Until then the ball is a tree, so each vertex of level d has
+one neighbour in level d - 1, and the rule needs only the level sizes: a
+cycle closes at level d exactly when the k |L_d| targets outnumber the
+|L_d| parents (none at d = 0) and the |L_{d+1}| new vertices.  The cycle
+is odd when a target of level d lies in level d, which each store answers
+at that one level (hits).
 
 One vectorized, deterministic level loop (_bfs) does the sweep: chunking,
 the collision rule, the level bookkeeping and the memory budget.  Only its
@@ -18,37 +19,36 @@ whose ball is far smaller than the group; a full sweep takes the table
 whenever its elements are ranked (_table_index) and 3 bytes per index of
 the table, and the rank action's tables, fit the budget:
 
-- _Table: one byte per index holding depth mod 3 (0xFF marks an unplaced
-  index), after Kunkle & Cooperman, "Twenty-Six Moves Suffice for Rubik's
-  Cube" (ISSAC 2007).  A placed neighbour of a depth-d vertex has depth
-  d - 1, d or d + 1, three distinct residues, so the collision rule stays
-  exact and depth has no limit.  The index is the element's rank in
-  SL_n(F_m), so the table serves n >= 2, a prime m and generators of
-  determinant 1; every other full sweep (a composite modulus, a generator
-  of determinant != 1, or n = 1) takes frontier search.  For n = 2
-  (_sl2_ranks) that is m^3 indices instead of m^4 codes, and the
-  generators act through two tables over the m^2 row-0 codes each.  For
-  n >= 3 (_sln_ranks) it is m^(n^2-1) indices instead of m^(n^2): one
-  byte per element of the 12,130,560 of SL_4(F_3) in 14,348,907 bytes,
-  not 43,046,721.  There the generators act on the top rows 0..n-2
-  through cache-sized row tables (_top_action), and on the last row
-  through a class table over the tops and a step table over (class, last
-  row) pairs.  Each level is closed in sorted order of its indices: row i
-  of M g is row_i(M) g, and the top rows are the high digits of the
-  ranks, so the targets of one generator from a sorted level fall into
-  few contiguous stretches of the table, and the next level's lookups stay
-  cache-local.  A level is acted on in chunks sized for the cache, not for
-  the budget: _TARGET_BYTES of int64 targets (2^14 elements at degree 4).
-  The action's gathers make temporaries of the chunk's length, and visit
-  reads the table at one generator column of targets at a time and writes
-  the new indices back, so all of these passes stay in cache.  It picks the
-  unplaced targets with np.compress, a third of the cost of a boolean mask
-  index on a chunk.  A level's indices are int32 while the index space is
-  at most 2^31 (_index_dtype) and int64 past it, so the pieces of the next
-  level, their concatenation and the in-place sort in close take half the
-  bytes.  The targets stay int64 and are narrowed only as visit keeps the
-  new ones: numpy gathers through int32 indices about 1.5 times slower.
-  codes() unranks the placed indices and sorts them.
+- _Table: one visited byte per index.  Since the rule reads level sizes, the
+  table keeps no depth.  It answers hits by clearing level d for a moment
+  and acting on it once more: once d closes, levels d - 1 to d + 1 are
+  visited, so a target reads unvisited only if it lies in level d.  The
+  index is the element's rank in SL_n(F_m), so the table serves n >= 2, a
+  prime m and generators of determinant 1; every other full sweep (a
+  composite modulus, a generator of determinant != 1, or n = 1) takes
+  frontier search.  For n = 2 (_sl2_ranks) that is m^3 indices instead of
+  m^4 codes, and the generators act through two tables over the m^2 row-0
+  codes each.  For n >= 3 (_sln_ranks) it is m^(n^2-1) indices instead of
+  m^(n^2): one byte per element of the 12,130,560 of SL_4(F_3) in 14,348,907
+  bytes, not 43,046,721.  There the generators act on the top rows 0..n-2
+  through cache-sized row tables (_top_action), and on the last row through
+  a class table over the tops and a step table over (class, last row) pairs.
+  Each level is closed in sorted order of its indices: row i of M g is
+  row_i(M) g, and the top rows are the high digits of the ranks, so the
+  targets of one generator from a sorted level fall into few contiguous
+  stretches of the table, and the next level's lookups stay cache-local.  A
+  level is acted on in chunks sized for the cache, not for the budget:
+  _TARGET_BYTES of int64 targets (2^14 elements at degree 4).  The action's
+  gathers make temporaries of the chunk's length, and visit reads the table
+  at one generator column of targets at a time and writes the new indices
+  back, so all of these passes stay in cache.  It picks the unvisited
+  targets with np.compress, a third of the cost of a boolean mask index on a
+  chunk.  A level's indices are int32 while the index space is at most 2^31
+  (_index_dtype) and int64 past it, so the pieces of the next level, their
+  concatenation and the in-place sort in close take half the bytes.  The
+  targets stay int64 and are narrowed only as visit keeps the new ones:
+  numpy gathers through int32 indices about 1.5 times slower.  codes()
+  unranks the visited indices and sorts them.
 - _Levels: frontier search (Korf et al., "Frontier Search", J. ACM 52(5),
   2005), which keeps only the sorted codes of levels d - 1 and d while it
   builds d + 1, so a girth-only ball search costs memory in proportion to
@@ -57,11 +57,10 @@ the table, and the rank action's tables, fit the budget:
   marks the first occurrence of each code.  Then the sorted levels d - 1 and
   d, which hold far fewer codes than the k |L_d| targets, probe the targets:
   each hit clears its code's mask, and what the mask keeps is level d + 1,
-  copied once.  The girth candidates come from the same probes and counts:
-  while the girth is tracked, exactly |L_d| targets lie in level d - 1.
-  Both stores return the same levels, each sorted by its index.  Not charged to
-  the memory budget: the sort's temporaries, the mask and the probe
-  positions of levels d - 1 and d.
+  copied once.  The probe of level d also answers hits.  Both stores
+  return the same levels, each sorted by its index.  Not charged to the
+  memory budget: the sort's temporaries, the mask and the probe positions
+  of levels d - 1 and d.
   Generators act by decode, product and encode (_product_action), the one
   kernel on element codes, which needs no table of m^n rows.  Its chunks
   stay at 2^19 elements: they touch no table, the gathered targets of the
@@ -86,7 +85,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,7 +113,6 @@ def _default_memory_budget() -> int:
 
 
 DEFAULT_MEMORY_BUDGET = _default_memory_budget()  # bytes, read once at import
-_SENT = np.uint8(0xFF)
 _CHUNK = 1 << 19  # frontier search's elements per chunk
 _BLOCK_BYTES = 1 << 18  # a row-block table of _top_action stays in cache
 _TARGET_BYTES = 1 << 19  # a chunk of the table's int64 targets stays in cache
@@ -526,10 +524,13 @@ def _index_dtype(space: int):
 
 
 class _Table:
-    """Visited set over a whole index space: one byte per index, depth mod 3.
+    """Visited set over a whole index space: one byte per index, set once the
+    index is reached.
 
     The index is the rank in SL_n(F_m) (m^3 bytes for n = 2, m^(n^2-1) for
-    n >= 3); unrank maps indices back to codes.
+    n >= 3); unrank maps indices back to codes.  The table holds no depth:
+    _bfs's collision rule needs only the level sizes, and hits acts on
+    level d once more, at the one level where the rule finds a cycle.
     """
 
     def __init__(self, gens: List[ModMatrix], index: Tuple[int, int]):
@@ -545,8 +546,8 @@ class _Table:
             self.act, self.unrank = _sln_ranks(n, m, gens)
             # the identity: its top rows, C = e_(n-1) and s = 0
             self.root = m ** (n - 1) * sum(m ** (i * (n + 1)) for i in range(n - 1))
-        self.dist = np.full(size, _SENT, dtype=np.uint8)
-        self.dist[self.root] = 0
+        self.seen = np.zeros(size, dtype=bool)
+        self.seen[self.root] = True
         self.dtype = _index_dtype(size)
         self.new: List[np.ndarray] = []  # next-level indices, of self.dtype
 
@@ -558,42 +559,45 @@ class _Table:
         # level d + 1's pieces as visit keeps them and their concatenation
         # in close, _top_action's tables, each within _BLOCK_BYTES, and the
         # temporaries that build _sln_ranks's tables before the first level
-        return len(self.dist) + self.tables + 9 * width + 8 * self.k * min(width, self.chunk)
+        return len(self.seen) + self.tables + 9 * width + 8 * self.k * min(width, self.chunk)
 
-    def visit(self, d: int, tgts: np.ndarray, track: bool) -> Set[int]:
-        here, above = d % 3, (d + 1) % 3
-        cands: Set[int] = set()
+    def visit(self, tgts: np.ndarray) -> None:
         # one generator column at a time: right multiplication by a fixed
-        # generator is injective, so a column holds no duplicate, and a code
-        # placed by an earlier column or chunk is a genuine collision
+        # generator is injective, so a column holds no duplicate, and the
+        # targets visited by an earlier column or chunk are dropped
         for j in range(self.k):
             t = tgts[:, j]
-            dv = self.dist[t]
-            if track:
-                if bool((dv == here).any()):
-                    cands.add(2 * d + 1)
-                if bool((dv == above).any()):
-                    cands.add(2 * d + 2)
-            new = np.compress(dv == _SENT, t)
+            new = np.compress(~self.seen[t], t)
             # scatter through the int64 targets, which index faster than
             # int32 ones; only the kept level is narrowed
-            self.dist[new] = above
+            self.seen[new] = True
             self.new.append(new.astype(self.dtype, copy=False))
-        return cands
 
-    def close(self, d: int, track: bool):
+    def close(self, d: int) -> np.ndarray:
         # level d + 1 in sorted order: row i of M g is row_i(M) g, so the
         # targets of each generator then fall into few contiguous blocks of
         # the table, and the next level's gathers and scatters stay in cache
         nxt = np.concatenate(self.new)
         self.new = []
         nxt.sort()
-        return nxt, set()
+        return nxt
+
+    def hits(self, level: np.ndarray) -> bool:
+        # every target of level d lies in levels d - 1, d or d + 1, all
+        # visited once d closes: with level d cleared for a moment, the
+        # targets that read unvisited are those in level d
+        self.seen[level] = False
+        hit = any(
+            not self.seen[self.act(level[s : s + self.chunk])].all()
+            for s in range(0, len(level), self.chunk)
+        )
+        self.seen[level] = True
+        return hit
 
     def codes(self) -> np.ndarray:
         # unranked in place, a chunk at a time: _sln_ranks's unrank makes
         # a few dozen temporaries of its input's length
-        out = np.flatnonzero(self.dist != _SENT)
+        out = np.flatnonzero(self.seen)
         for at in range(0, len(out), _CHUNK):
             out[at : at + _CHUNK] = self.unrank(out[at : at + _CHUNK])
         out.sort()
@@ -623,12 +627,11 @@ class _Levels:
         kept = order if self.levels is not None else len(self.prev) + width
         return 8 * kept + width + 8 * self.k * (min(width, self.chunk) + width)
 
-    def visit(self, d: int, tgts: np.ndarray, track: bool) -> Set[int]:
+    def visit(self, tgts: np.ndarray) -> None:
         # only gather the targets: close sorts and probes the whole level once
         self.new.append(tgts.ravel("K"))
-        return set()
 
-    def close(self, d: int, track: bool):
+    def close(self, d: int) -> np.ndarray:
         # one sort of the level's targets; the codes of levels d - 1 and d,
         # far fewer than the k |L_d| targets, then probe them in order.  The
         # mask of first occurrences, cleared at every hit, leaves level d + 1
@@ -650,27 +653,16 @@ class _Levels:
             return at
 
         probe(self.prev)
-        cur_at = probe(self.cur)
+        self.hit = len(probe(self.cur)) > 0  # for hits
         nxt = joined[keep]
-        cands: Set[int] = set()
-        if track:
-            # a target in level d closes a cycle of length 2d + 1
-            if len(cur_at):
-                cands.add(2 * d + 1)
-            # a code reached twice outside level d - 1 closes one of length
-            # 2d + 2 (a repeated code of level d only repeats the 2d + 1
-            # cycle; those of level d - 1 are the shared parents): the
-            # targets outside level d - 1 outnumber their distinct codes,
-            # those of levels d and d + 1.  While the girth is tracked,
-            # each element of level d has one neighbour in level d - 1
-            # (_bfs), so |L_d| targets lie there, and none at d = 0
-            in_prev = len(self.cur) if d else 0
-            if len(joined) - in_prev > len(cur_at) + len(nxt):
-                cands.add(2 * d + 2)
         self.prev, self.cur = self.cur, nxt
         if self.levels is not None:
             self.levels.append(nxt)
-        return nxt, cands
+        return nxt
+
+    def hits(self, level: np.ndarray) -> bool:
+        # read from the probe of level d that close made
+        return self.hit
 
     def codes(self) -> np.ndarray:
         return np.sort(np.concatenate(self.levels))
@@ -693,17 +685,20 @@ def _bfs(
     the number of elements acted on at once; act(indices), the
     (len(indices), k) targets; charge(d, width, order),
     the bytes live while level d + 1 is built from a level d of width
-    elements; visit(d, targets, track), which records the targets of one
-    chunk and, when track, returns the collision candidates (girth values)
-    it already sees among them; close(d, track) -> (level d + 1, more
-    candidates); and codes(), the sorted element codes.  A level whose
-    charge exceeds the budget is never built; peak_bytes is the largest
-    charge.
+    elements; visit(targets), which records the targets of one chunk;
+    close(d) -> level d + 1; hits(level d), called after close(d), which
+    says whether a target of level d lies in level d; and codes(), the
+    sorted element codes.  A level whose charge exceeds the budget is never
+    built; peak_bytes is the largest charge.
 
-    While the girth is tracked at level d, an element of level d has one
-    neighbour in level d - 1: a second would have made it a target reached
-    twice from level d - 1, adding 2d and ending the tracking.  So no rule
-    needs to know which neighbour is the parent.
+    The collision rule lives here, on the level sizes alone.  While the
+    girth is tracked at level d, an element of level d has one neighbour in
+    level d - 1: a second would have made it a target reached twice from
+    level d - 1, closing a cycle of length 2d there.  So of the k |L_d|
+    targets, |L_d| lie in level d - 1 (none at d = 0) and |L_{d+1}| are the
+    new elements reached once each; any other target lies in level d
+    (2d + 1) or reaches a new element twice (2d + 2).  Only at the level
+    where the count finds such a target does hits decide between the two.
     """
     k = len(gens)
     store = _Levels(gens, collect) if index is None else _Table(gens, index)
@@ -718,18 +713,21 @@ def _bfs(
         if charge > memory_budget:
             raise BudgetExceededError(d, order)
         peak = max(peak, charge)
-        track = want_girth and girth is None
-        cands: Set[int] = set()
         for s in range(0, len(cur), store.chunk):
+            # a chunk's targets stay allocated while the next chunk's are
+            # built: freed at once, they let malloc trim the heap and fault
+            # it back in at every chunk, which made a fresh dg_table sweep
+            # of p = 3..101 13% slower
             tgts = store.act(cur[s : s + store.chunk])
-            cands |= store.visit(d, tgts, track)
-        # level d is not needed to close d + 1: free it before the close
-        # builds the next level
+            store.visit(tgts)
+        width = len(cur)
+        # level d is needed after the close only while the girth is tracked:
+        # otherwise free it before the close builds the next level
+        level = cur if want_girth and girth is None else None
         del cur, tgts
-        cur, closed = store.close(d, track)
-        cands |= closed
-        if track and cands:
-            girth = min(cands)
+        cur = store.close(d)
+        if level is not None and k * width - len(cur) - (width if d else 0) > 0:
+            girth = 2 * d + 1 if store.hits(level) else 2 * d + 2
             if girth_only:
                 return BfsResult(order, None, girth, k, max(sizes), peak, None, tuple(sizes))
         if not len(cur):
@@ -742,11 +740,13 @@ def _bfs(
 
 
 def _check_sphere_sizes(sizes: Sequence[int], k: int, girth: int) -> None:
-    """Independent check of a reported girth from the sphere sizes.
+    """Check of a reported girth against the sphere sizes.
 
     In a k-regular graph of girth g the ball of radius (g - 1) // 2 is a
     tree, so |S_d| = k (k - 1)^(d - 1) for every 1 <= d <= (g - 1) // 2.
     Checks the levels that were computed; raises AssertionError on a mismatch.
+    _bfs's collision rule is this same tree count, so the check is not
+    independent of the girth it checks.
     """
     for d in range(1, min((girth - 1) // 2, len(sizes) - 1) + 1):
         want = k * (k - 1) ** (d - 1)
@@ -769,13 +769,17 @@ def bfs(
 
     The generator list is symmetrized and deduplicated first.  With
     want_girth, identity generators are rejected (a loop is not a cycle of
-    the simple graph); without it they are simply absorbed.  A reported
-    girth is checked against the sphere sizes (_check_sphere_sizes).
-    Element codes must fit in 63 bits: a larger code space raises
+    the simple graph); without it they are simply absorbed.  The girth comes
+    from _bfs's collision rule on the level sizes, over either visited set,
+    and is checked against the sphere sizes (_check_sphere_sizes).
+    girth_only stops at the first cycle, so it needs want_girth.  Element
+    codes must fit in 63 bits: a larger code space raises
     BudgetExceededError at depth 0.
     """
     if not generators:
         raise ParameterError("need at least one generator")
+    if girth_only and not want_girth:
+        raise ParameterError("girth_only needs want_girth")
     n, m = generators[0].n, generators[0].m
     for g in generators:
         if g.n != n or g.m != m:

@@ -442,8 +442,9 @@ def test_product_action_matches_matrix_product(n, m):
 
 @pytest.mark.parametrize("spec,m", [(SPEC3, 3), (SPEC2, 9), (SPEC2, 10), (SPEC2, 11)])
 def test_dense_and_sparse_engines_agree_past_depth_three(spec, m):
-    # the dense table stores depth mod 3, so diameters above 3 wrap it; at
-    # p = 11 the first cycle (girth 9) closes at depth 4, past the wrap.
+    # the dense table holds one visited byte and no depth, so the collision
+    # rule reads level sizes at every depth; at p = 11 the first cycle
+    # (girth 9) closes at depth 4, where the table's probe finds it odd.
     # The composite moduli 9 and 10 have no ranks: frontier search alone
     gens = symmetrize(spec_generators(spec, m))
     ranked = cayley._table_index(gens) is not None
@@ -474,9 +475,9 @@ def test_frontier_chunks_do_not_change_the_result(monkeypatch):
     widths = []
     for store in (cayley._Table, cayley._Levels):
 
-        def spy(self, d, tgts, track, visit=store.visit):
+        def spy(self, tgts, visit=store.visit):
             widths.append(len(tgts))
-            return visit(self, d, tgts, track)
+            return visit(self, tgts)
 
         monkeypatch.setattr(store, "visit", spy)
     kw = dict(want_girth=True, girth_only=False, collect=True, memory_budget=1 << 30)
@@ -559,38 +560,51 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
     # both stores return each level sorted by index, so the table's levels,
     # unranked and sorted, equal the frontier's; while the girth is tracked
     # at a level, each of its elements has exactly one neighbour in the
-    # previous level, which is why the collision rule needs no parent
+    # previous level, which is why the collision rule needs no parent and
+    # reads only the level sizes
     gens = symmetrize(spec_generators(spec, m))
     n = gens[0].n
     assert cayley._table_index(gens) is not None
     act = cayley._product_action(n, m, gens)
-    closed = {}
+    closed, probed, girths = {}, {}, {}
     for store in (cayley._Table, cayley._Levels):
         calls = closed[store] = []
+        answers = probed[store] = []
 
-        def spy(self, d, track, close=store.close, calls=calls, table=store is cayley._Table):
-            nxt, cands = close(self, d, track)
+        def spy(self, d, close=store.close, calls=calls, table=store is cayley._Table):
+            nxt = close(self, d)
             assert (np.diff(nxt) > 0).all()  # sorted by index
             # the table's levels hold 4-byte indices: m^3 and m^8 ranks stay
             # below 2^31; frontier search keeps int64 codes
             assert nxt.dtype == (np.int32 if table else np.int64)
-            calls.append((np.sort(self.unrank(nxt)) if table else nxt, track))
-            return nxt, cands
+            calls.append(np.sort(self.unrank(nxt)) if table else nxt)
+            return nxt
+
+        def spy_hits(self, level, hits=store.hits, answers=answers):
+            answers.append(hits(self, level))
+            return answers[-1]
 
         monkeypatch.setattr(store, "close", spy)
+        monkeypatch.setattr(store, "hits", spy_hits)
         kw = dict(want_girth=want_girth, girth_only=False, collect=False, memory_budget=1 << 30)
-        _engine(gens, table=store is cayley._Table, **kw)
+        girths[store] = _engine(gens, table=store is cayley._Table, **kw).girth
     table, frontier = closed[cayley._Table], closed[cayley._Levels]
     assert len(table) == len(frontier) > 3
-    assert [track for _, track in table] == [track for _, track in frontier]
+    # both stores track the same levels: one probe, at the level where the
+    # count finds the first cycle, with the same answer
+    girth = girths[cayley._Table]
+    assert girths[cayley._Levels] == girth
+    assert probed[cayley._Table] == probed[cayley._Levels]
+    assert probed[cayley._Table] == ([girth % 2 == 1] if want_girth else [])
+    # the girth closes at level (girth - 1) // 2, the last one tracked
+    last = (girth - 1) // 2 if want_girth else 0
     tracked = 0
     prev = np.array([modmat.encode(ModMatrix.identity(n, m))])
-    # close(d, track) returns level d + 1; the next call says whether the
-    # girth is still tracked at that level
-    for (codes, _), (frontier_codes, _), (_, track) in zip(table, frontier, table[1:]):
+    # the d-th call of close returns level d
+    for d, (codes, frontier_codes) in enumerate(zip(table, frontier), 1):
         assert np.array_equal(codes, frontier_codes)
         assert (np.diff(codes) > 0).all()
-        if track:
+        if d <= last:
             tracked += 1
             tgts = act(codes)
             in_prev = np.isin(tgts, prev)
@@ -599,10 +613,11 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
     assert (tracked > 0) == want_girth
 
 
-def _close_levels(prev, cur, targets, d, track):
-    """_Levels.close on hand-built levels d - 1 and d and level d's targets.
+def _close_levels(prev, cur, targets, d):
+    """_Levels.close on hand-built levels d - 1 and d and level d's targets,
+    then _bfs's collision rule: level d + 1 and the girth that closes at d.
 
-    The levels keep the invariant that close relies on while the girth is
+    The levels keep the invariant that the rule relies on while the girth is
     tracked: at d >= 1, exactly len(cur) targets lie in level d - 1, one
     parent per element of level d (a shared parent counts once per child).
     """
@@ -615,24 +630,33 @@ def _close_levels(prev, cur, targets, d, track):
     # the targets arrive in chunks, as visit gathers them
     targets = np.array(targets, dtype=np.int64)
     store.new = [targets[: len(targets) // 2], targets[len(targets) // 2 :]]
-    nxt, cands = store.close(d, track)
+    nxt = store.close(d)
     assert np.array_equal(store.prev, cur)
     assert store.cur is nxt and store.levels == [nxt] and store.new == []
-    return nxt.tolist(), cands
+    # the rule as _bfs applies it, with the hand-built targets in place of
+    # its k |L_d|; once d closes, store.prev is level d
+    if len(targets) - len(nxt) - (len(cur) if d else 0) > 0:
+        return nxt.tolist(), 2 * d + 1 if store.hits(store.prev) else 2 * d + 2
+    return nxt.tolist(), None
 
 
-def _close_reference(prev, cur, targets, d, track):
+def _close_reference(prev, cur, targets, d):
     """The same close on Python sets: level d + 1 and the girth candidates."""
     prev, cur = set(prev), set(cur)
     nxt = sorted(set(targets) - prev - cur)
     cands = set()
-    if track:
-        if cur & set(targets):
-            cands.add(2 * d + 1)
-        repeated = {t for t in targets if targets.count(t) > 1}
-        if repeated - prev:
-            cands.add(2 * d + 2)
+    if cur & set(targets):
+        cands.add(2 * d + 1)
+    repeated = {t for t in targets if targets.count(t) > 1}
+    if repeated - prev:
+        cands.add(2 * d + 2)
     return nxt, cands
+
+
+def _shortest(reference):
+    """A reference close's level d + 1 and its shortest candidate, the girth."""
+    nxt, cands = reference
+    return nxt, min(cands, default=None)
 
 
 @pytest.mark.parametrize(
@@ -640,29 +664,28 @@ def _close_reference(prev, cur, targets, d, track):
     [
         # a parent of level d - 1 shared by both elements of level d is a
         # repeat but closes no cycle
-        ([2, 5], [7, 8], [5, 9, 5, 11], 1, ([9, 11], set())),
+        ([2, 5], [7, 8], [5, 9, 5, 11], 1, ([9, 11], None)),
         # a new code reached twice: 2d + 2
-        ([2], [7], [2, 9, 11, 9], 2, ([9, 11], {6})),
+        ([2], [7], [2, 9, 11, 9], 2, ([9, 11], 6)),
         # a target in level d: 2d + 1
-        ([2], [7, 8], [2, 8, 11, 2], 1, ([11], {3})),
-        # both, and a repeated code of level d
-        ([2], [7, 8], [2, 8, 8, 11, 11, 2], 3, ([11], {7, 8})),
+        ([2], [7, 8], [2, 8, 11, 2], 1, ([11], 3)),
+        # both, and a repeated code of level d: the shorter, 2d + 1
+        ([2], [7, 8], [2, 8, 8, 11, 11, 2], 3, ([11], 7)),
         # targets below the first and above the last level code, and level
         # codes past the last target, which searchsorted places at the end
-        ([50, 60], [70, 80], [65, 1, 50, 3, 60], 4, ([1, 3, 65], set())),
-        ([1], [2], [20, 1, 10], 1, ([10, 20], set())),
-        ([1], [2, 3], [3, 1, 20, 10, 3, 1], 1, ([10, 20], {3, 4})),
+        ([50, 60], [70, 80], [65, 1, 50, 3, 60], 4, ([1, 3, 65], None)),
+        ([1], [2], [20, 1, 10], 1, ([10, 20], None)),
+        ([1], [2, 3], [3, 1, 20, 10, 3, 1], 1, ([10, 20], 3)),
         # depth 0: no level d - 1, and the root's targets
-        ([], [0], [4, 3, 6, 5], 0, ([3, 4, 5, 6], set())),
-        ([], [0], [4, 3, 3, 5], 0, ([3, 4, 5], {2})),
-        ([], [0], [0, 3], 0, ([3], {1})),
+        ([], [0], [4, 3, 6, 5], 0, ([3, 4, 5, 6], None)),
+        ([], [0], [4, 3, 3, 5], 0, ([3, 4, 5], 2)),
+        ([], [0], [0, 3], 0, ([3], 1)),
     ],
 )
 def test_levels_close_finds_the_next_level_and_candidates(prev, cur, targets, d, want):
-    for track in (False, True):
-        got = _close_levels(prev, cur, targets, d, track)
-        assert got == _close_reference(prev, cur, targets, d, track)
-        assert got == (want if track else (want[0], set()))
+    got = _close_levels(prev, cur, targets, d)
+    assert got == _shortest(_close_reference(prev, cur, targets, d))
+    assert got == want
 
 
 def test_levels_close_matches_a_set_reference_on_random_levels():
@@ -679,9 +702,8 @@ def test_levels_close_matches_a_set_reference_on_random_levels():
         parents = rng.choice(prev, size=len(cur)).tolist() if d else []
         rest = codes[width:][rng.integers(0, 40 - width, size=int(rng.integers(1, 25)))]
         targets = rng.permutation(parents + rest.tolist()).tolist()
-        for track in (False, True):
-            got = _close_levels(prev, cur, targets, d, track)
-            assert got == _close_reference(prev, cur, targets, d, track)
+        got = _close_levels(prev, cur, targets, d)
+        assert got == _shortest(_close_reference(prev, cur, targets, d))
 
 
 def test_index_dtype_narrows_up_to_two_to_the_31():
@@ -1084,6 +1106,15 @@ def test_girth_only_search_never_takes_the_table(monkeypatch):
     cayley.bfs([X, Y], want_girth=True, memory_budget=need)
     cayley.bfs([X, Y], want_girth=True, memory_budget=need - 1)
     assert chosen == [(False, True), (True, False), (False, False)]
+
+
+def test_girth_only_needs_want_girth():
+    # without girth tracking nothing stops a girth-only search early: it would
+    # sweep the whole group on frontier search and report no girth
+    X, Y = spec_generators(SPEC2, 13)
+    with pytest.raises(ParameterError, match="want_girth"):
+        cayley.bfs([X, Y], girth_only=True)
+    assert cayley.girth([X, Y]) == 10
 
 
 def _conjugated(gens, m):

@@ -119,7 +119,23 @@ def test_budget_exhaustion_exit_two(capsys):
     assert code == EXIT_BUDGET
     data = json.loads(out)
     assert data["partial"] is True
-    assert data["depth_reached"] >= 1
+    assert (data["depth_reached"], data["order_so_far"]) == (7, 4373)
+    # ten times that budget holds the p^3-byte rank table: the full row
+    code, out, _ = run_capture(
+        capsys,
+        [
+            "girth", "--n", "2", "--l", "1", "--a", "2", "--b", "2",
+            "--p", "61", "--memory-budget", "2000000",
+        ],
+    )
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert (data["order"], data["girth"], data["diameter"], data["peak_bytes"]) == (
+        226920,
+        16,
+        15,
+        1751011,
+    )
 
 
 def test_memory_budget_env_default(monkeypatch, capsys):
