@@ -551,7 +551,7 @@ class _Table:
         self.dtype = _index_dtype(size)
         self.new: List[np.ndarray] = []  # next-level indices, of self.dtype
 
-    def charge(self, d: int, width: int, order: int) -> int:
+    def charge(self, width: int, order: int) -> int:
         # the table, the rank action's tables (_sl2_ranks's shift tables, or
         # _sln_ranks's class and step tables), 9 bytes per element of level
         # d (its index of 4 bytes, or 8 past an index space of 2^31; the rest
@@ -573,7 +573,7 @@ class _Table:
             self.seen[new] = True
             self.new.append(new.astype(self.dtype, copy=False))
 
-    def close(self, d: int) -> np.ndarray:
+    def close(self) -> np.ndarray:
         # level d + 1 in sorted order: row i of M g is row_i(M) g, so the
         # targets of each generator then fall into few contiguous blocks of
         # the table, and the next level's gathers and scatters stay in cache
@@ -618,7 +618,7 @@ class _Levels:
         self.levels = [self.cur] if collect else None
         self.new: List[np.ndarray] = []  # level d's targets, seen and repeated ones included
 
-    def charge(self, d: int, width: int, order: int) -> int:
+    def charge(self, width: int, order: int) -> int:
         # live while level d + 1 is built: the codes of levels d - 1 and d
         # (of every level when collecting), one chunk's target block, and
         # the k targets of 8 bytes gathered per element of level d.  Not
@@ -631,7 +631,7 @@ class _Levels:
         # only gather the targets: close sorts and probes the whole level once
         self.new.append(tgts.ravel("K"))
 
-    def close(self, d: int) -> np.ndarray:
+    def close(self) -> np.ndarray:
         # one sort of the level's targets; the codes of levels d - 1 and d,
         # far fewer than the k |L_d| targets, then probe them in order.  The
         # mask of first occurrences, cleared at every hit, leaves level d + 1
@@ -683,10 +683,11 @@ def _bfs(
     A store indexes elements in its own way (_Table by SL_n rank, _Levels by
     code) and provides root, the index of the identity; chunk,
     the number of elements acted on at once; act(indices), the
-    (len(indices), k) targets; charge(d, width, order),
-    the bytes live while level d + 1 is built from a level d of width
-    elements; visit(targets), which records the targets of one chunk;
-    close(d) -> level d + 1; hits(level d), called after close(d), which
+    (len(indices), k) targets; charge(width, order), the bytes live while
+    the next level is built from a level of width elements, with order
+    elements reached so far; visit(targets), which records the targets of
+    one chunk; close(), which returns level d + 1 once level d's targets are
+    visited; hits(level d), called after that close, which
     says whether a target of level d lies in level d; and codes(), the
     sorted element codes.  A level whose charge exceeds the budget is never
     built; peak_bytes is the largest charge.
@@ -709,7 +710,7 @@ def _bfs(
     d = 0
     girth: Optional[int] = None
     while True:
-        charge = store.charge(d, len(cur), order)
+        charge = store.charge(len(cur), order)
         if charge > memory_budget:
             raise BudgetExceededError(d, order)
         peak = max(peak, charge)
@@ -725,7 +726,7 @@ def _bfs(
         # otherwise free it before the close builds the next level
         level = cur if want_girth and girth is None else None
         del cur, tgts
-        cur = store.close(d)
+        cur = store.close()
         if level is not None and k * width - len(cur) - (width if d else 0) > 0:
             girth = 2 * d + 1 if store.hits(level) else 2 * d + 2
             if girth_only:
@@ -745,8 +746,9 @@ def _check_sphere_sizes(sizes: Sequence[int], k: int, girth: int) -> None:
     In a k-regular graph of girth g the ball of radius (g - 1) // 2 is a
     tree, so |S_d| = k (k - 1)^(d - 1) for every 1 <= d <= (g - 1) // 2.
     Checks the levels that were computed; raises AssertionError on a mismatch.
-    _bfs's collision rule is this same tree count, so the check is not
-    independent of the girth it checks.
+    _bfs's collision rule fires only when a level has fewer new elements
+    than the tree count, so a level with too many (a stray element that a
+    store put in) passes the rule silently; this check catches it.
     """
     for d in range(1, min((girth - 1) // 2, len(sizes) - 1) + 1):
         want = k * (k - 1) ** (d - 1)

@@ -6,6 +6,13 @@ One subcommand per capability keeps the acceptance suite scriptable:
     verify freeness | generation | recipe (sl3 | qt) | lucas,
     subgroup-gens, export-dot
 
+Each command takes `-o FILE` and only the other options its handler reads:
+`--memory-budget` on the commands that run a BFS (girth, diameter, dg-table,
+spectral, verify generation, verify recipe, export-dot), `--timings` on
+girth, diameter and dg-table, `--format` on construct (json | text) and
+dg-table (csv | json), and `--threads`, which has no effect, on verify
+freeness.  Any other option is unrecognized: exit 1.
+
 Exit codes: 0 success, 1 parameter error, 2 budget exhaustion with partial
 results written, 3 verification failure (a claim check that did not hold).
 All output is deterministic for a fixed configuration; wall-clock timings
@@ -37,8 +44,15 @@ EXIT_BUDGET = 2
 EXIT_VERIFY = 3
 
 
-def default_memory_budget() -> int:
-    """The budget from GIRTHLAB_MEMORY_BUDGET when set, else the library default."""
+def _memory_budget(flag: Optional[int]) -> int:
+    """`--memory-budget` when given, else GIRTHLAB_MEMORY_BUDGET when set,
+    else the library default.  Each must be a positive integer (bytes)."""
+    if flag is not None:
+        if flag <= 0:
+            raise ParameterError(
+                f"--memory-budget must be a positive integer (bytes), got {flag}"
+            )
+        return flag
     raw = os.environ.get(ENV_MEMORY_BUDGET)
     if not raw:
         return cayley.DEFAULT_MEMORY_BUDGET
@@ -346,136 +360,87 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_spec_args(sp, with_l=True):
+def _add_spec_args(sp):
     sp.add_argument("--n", type=int, required=True, help="matrix dimension")
-    if with_l:
-        sp.add_argument("--l", type=int, default=1, help="generator power")
+    sp.add_argument("--l", type=int, default=1, help="generator power")
     sp.add_argument("--a", type=int, required=True, help="superdiagonal value")
     sp.add_argument("--b", type=int, required=True, help="subdiagonal value")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--memory-budget", type=int, default=None, help="bytes")
-    common.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
-    common.add_argument("--timings", action="store_true", help="emit real wall times")
-    common.add_argument("-o", "--output", default=None, help="write to file")
-    common.add_argument("--format", dest="fmt", default=None, choices=["json", "csv", "text", "dot"])
+def _leaf(subs, name, handler, *, spec=True, budget=False, timings=False, formats=()):
+    """A command that runs `handler`, with `-o` and only the options it reads.
 
+    `formats` lists the output formats the command can choose, its default
+    first.
+    """
+    sp = subs.add_parser(name)
+    sp.set_defaults(handler=handler)
+    if spec:
+        _add_spec_args(sp)
+    sp.add_argument("-o", "--output", default=None, help="write to file")
+    if budget:
+        sp.add_argument("--memory-budget", type=int, default=None, help="bytes")
+    if timings:
+        sp.add_argument("--timings", action="store_true", help="emit real wall times")
+    if formats:
+        sp.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
+    return sp
+
+
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="girthlab", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("validate", parents=[common])
-    _add_spec_args(sp)
+    _leaf(sub, "validate", _cmd_validate)
 
-    sp = sub.add_parser("construct", parents=[common])
-    _add_spec_args(sp)
+    sp = _leaf(sub, "construct", _cmd_construct, formats=("json", "text"))
     sp.add_argument("--p", type=int, default=None, help="also reduce mod this modulus")
 
     for name in ("girth", "diameter"):
-        sp = sub.add_parser(name, parents=[common])
-        _add_spec_args(sp)
+        sp = _leaf(sub, name, _cmd_graph_stats, budget=True, timings=True)
         sp.add_argument("--p", type=int, required=True, help="modulus")
 
-    sp = sub.add_parser("dg-table", parents=[common])
-    _add_spec_args(sp)
+    sp = _leaf(
+        sub, "dg-table", _cmd_dg_table, budget=True, timings=True, formats=("csv", "json")
+    )
     sp.add_argument("--primes", required=True, help="range lo..hi or comma list")
     sp.add_argument("--skip-unit-residues", action="store_true")
 
-    sp = sub.add_parser("bound", parents=[common])
-    _add_spec_args(sp)
+    sp = _leaf(sub, "bound", _cmd_bound)
     sp.add_argument("--p", type=int, required=True)
 
-    sp = sub.add_parser("spectral", parents=[common])
-    _add_spec_args(sp)
+    sp = _leaf(sub, "spectral", _cmd_spectral, budget=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0, help="start vector of the eigen-solver")
 
-    vp = sub.add_parser("verify")
-    vsub = vp.add_subparsers(dest="vcmd", required=True)
+    vsub = sub.add_parser("verify").add_subparsers(dest="vcmd", required=True)
 
-    sp = vsub.add_parser("freeness", parents=[common])
-    _add_spec_args(sp)
+    sp = _leaf(vsub, "freeness", _cmd_verify_freeness)
     sp.add_argument("--max-length", type=int, required=True)
     sp.add_argument("--word-budget", type=int, default=words.DEFAULT_WORD_BUDGET)
+    sp.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
 
-    sp = vsub.add_parser("generation", parents=[common])
-    _add_spec_args(sp)
+    sp = _leaf(vsub, "generation", _cmd_verify_generation, budget=True)
     sp.add_argument("--p", type=int, required=True)
 
-    rp = vsub.add_parser("recipe")
-    rsub = rp.add_subparsers(dest="rcmd", required=True)
-    sp = rsub.add_parser("sl3", parents=[common])
+    rsub = vsub.add_parser("recipe").add_subparsers(dest="rcmd", required=True)
+    sp = _leaf(rsub, "sl3", _cmd_verify_recipe, spec=False, budget=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
-    sp = rsub.add_parser("qt", parents=[common])
+    sp = _leaf(rsub, "qt", _cmd_verify_recipe, spec=False, budget=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
 
-    sp = vsub.add_parser("lucas", parents=[common])
+    sp = _leaf(vsub, "lucas", _cmd_verify_lucas, spec=False)
     sp.add_argument("--max-alpha", type=int, default=200)
     sp.add_argument("--moduli", default="2,3,5,7")
 
-    sp = sub.add_parser("subgroup-gens", parents=[common])
+    sp = _leaf(sub, "subgroup-gens", _cmd_subgroup_gens, spec=False)
     sp.add_argument("--m", type=int, required=True, help="subgroup index")
 
-    sp = sub.add_parser("export-dot", parents=[common])
-    _add_spec_args(sp)
+    sp = _leaf(sub, "export-dot", _cmd_export_dot, budget=True)
     sp.add_argument("--p", type=int, required=True)
     return ap
-
-
-# The formats each command accepts, its default first; the rest write JSON.
-_FORMATS = {
-    "construct": ("json", "text"),
-    "dg-table": ("csv", "json"),
-    "export-dot": ("dot",),
-}
-
-
-def _checked_command(args: argparse.Namespace) -> str:
-    """The command's name, after the checks the parser cannot express.
-
-    The format default depends on the command.  It cannot be a per-subparser
-    `set_defaults(fmt=...)`: every subparser shares the Action objects of the
-    `common` parent, so that call would change the default for all of them.
-    A missing `--memory-budget` falls back to GIRTHLAB_MEMORY_BUDGET.
-    """
-    cmd = args.cmd
-    if cmd == "verify":
-        cmd = f"verify-{args.vcmd}"
-        if args.vcmd == "recipe":
-            cmd = f"verify-recipe-{args.rcmd}"
-    formats = _FORMATS.get(cmd, ("json",))
-    if args.fmt is None:
-        args.fmt = formats[0]
-    elif args.fmt not in formats:
-        raise ParameterError(f"format {args.fmt!r} is not valid for {cmd}")
-    if args.memory_budget is None:
-        args.memory_budget = default_memory_budget()
-    elif args.memory_budget <= 0:
-        raise ParameterError(
-            f"--memory-budget must be a positive integer (bytes), got {args.memory_budget}"
-        )
-    return cmd
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "construct": _cmd_construct,
-    "girth": _cmd_graph_stats,
-    "diameter": _cmd_graph_stats,
-    "dg-table": _cmd_dg_table,
-    "bound": _cmd_bound,
-    "spectral": _cmd_spectral,
-    "verify-freeness": _cmd_verify_freeness,
-    "verify-generation": _cmd_verify_generation,
-    "verify-recipe-sl3": _cmd_verify_recipe,
-    "verify-recipe-qt": _cmd_verify_recipe,
-    "verify-lucas": _cmd_verify_lucas,
-    "subgroup-gens": _cmd_subgroup_gens,
-    "export-dot": _cmd_export_dot,
-}
 
 
 def run(argv: Sequence[str]) -> int:
@@ -486,7 +451,9 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARAM
     try:
-        return _HANDLERS[_checked_command(args)](args)
+        if "memory_budget" in vars(args):
+            args.memory_budget = _memory_budget(args.memory_budget)
+        return args.handler(args)
     except BudgetExceededError as exc:
         _emit(
             args,

@@ -67,10 +67,6 @@ class FreenessReport:
     partial: bool = False
     budget: int = DEFAULT_WORD_BUDGET
 
-    @property
-    def free_up_to_bound(self) -> bool:
-        return not self.violations and not self.partial
-
     def to_json(self) -> dict:
         n, l, a, b = self.params
         return {

@@ -571,8 +571,8 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
         calls = closed[store] = []
         answers = probed[store] = []
 
-        def spy(self, d, close=store.close, calls=calls, table=store is cayley._Table):
-            nxt = close(self, d)
+        def spy(self, close=store.close, calls=calls, table=store is cayley._Table):
+            nxt = close(self)
             assert (np.diff(nxt) > 0).all()  # sorted by index
             # the table's levels hold 4-byte indices: m^3 and m^8 ranks stay
             # below 2^31; frontier search keeps int64 codes
@@ -630,7 +630,7 @@ def _close_levels(prev, cur, targets, d):
     # the targets arrive in chunks, as visit gathers them
     targets = np.array(targets, dtype=np.int64)
     store.new = [targets[: len(targets) // 2], targets[len(targets) // 2 :]]
-    nxt = store.close(d)
+    nxt = store.close()
     assert np.array_equal(store.prev, cur)
     assert store.cur is nxt and store.levels == [nxt] and store.new == []
     # the rule as _bfs applies it, with the hand-built targets in place of
@@ -763,6 +763,32 @@ def test_sphere_size_check_rejects_a_wrong_level():
     cayley._check_sphere_sizes([1, 4, 12], 4, 9)  # only computed levels count
     with pytest.raises(AssertionError, match="radius 3"):
         cayley._check_sphere_sizes([1, 4, 12, 35, 108], 4, 9)
+
+
+def test_sphere_size_check_catches_a_level_with_a_stray_element(monkeypatch):
+    # the collision rule fires only when a level has too few new elements:
+    # a store that puts one stray element into level 2 passes it silently,
+    # and the sphere sizes catch it.  diag(2, 505) is far from the identity
+    # mod 1,009, so its ball stays apart and the search still closes at 22
+    p = 1009
+    stray = modmat.encode(ModMatrix.from_rows([[2, 0], [0, 505]], p))
+    real = cayley._Levels.close
+    calls = []
+
+    def close(self):
+        nxt = real(self)
+        calls.append(len(nxt))
+        if len(calls) == 2:  # level 2
+            nxt = self.cur = np.sort(np.append(nxt, stray))
+        return nxt
+
+    monkeypatch.setattr(cayley._Levels, "close", close)
+    gens = symmetrize(spec_generators(SPEC2, p))
+    with pytest.raises(AssertionError) as exc:
+        cayley.bfs(gens, want_girth=True, girth_only=True)
+    assert str(exc.value) == (
+        "sphere of radius 2 has 13 elements, but girth 22 at degree 4 requires 12"
+    )
 
 
 def _export_dot_reference(generators):

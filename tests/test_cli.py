@@ -371,12 +371,12 @@ def test_threads_flag_does_not_change_output(capsys):
 
 
 def test_invalid_format_for_subcommand(capsys):
-    code, _, err = run_capture(
-        capsys,
-        ["validate", "--n", "2", "--l", "1", "--a", "2", "--b", "2", "--format", "dot"],
-    )
-    assert code == EXIT_PARAM
-    assert "not valid" in err
+    # validate has no --format; construct has one, and csv is not its choice
+    spec = ["--n", "2", "--l", "1", "--a", "2", "--b", "2"]
+    for argv in (["validate", *spec, "--format", "dot"], ["construct", *spec, "--format", "csv"]):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (EXIT_PARAM, ""), argv
+        assert "--format" in err
 
 
 def test_dg_table_json_format(capsys):
@@ -589,3 +589,80 @@ def test_cli_defaults_come_from_the_parser(capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["seed"] == 0
+
+
+# Each leaf command, with arguments that parse, and the options beyond those
+# arguments that its handler reads.  -o is on every command.
+_SPEC = ["--n", "2", "--l", "1", "--a", "2", "--b", "2"]
+_LEAVES = {
+    "validate": (["validate", *_SPEC], {"-o"}),
+    "construct": (["construct", *_SPEC], {"-o", "--format"}),
+    "girth": (["girth", *_SPEC, "--p", "5"], {"-o", "--memory-budget", "--timings"}),
+    "diameter": (["diameter", *_SPEC, "--p", "5"], {"-o", "--memory-budget", "--timings"}),
+    "dg-table": (
+        ["dg-table", *_SPEC, "--primes", "5"],
+        {"-o", "--memory-budget", "--timings", "--format"},
+    ),
+    "bound": (["bound", *_SPEC, "--p", "5"], {"-o"}),
+    "spectral": (["spectral", *_SPEC, "--p", "5"], {"-o", "--memory-budget"}),
+    "verify freeness": (
+        ["verify", "freeness", *_SPEC, "--max-length", "2"],
+        {"-o", "--threads"},
+    ),
+    "verify generation": (
+        ["verify", "generation", *_SPEC, "--p", "5"],
+        {"-o", "--memory-budget"},
+    ),
+    "verify recipe sl3": (
+        ["verify", "recipe", "sl3", "--a", "4", "--b", "2"],
+        {"-o", "--memory-budget"},
+    ),
+    "verify recipe qt": (
+        ["verify", "recipe", "qt", "--q", "3", "--t", "1"],
+        {"-o", "--memory-budget"},
+    ),
+    "verify lucas": (["verify", "lucas", "--max-alpha", "2"], {"-o"}),
+    "subgroup-gens": (["subgroup-gens", "--m", "2"], {"-o"}),
+    "export-dot": (["export-dot", *_SPEC, "--p", "3"], {"-o", "--memory-budget"}),
+}
+_OPTIONS = {
+    "-o": ["-o", "out.json"],
+    "--memory-budget": ["--memory-budget", "10000000"],
+    "--threads": ["--threads", "1"],
+    "--timings": ["--timings"],
+    "--format": ["--format", "json"],
+}
+_PAIRS = [(cmd, opt) for cmd in _LEAVES for opt in _OPTIONS]
+
+
+def _pairs(accepted):
+    return [
+        pytest.param(cmd, opt, id=f"{cmd} {opt}")
+        for cmd, opt in _PAIRS
+        if (opt in _LEAVES[cmd][1]) == accepted
+    ]
+
+
+@pytest.mark.parametrize("cmd,opt", _pairs(accepted=True))
+def test_leaf_command_parses_the_options_it_reads(cmd, opt):
+    argv, _ = _LEAVES[cmd]
+    args = cli.build_parser().parse_args(argv + _OPTIONS[opt])
+    assert callable(args.handler)
+
+
+@pytest.mark.parametrize("cmd,opt", _pairs(accepted=False))
+def test_removed_option_is_unrecognized(capsys, cmd, opt):
+    argv, _ = _LEAVES[cmd]
+    code, out, err = run_capture(capsys, argv + _OPTIONS[opt])
+    assert (code, out) == (EXIT_PARAM, "")
+    assert "unrecognized arguments: " + opt in err
+
+
+@pytest.mark.parametrize(
+    "cmd", [cmd for cmd, (_, opts) in _LEAVES.items() if "--memory-budget" not in opts]
+)
+def test_memory_budget_env_is_read_only_by_budgeted_commands(monkeypatch, capsys, cmd):
+    # a command without --memory-budget never reads GIRTHLAB_MEMORY_BUDGET
+    monkeypatch.setenv(cli.ENV_MEMORY_BUDGET, "8GiB")
+    code, _, err = run_capture(capsys, _LEAVES[cmd][0])
+    assert (code, err) == (EXIT_OK, "")
