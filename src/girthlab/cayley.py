@@ -49,6 +49,21 @@ the table, and the rank action's tables, fit the budget:
   targets stay int64 and are narrowed only as visit keeps the new ones:
   numpy gathers through int32 indices about 1.5 times slower.  codes()
   unranks the visited indices and sorts them.
+  Near the end of a sweep a level is built bottom-up (Beamer, Asanovic and
+  Patterson, "Direction-optimizing breadth-first search", SC 2012).  Once
+  level d closes, an unvisited M has depth d + 1 or more, so each M g has
+  depth d or more (g^(-1) is a generator too), and the visited ones lie in
+  level d: M is in level d + 1 exactly when some M g is visited, which the
+  byte table answers with no depth.  scan reads the table in _SCAN_BYTES
+  blocks for unvisited indices, acts on them a chunk at a time and keeps
+  those with a visited target, so level d + 1 comes out sorted; it marks
+  them only once all are found, as a marked one would pull in its
+  neighbours of level d + 2.  bottom_up takes scan when fewer used indices
+  are unvisited than level d holds, so fewer elements are acted on:
+  SL_4(F_3) scans levels 16 to 19.  The unused ranks read visited until
+  codes(): their targets are unused too (dependent top rows stay dependent
+  under g), so scan would never keep them, but it would act on them (2.2 M
+  of the 14.3 M ranks of SL_4(F_3)).
 - _Levels: frontier search (Korf et al., "Frontier Search", J. ACM 52(5),
   2005), which keeps only the sorted codes of levels d - 1 and d while it
   builds d + 1, so a girth-only ball search costs memory in proportion to
@@ -116,6 +131,7 @@ DEFAULT_MEMORY_BUDGET = _default_memory_budget()  # bytes, read once at import
 _CHUNK = 1 << 19  # frontier search's elements per chunk
 _BLOCK_BYTES = 1 << 18  # a row-block table of _top_action stays in cache
 _TARGET_BYTES = 1 << 19  # a chunk of the table's int64 targets stays in cache
+_SCAN_BYTES = 1 << 18  # table bytes that scan reads at once
 _CLASS_CHUNK = 1 << 16  # entries of _sln_ranks's class table built at once
 _DOT_LIMIT = 10_000
 
@@ -397,46 +413,11 @@ def _class_dtype(n: int, m: int) -> np.dtype:
     return np.min_scalar_type(m**n - 1)
 
 
-def _sln_ranks(n: int, m: int, gens: Sequence[ModMatrix]):
-    """Right multiplication on the ranks of SL_n(F_m) for n >= 3, and the
-    unrank map.
-
-    The code of M is top + m^(n(n-1)) r: top, its low digits, holds rows
-    0..n-2 and r is the code of the last row.  det M = C . r for the cofactor
-    vector C = C(top), so det M = 1 fixes the last row's entry at the pivot
-    j, the first nonzero entry of C, from its other n - 1 entries, whose
-    code is s.  The rank is s + m^(n-1) top: m^(n^2-1) ranks index the
-    elements, and those whose top has C = 0 are unused.  The top rows are
-    the rank's high digits, as they are the code's, so the targets of a
-    sorted level stay in few stretches of the table (_Table); with s high
-    instead, the SL_4(F_3) closure's lookups took about 40% longer.  Row i
-    of M g is row_i(M) g, so _top_action moves a top to the top of M g, and
-    as det g = 1 the cofactor vector of M g is C g^(-T).  Two tables give
-    the rest.  cls[top], over the m^(n(n-1)) tops, holds the code of
-    C(top).  step_g[c m^(n-1) + s], over the m^(2n-1) pairs of a class c
-    and an s, lifts s to the last row r by solving C . r = 1 at j, forms
-    r g and holds the code s' of r g without its entry at the pivot of
-    C g^(-T).  So the rank of M g is _top_action(top)_g +
-    step_g[cls[top] m^(n-1) + s], as _top_action's tables hold the tops
-    times m^(n-1): three gathers and a few divisions, over a table m times
-    smaller than one indexed by codes.  Both tables are built from vectors
-    of small integers, cls in chunks of rows 1..n-2; _table_index counts
-    their bytes.  Returns (act, unrank) with _sl2_ranks's contract.
-    """
-    k, top_size, lows = len(gens), m ** (n * (n - 1)), m ** (n - 1)
-    inv = np.array([0] + [pow(x, -1, m) for x in range(1, m)], dtype=np.int64)
-
-    def lift(C: List[np.ndarray], s: List[np.ndarray]) -> List[np.ndarray]:
-        # the last row, entrywise: s around the pivot j, and at j the entry
-        # that makes C . r = 1
-        j = _pivot(C)
-        r = [
-            np.where(j > x, s[x] if x < n - 1 else 0, s[x - 1] if x else 0) * (j != x)
-            for x in range(n)
-        ]
-        at_j = (1 - sum(c * e for c, e in zip(C, r))) * inv[np.choose(j, C)] % m
-        return [np.where(j == x, at_j, e) for x, e in enumerate(r)]
-
+def _classes(n: int, m: int) -> np.ndarray:
+    """_sln_ranks's class table: the code of the cofactor vector C(top) for
+    each of the m^(n(n-1)) tops, of _class_dtype; 0 exactly where the top
+    rows are dependent, so that no rank with that top is used.  Built in
+    chunks of rows 1..n-2."""
     # C is linear in row 0: with top = row_0 + m^n rest, where rest holds
     # rows 1..n-2, entry y of C is row_0 . K_y(rest) for the column
     # K_y(rest)[x] = det [e_x; rest; e_y], a sum over the permutations that
@@ -461,8 +442,52 @@ def _sln_ranks(n: int, m: int, gens: Sequence[ModMatrix]):
         part[:] = 0
         for y, at in enumerate(cols[:, a : a + per]):
             part += np.take(dot, at, axis=0) * m**y
-    cls = cls.reshape(-1)
+    return cls.reshape(-1)
 
+
+def _sln_ranks(n: int, m: int, gens: Sequence[ModMatrix], cls: Optional[np.ndarray] = None):
+    """Right multiplication on the ranks of SL_n(F_m) for n >= 3, and the
+    unrank map.
+
+    The code of M is top + m^(n(n-1)) r: top, its low digits, holds rows
+    0..n-2 and r is the code of the last row.  det M = C . r for the cofactor
+    vector C = C(top), so det M = 1 fixes the last row's entry at the pivot
+    j, the first nonzero entry of C, from its other n - 1 entries, whose
+    code is s.  The rank is s + m^(n-1) top: m^(n^2-1) ranks index the
+    elements, and those whose top has C = 0 are unused.  The top rows are
+    the rank's high digits, as they are the code's, so the targets of a
+    sorted level stay in few stretches of the table (_Table); with s high
+    instead, the SL_4(F_3) closure's lookups took about 40% longer.  Row i
+    of M g is row_i(M) g, so _top_action moves a top to the top of M g, and
+    as det g = 1 the cofactor vector of M g is C g^(-T).  Two tables give
+    the rest.  cls[top], over the m^(n(n-1)) tops, holds the code of
+    C(top).  step_g[c m^(n-1) + s], over the m^(2n-1) pairs of a class c
+    and an s, lifts s to the last row r by solving C . r = 1 at j, forms
+    r g and holds the code s' of r g without its entry at the pivot of
+    C g^(-T).  So the rank of M g is _top_action(top)_g +
+    step_g[cls[top] m^(n-1) + s], as _top_action's tables hold the tops
+    times m^(n-1): three gathers and a few divisions, over a table m times
+    smaller than one indexed by codes.  Both tables are built from vectors
+    of small integers, cls by _classes unless the caller passes it;
+    _table_index counts their bytes.  Returns (act, unrank) with
+    _sl2_ranks's contract.
+    """
+    k, top_size, lows = len(gens), m ** (n * (n - 1)), m ** (n - 1)
+    inv = np.array([0] + [pow(x, -1, m) for x in range(1, m)], dtype=np.int64)
+
+    def lift(C: List[np.ndarray], s: List[np.ndarray]) -> List[np.ndarray]:
+        # the last row, entrywise: s around the pivot j, and at j the entry
+        # that makes C . r = 1
+        j = _pivot(C)
+        r = [
+            np.where(j > x, s[x] if x < n - 1 else 0, s[x - 1] if x else 0) * (j != x)
+            for x in range(n)
+        ]
+        at_j = (1 - sum(c * e for c, e in zip(C, r))) * inv[np.choose(j, C)] % m
+        return [np.where(j == x, at_j, e) for x, e in enumerate(r)]
+
+    if cls is None:
+        cls = _classes(n, m)
     c, s = np.divmod(np.arange(m**n * lows, dtype=np.int32), lows)
     C = _digits(c, n, m)
     r = lift(C, _digits(s, n - 1, m))
@@ -529,8 +554,10 @@ class _Table:
 
     The index is the rank in SL_n(F_m) (m^3 bytes for n = 2, m^(n^2-1) for
     n >= 3); unrank maps indices back to codes.  The table holds no depth:
-    _bfs's collision rule needs only the level sizes, and hits acts on
-    level d once more, at the one level where the rule finds a cycle.
+    _bfs's collision rule needs only the level sizes, hits acts on level d
+    once more, at the one level where the rule finds a cycle, and scan
+    needs only to know which indices are visited.  The unused ranks, those
+    of a top whose class (cls) is 0, read visited until codes() clears them.
     """
 
     def __init__(self, gens: List[ModMatrix], index: Tuple[int, int]):
@@ -542,14 +569,26 @@ class _Table:
         if n == 2:
             self.act, self.unrank = _sl2_ranks(m, gens)
             self.root = m  # the identity: r0 = 1, t = 0
+            # the top is row 0 (a, b), and r0 stands in for the code of its
+            # cofactor vector (-b, a): both are 0 only at r0 = 0
+            self.cls = np.arange(m * m, dtype=np.int32)
         else:
-            self.act, self.unrank = _sln_ranks(n, m, gens)
+            self.cls = _classes(n, m)  # shared with the rank action
+            self.act, self.unrank = _sln_ranks(n, m, gens, self.cls)
             # the identity: its top rows, C = e_(n-1) and s = 0
             self.root = m ** (n - 1) * sum(m ** (i * (n + 1)) for i in range(n - 1))
+        self.used = modmat.group_order_sl(n, m)
         self.seen = np.zeros(size, dtype=bool)
         self.seen[self.root] = True
+        # the unused ranks read visited, so scan never acts on them
+        self._mark_unused(True)
         self.dtype = _index_dtype(size)
         self.new: List[np.ndarray] = []  # next-level indices, of self.dtype
+
+    def _mark_unused(self, value: bool) -> None:
+        # the ranks of every top whose cofactor vector is 0: the table holds
+        # one row of ranks per top
+        self.seen.reshape(len(self.cls), -1)[self.cls == 0] = value
 
     def charge(self, width: int, order: int) -> int:
         # the table, the rank action's tables (_sl2_ranks's shift tables, or
@@ -558,8 +597,36 @@ class _Table:
         # is spare) and the int64 target block of one chunk.  Not charged:
         # level d + 1's pieces as visit keeps them and their concatenation
         # in close, _top_action's tables, each within _BLOCK_BYTES, and the
-        # temporaries that build _sln_ranks's tables before the first level
+        # temporaries that build _sln_ranks's tables before the first level.
+        # A level built by scan fits this charge: scan runs when fewer than
+        # width used indices are unvisited, and holds its kept indices (4
+        # bytes) and one block's unvisited ones (8, and up to 1 MiB more for
+        # the block's kept ones), then the level beside its pieces: below 8
+        # of the 9 bytes per element of level d, which _bfs frees first
+        # unless the girth is open.  Past 2^31 indices the kept ones take 8
         return len(self.seen) + self.tables + 9 * width + 8 * self.k * min(width, self.chunk)
+
+    def bottom_up(self, width: int, order: int) -> bool:
+        # scan acts on the unvisited used indices, top-down on level d
+        return self.used - order < width
+
+    def scan(self) -> np.ndarray:
+        # level d + 1 bottom-up: the unvisited indices with a visited
+        # target, found in sorted order and marked once all are found
+        pieces = []
+        for at in range(0, len(self.seen), _SCAN_BYTES):
+            idx = np.flatnonzero(~self.seen[at : at + _SCAN_BYTES])
+            idx += at
+            for s in range(0, len(idx), self.chunk):
+                part = idx[s : s + self.chunk]
+                tgts = self.act(part)
+                hit = self.seen[tgts[:, 0]]
+                for j in range(1, self.k):
+                    hit |= self.seen[tgts[:, j]]
+                pieces.append(np.compress(hit, part).astype(self.dtype, copy=False))
+        nxt = np.concatenate(pieces) if pieces else np.empty(0, dtype=self.dtype)
+        self.seen[nxt] = True
+        return nxt
 
     def visit(self, tgts: np.ndarray) -> None:
         # one generator column at a time: right multiplication by a fixed
@@ -597,6 +664,7 @@ class _Table:
     def codes(self) -> np.ndarray:
         # unranked in place, a chunk at a time: _sln_ranks's unrank makes
         # a few dozen temporaries of its input's length
+        self._mark_unused(False)
         out = np.flatnonzero(self.seen)
         for at in range(0, len(out), _CHUNK):
             out[at : at + _CHUNK] = self.unrank(out[at : at + _CHUNK])
@@ -626,6 +694,10 @@ class _Levels:
         # the targets and the probe positions of levels d - 1 and d
         kept = order if self.levels is not None else len(self.prev) + width
         return 8 * kept + width + 8 * self.k * (min(width, self.chunk) + width)
+
+    def bottom_up(self, width: int, order: int) -> bool:
+        # frontier search keeps no unvisited set to scan
+        return False
 
     def visit(self, tgts: np.ndarray) -> None:
         # only gather the targets: close sorts and probes the whole level once
@@ -685,12 +757,15 @@ def _bfs(
     the number of elements acted on at once; act(indices), the
     (len(indices), k) targets; charge(width, order), the bytes live while
     the next level is built from a level of width elements, with order
-    elements reached so far; visit(targets), which records the targets of
-    one chunk; close(), which returns level d + 1 once level d's targets are
-    visited; hits(level d), called after that close, which
-    says whether a target of level d lies in level d; and codes(), the
-    sorted element codes.  A level whose charge exceeds the budget is never
-    built; peak_bytes is the largest charge.
+    elements reached so far; bottom_up(width, order), which says whether
+    the store builds that level by scan() instead, from its unvisited
+    elements (the table near the end of a sweep; never frontier search);
+    visit(targets), which records the targets of one chunk; close(), which
+    returns level d + 1 once level d's targets are visited; scan(), which
+    returns level d + 1 without level d; hits(level d), called after close
+    or scan, which says whether a target of level d lies in level d; and
+    codes(), the sorted element codes.  A level whose charge exceeds the
+    budget is never built; peak_bytes is the largest charge.
 
     The collision rule lives here, on the level sizes alone.  While the
     girth is tracked at level d, an element of level d has one neighbour in
@@ -714,19 +789,23 @@ def _bfs(
         if charge > memory_budget:
             raise BudgetExceededError(d, order)
         peak = max(peak, charge)
-        for s in range(0, len(cur), store.chunk):
-            # a chunk's targets stay allocated while the next chunk's are
-            # built: freed at once, they let malloc trim the heap and fault
-            # it back in at every chunk, which made a fresh dg_table sweep
-            # of p = 3..101 13% slower
-            tgts = store.act(cur[s : s + store.chunk])
-            store.visit(tgts)
         width = len(cur)
-        # level d is needed after the close only while the girth is tracked:
-        # otherwise free it before the close builds the next level
+        # level d is needed after close or scan only while the girth is
+        # tracked: otherwise free it before they build the next level
         level = cur if want_girth and girth is None else None
-        del cur, tgts
-        cur = store.close()
+        if store.bottom_up(width, order):
+            del cur
+            cur = store.scan()
+        else:
+            for s in range(0, width, store.chunk):
+                # a chunk's targets stay allocated while the next chunk's
+                # are built: freed at once, they let malloc trim the heap and
+                # fault it back in at every chunk, which made a fresh
+                # dg_table sweep of p = 3..101 13% slower
+                tgts = store.act(cur[s : s + store.chunk])
+                store.visit(tgts)
+            del cur, tgts
+            cur = store.close()
         if level is not None and k * width - len(cur) - (width if d else 0) > 0:
             girth = 2 * d + 1 if store.hits(level) else 2 * d + 2
             if girth_only:

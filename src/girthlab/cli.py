@@ -11,7 +11,8 @@ Each command takes `-o FILE` and only the other options its handler reads:
 spectral, verify generation, verify recipe, export-dot), `--timings` on
 girth, diameter and dg-table, `--format` on construct (json | text) and
 dg-table (csv | json), and `--threads`, which has no effect, on verify
-freeness.  Any other option is unrecognized: exit 1.
+freeness.  Any other option is unrecognized: exit 1.  No option is matched
+by a prefix: `dg-table --p 61` does not read `--primes`.
 
 Exit codes: 0 success, 1 parameter error, 2 budget exhaustion with partial
 results written, 3 verification failure (a claim check that did not hold).
@@ -373,7 +374,7 @@ def _leaf(subs, name, handler, *, spec=True, budget=False, timings=False, format
     `formats` lists the output formats the command can choose, its default
     first.
     """
-    sp = subs.add_parser(name)
+    sp = subs.add_parser(name, allow_abbrev=False)
     sp.set_defaults(handler=handler)
     if spec:
         _add_spec_args(sp)
@@ -388,7 +389,10 @@ def _leaf(subs, name, handler, *, spec=True, budget=False, timings=False, format
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="girthlab", description=__doc__)
+    # no parser matches an option by a prefix: which prefixes would parse
+    # depends on each command's option set, so a script could rely on one
+    # silently
+    ap = argparse.ArgumentParser(prog="girthlab", description=__doc__, allow_abbrev=False)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     _leaf(sub, "validate", _cmd_validate)
@@ -413,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0, help="start vector of the eigen-solver")
 
-    vsub = sub.add_parser("verify").add_subparsers(dest="vcmd", required=True)
+    verify = sub.add_parser("verify", allow_abbrev=False)
+    vsub = verify.add_subparsers(dest="vcmd", required=True)
 
     sp = _leaf(vsub, "freeness", _cmd_verify_freeness)
     sp.add_argument("--max-length", type=int, required=True)
@@ -423,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _leaf(vsub, "generation", _cmd_verify_generation, budget=True)
     sp.add_argument("--p", type=int, required=True)
 
-    rsub = vsub.add_parser("recipe").add_subparsers(dest="rcmd", required=True)
+    recipe = vsub.add_parser("recipe", allow_abbrev=False)
+    rsub = recipe.add_subparsers(dest="rcmd", required=True)
     sp = _leaf(rsub, "sl3", _cmd_verify_recipe, spec=False, budget=True)
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)

@@ -471,7 +471,9 @@ def test_frontier_chunks_do_not_change_the_result(monkeypatch):
     # chunks and chunks at least as wide as the widest level must give the
     # same graph.  Both stores over SL_2 ranks (p = 11, 13) and SL_3 ranks
     # (SL_3(F_3)), frontier search alone over the composite modulus 9; the
-    # spy records how many elements each visit gets
+    # spy records how many elements each visit gets.  A level that the table
+    # takes bottom-up passes through no visit, so its width, split into the
+    # table's chunks, is recorded where the switch picks scan
     widths = []
     for store in (cayley._Table, cayley._Levels):
 
@@ -480,6 +482,14 @@ def test_frontier_chunks_do_not_change_the_result(monkeypatch):
             return visit(self, tgts)
 
         monkeypatch.setattr(store, "visit", spy)
+
+    def spy_up(self, width, order, bottom_up=cayley._Table.bottom_up):
+        up = bottom_up(self, width, order)
+        if up:
+            widths.append(min(width, self.chunk))
+        return up
+
+    monkeypatch.setattr(cayley._Table, "bottom_up", spy_up)
     kw = dict(want_girth=True, girth_only=False, collect=True, memory_budget=1 << 30)
     for spec, m in ((SPEC2, 11), (SPEC2, 13), (SPEC3, 3), (SPEC2, 9)):
         gens = symmetrize(spec_generators(spec, m))
@@ -506,6 +516,92 @@ def test_frontier_chunks_do_not_change_the_result(monkeypatch):
                 ), (m, chunk, table)
                 assert res.codes.tolist() == ref.codes
                 assert max(widths) == min(chunk or default, ref.max_frontier)
+
+
+def _random_sl(n, m, count, rng):
+    """count random non-identity elements of SL_n(F_m)."""
+    out = []
+    while len(out) < count:
+        g = ModMatrix.from_rows(rng.integers(0, m, size=(n, n)).tolist(), m)
+        if g.det() == 1 and not g.is_identity():
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("want_girth", [False, True])
+def test_bottom_up_at_every_level_matches_the_reference(monkeypatch, want_girth):
+    # the switch forced on, so the table builds every level, the empty one
+    # past the diameter included, by scan: an unvisited index is in level
+    # d + 1 when a target of it is visited.  Random generator sets over
+    # SL_2 ranks (p <= 13) and SL_3(F_3), the paper's SL_3(F_3) pair, and
+    # proper subgroups whose unvisited ranks never run out: the upper
+    # triangular pair mod 7 (order 42) and the unitriangular pair mod 3
+    # (order 27).  Each sweep runs with the default blocks and chunks, and
+    # with scan blocks of 64 ranks and chunks of 5, so a level's new indices
+    # come from many of both.  No unused rank (a top whose cofactor vector
+    # is 0) reaches the rank action or comes out of scan, and codes() drops
+    # the unused ranks that the table marks visited
+    rng = np.random.default_rng(21)
+    cases = [_random_sl(2, m, count, rng) for m in (2, 3, 5, 7, 11, 13) for count in (1, 2)]
+    cases += [_random_sl(3, 3, 2, rng), list(spec_generators(SPEC3, 3))]
+    cases.append([ModMatrix.from_rows(r, 7) for r in ([[1, 1], [0, 1]], [[3, 0], [0, 5]])])
+    cases.append(
+        [
+            ModMatrix.from_rows(r, 3)
+            for r in ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+        ]
+    )
+    scans, orders = [], []
+
+    def used(table, ranks):
+        # the table holds one row of ranks per top
+        tops = np.asarray(ranks) // (len(table.seen) // len(table.cls))
+        return (table.cls[tops] != 0).all()
+
+    def spy(self, scan=cayley._Table.scan):
+        nxt = scan(self)
+        assert (np.diff(nxt) > 0).all() and nxt.dtype == np.int32
+        assert used(self, nxt)
+        scans.append(len(nxt))
+        return nxt
+
+    def init(self, gens, index, init=cayley._Table.__init__):
+        init(self, gens, index)
+        act = self.act
+
+        def checked(ranks):
+            assert used(self, ranks)
+            return act(ranks)
+
+        self.act = checked
+
+    monkeypatch.setattr(cayley._Table, "__init__", init)
+    monkeypatch.setattr(cayley._Table, "bottom_up", lambda self, width, order: True)
+    monkeypatch.setattr(cayley._Table, "scan", spy)
+    kw = dict(want_girth=want_girth, girth_only=False, collect=True, memory_budget=1 << 30)
+    for gens, small in itertools.product(cases, (False, True)):
+        gens = symmetrize(gens)
+        n, m = gens[0].n, gens[0].m
+        ref = _bfs_reference(gens)
+        scans.clear()
+        with monkeypatch.context() as mp:
+            if small:
+                mp.setattr(cayley, "_SCAN_BYTES", 64)
+                mp.setattr(cayley, "_TARGET_BYTES", 8 * len(gens) * 5)
+            res = _engine(gens, table=True, **kw)
+        assert scans == list(ref.sphere_sizes[1:]) + [0]
+        assert (res.order, res.diameter, res.max_frontier, res.sphere_sizes) == (
+            ref.order,
+            ref.diameter,
+            ref.max_frontier,
+            ref.sphere_sizes,
+        ), (gens, small)
+        assert res.girth == (ref.girth if want_girth else None)
+        assert res.codes.tolist() == ref.codes
+        assert all(modmat.decode(c, n, m).det() == 1 for c in res.codes.tolist())
+        orders.append(res.order)
+    # the proper subgroups, each swept twice
+    assert orders[-4:] == [42, 42, 27, 27]
 
 
 @pytest.mark.parametrize(
@@ -567,12 +663,15 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
     assert cayley._table_index(gens) is not None
     act = cayley._product_action(n, m, gens)
     closed, probed, girths = {}, {}, {}
+    scan, scanned = cayley._Table.scan, []
     for store in (cayley._Table, cayley._Levels):
         calls = closed[store] = []
         answers = probed[store] = []
 
-        def spy(self, close=store.close, calls=calls, table=store is cayley._Table):
+        def spy(self, close, calls=calls, table=store is cayley._Table):
             nxt = close(self)
+            if close is scan:
+                scanned.append(len(nxt))
             assert (np.diff(nxt) > 0).all()  # sorted by index
             # the table's levels hold 4-byte indices: m^3 and m^8 ranks stay
             # below 2^31; frontier search keeps int64 codes
@@ -584,12 +683,19 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
             answers.append(hits(self, level))
             return answers[-1]
 
-        monkeypatch.setattr(store, "close", spy)
+        # level d + 1 comes from close, or from the table's bottom-up scan,
+        # which never calls close
+        for name in ("close", "scan") if store is cayley._Table else ("close",):
+            step = getattr(store, name)
+            monkeypatch.setattr(store, name, lambda self, step=step, spy=spy: spy(self, step))
         monkeypatch.setattr(store, "hits", spy_hits)
         kw = dict(want_girth=want_girth, girth_only=False, collect=False, memory_budget=1 << 30)
         girths[store] = _engine(gens, table=store is cayley._Table, **kw).girth
     table, frontier = closed[cayley._Table], closed[cayley._Levels]
     assert len(table) == len(frontier) > 3
+    # the table takes its last levels bottom-up, the empty one past the
+    # diameter included
+    assert 0 < len(scanned) < len(table) and scanned[-1] == 0
     # both stores track the same levels: one probe, at the level where the
     # count finds the first cycle, with the same answer
     girth = girths[cayley._Table]
@@ -600,7 +706,7 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
     last = (girth - 1) // 2 if want_girth else 0
     tracked = 0
     prev = np.array([modmat.encode(ModMatrix.identity(n, m))])
-    # the d-th call of close returns level d
+    # the d-th call of close or scan returns level d
     for d, (codes, frontier_codes) in enumerate(zip(table, frontier), 1):
         assert np.array_equal(codes, frontier_codes)
         assert (np.diff(codes) > 0).all()
@@ -961,7 +1067,7 @@ def test_table_closure_rss_stays_within_a_quarter_of_peak_bytes():
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 11])
-def test_sl2_ranks_index_the_group_and_act_like_row_action(m):
+def test_sl2_ranks_index_the_group_and_act_like_product_action(m):
     # every rank with a nonzero row 0 unranks to a distinct element of
     # SL_2(F_m), and acting on ranks then unranking equals the code kernel,
     # _product_action, which is checked against matrix products on its own
@@ -997,7 +1103,7 @@ def _dets(codes, n, m):
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (3, 5), (3, 7), (4, 3)])
-def test_sln_ranks_index_the_group_and_act_like_row_action(n, m):
+def test_sln_ranks_index_the_group_and_act_like_product_action(n, m):
     # the used ranks, those whose top rows are independent, unrank to
     # distinct elements of SL_n(F_m), and the unused ones to singular
     # matrices; acting on used ranks then unranking equals the code kernel,

@@ -659,6 +659,24 @@ def test_removed_option_is_unrecognized(capsys, cmd, opt):
 
 
 @pytest.mark.parametrize(
+    "argv,full",
+    [
+        (["dg-table", *_SPEC, "--p", "61"], "--primes"),
+        (["verify", "freeness", *_SPEC, "--m", "3"], "--max-length"),
+    ],
+)
+def test_option_prefix_is_not_read_as_the_option(capsys, argv, full):
+    # no parser matches an option by a prefix, so the prefix leaves the
+    # full option missing; given the full option too, it is unrecognized
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (EXIT_PARAM, "")
+    assert "the following arguments are required: " + full in err
+    code, out, err = run_capture(capsys, argv + [full, "3"])
+    assert (code, out) == (EXIT_PARAM, "")
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+
+
+@pytest.mark.parametrize(
     "cmd", [cmd for cmd, (_, opts) in _LEAVES.items() if "--memory-budget" not in opts]
 )
 def test_memory_budget_env_is_read_only_by_budgeted_commands(monkeypatch, capsys, cmd):

@@ -427,7 +427,7 @@ def test_qt_recipe_rejects_bad_shape():
         replay_recipe_qt(3, 0)
 
 
-def test_eval_word_mod_matches_exact_reduction():
+def test_eval_word_on_a_reduced_pair_matches_exact_reduction():
     # one eval_word takes either kind of pair: mod 11 it lands on the
     # reduction of the word's value over Z
     A, B = magic_pair(3, 4, 2)
