@@ -63,7 +63,18 @@ the table, and the rank action's tables, fit the budget:
   SL_4(F_3) scans levels 16 to 19.  The unused ranks read visited until
   codes(): their targets are unused too (dependent top rows stay dependent
   under g), so scan would never keep them, but it would act on them (2.2 M
-  of the 14.3 M ranks of SL_4(F_3)).
+  of the 14.3 M ranks of SL_4(F_3)).  Once nothing is left unvisited, the
+  last scan returns the empty level without reading the table.
+  A level of _SPLIT (2^20) elements or more is split in two halves, the
+  upper one on a worker thread when the process may run on two CPUs
+  (_halves): numpy releases the GIL in the gathers, compresses and
+  scatters.  Top-down, each half acts on and visits its half of level d;
+  two threads may both keep an index that each read unvisited before the
+  other marked it, and close drops the repeats after its sort.  scan gives
+  each half of its blocks to one thread, which only reads the table until
+  both join, so its level stays sorted and unrepeated.  On one CPU both
+  halves run in turn in the calling thread, and no output depends on the
+  CPU count.
 - _Levels: frontier search (Korf et al., "Frontier Search", J. ACM 52(5),
   2005), which keeps only the sorted codes of levels d - 1 and d while it
   builds d + 1, so a girth-only ball search costs memory in proportion to
@@ -96,7 +107,10 @@ graph, not the modulus, and it is charged to the memory budget.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,6 +146,7 @@ _CHUNK = 1 << 19  # frontier search's elements per chunk
 _BLOCK_BYTES = 1 << 18  # a row-block table of _top_action stays in cache
 _TARGET_BYTES = 1 << 19  # a chunk of the table's int64 targets stays in cache
 _SCAN_BYTES = 1 << 18  # table bytes that scan reads at once
+_SPLIT = 1 << 20  # a table level this wide is expanded in two halves (_Table.charge)
 _CLASS_CHUNK = 1 << 16  # entries of _sln_ranks's class table built at once
 _DOT_LIMIT = 10_000
 
@@ -548,6 +563,39 @@ def _index_dtype(space: int):
     return np.int32 if space <= 2**31 else np.int64
 
 
+def _halves(work, stop: int, split: bool) -> List[list]:
+    """The lists that work(start, stop) returns for range(stop), one per
+    thread: [work(0, stop)], or with split the halves below and above the
+    middle mid.  When two CPUs are available the upper half runs on a worker
+    thread, [work(0, mid), work(mid, stop)] (numpy releases the GIL in the
+    gathers, compresses and scatters of the halves); on one CPU both run
+    here in turn, [work(0, mid) + work(mid, stop)].  The worker is always
+    joined, and its exception re-raised here."""
+    if not split:
+        return [work(0, stop)]
+    mid = stop // 2
+    # os has no sched_getaffinity on macOS and Windows: one CPU there
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return [work(0, mid) + work(mid, stop)]
+    upper = []  # the worker's result, or the exception it raised
+
+    def run() -> None:
+        try:
+            upper.append(work(mid, stop))
+        except BaseException as exc:  # re-raised in the calling thread
+            upper.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        lower = work(0, mid)
+    finally:
+        worker.join()
+    if isinstance(upper[0], BaseException):
+        raise upper[0]
+    return [lower, upper[0]]
+
+
 class _Table:
     """Visited set over a whole index space: one byte per index, set once the
     index is reached.
@@ -558,6 +606,10 @@ class _Table:
     once more, at the one level where the rule finds a cycle, and scan
     needs only to know which indices are visited.  The unused ranks, those
     of a top whose class (cls) is 0, read visited until codes() clears them.
+    A level of _SPLIT elements or more is expanded in two halves (_halves):
+    top-down, two threads mark the shared table, so an index can be kept
+    twice, and close drops the repeats; scan only reads the table until
+    both halves join.
     """
 
     def __init__(self, gens: List[ModMatrix], index: Tuple[int, int]):
@@ -583,7 +635,6 @@ class _Table:
         # the unused ranks read visited, so scan never acts on them
         self._mark_unused(True)
         self.dtype = _index_dtype(size)
-        self.new: List[np.ndarray] = []  # next-level indices, of self.dtype
 
     def _mark_unused(self, value: bool) -> None:
         # the ranks of every top whose cofactor vector is 0: the table holds
@@ -603,51 +654,88 @@ class _Table:
         # bytes) and one block's unvisited ones (8, and up to 1 MiB more for
         # the block's kept ones), then the level beside its pieces: below 8
         # of the 9 bytes per element of level d, which _bfs frees first
-        # unless the girth is open.  Past 2^31 indices the kept ones take 8
+        # unless the girth is open.  Past 2^31 indices the kept ones take 8.
+        # A level is split (_SPLIT) only when 5 bytes per element, its spare
+        # beside its index, cover the worker's live bytes: one chunk's act
+        # and visit temporaries (1.8 MB at degree 4) and, in scan, one
+        # block's inverted bytes and unvisited indices (up to 2.25 MiB)
         return len(self.seen) + self.tables + 9 * width + 8 * self.k * min(width, self.chunk)
 
     def bottom_up(self, width: int, order: int) -> bool:
         # scan acts on the unvisited used indices, top-down on level d
         return self.used - order < width
 
-    def scan(self) -> np.ndarray:
+    def split(self, width: int) -> bool:
+        # a level this wide leaves spare charge for the worker's bytes
+        return width >= _SPLIT
+
+    def scan(self, width: int, order: int) -> np.ndarray:
         # level d + 1 bottom-up: the unvisited indices with a visited
-        # target, found in sorted order and marked once all are found
-        pieces = []
-        for at in range(0, len(self.seen), _SCAN_BYTES):
-            idx = np.flatnonzero(~self.seen[at : at + _SCAN_BYTES])
-            idx += at
-            for s in range(0, len(idx), self.chunk):
-                part = idx[s : s + self.chunk]
-                tgts = self.act(part)
-                hit = self.seen[tgts[:, 0]]
-                for j in range(1, self.k):
-                    hit |= self.seen[tgts[:, j]]
-                pieces.append(np.compress(hit, part).astype(self.dtype, copy=False))
+        # target, found in sorted order and marked once all are found.  A
+        # split level gives each half of the blocks to one thread, which
+        # only reads the table, so the halves join in sorted order
+        if order == self.used:  # no used index is left unvisited
+            return np.empty(0, dtype=self.dtype)
+
+        def blocks(first: int, last: int) -> List[np.ndarray]:
+            pieces = []
+            for at in range(first * _SCAN_BYTES, last * _SCAN_BYTES, _SCAN_BYTES):
+                idx = np.flatnonzero(~self.seen[at : at + _SCAN_BYTES])
+                idx += at
+                for s in range(0, len(idx), self.chunk):
+                    part = idx[s : s + self.chunk]
+                    tgts = self.act(part)
+                    hit = self.seen[tgts[:, 0]]
+                    for j in range(1, self.k):
+                        hit |= self.seen[tgts[:, j]]
+                    pieces.append(np.compress(hit, part).astype(self.dtype, copy=False))
+            return pieces
+
+        count = -(-len(self.seen) // _SCAN_BYTES)
+        pieces = sum(_halves(blocks, count, self.split(width)), [])
         nxt = np.concatenate(pieces) if pieces else np.empty(0, dtype=self.dtype)
         self.seen[nxt] = True
         return nxt
 
-    def visit(self, tgts: np.ndarray) -> None:
+    def visit(self, tgts: np.ndarray) -> List[np.ndarray]:
         # one generator column at a time: right multiplication by a fixed
         # generator is injective, so a column holds no duplicate, and the
         # targets visited by an earlier column or chunk are dropped
+        new = []
         for j in range(self.k):
             t = tgts[:, j]
-            new = np.compress(~self.seen[t], t)
+            kept = np.compress(~self.seen[t], t)
             # scatter through the int64 targets, which index faster than
             # int32 ones; only the kept level is narrowed
-            self.seen[new] = True
-            self.new.append(new.astype(self.dtype, copy=False))
+            self.seen[kept] = True
+            new.append(kept.astype(self.dtype, copy=False))
+        return new
 
-    def close(self) -> np.ndarray:
+    def close(self, halves: List[List[np.ndarray]]) -> np.ndarray:
         # level d + 1 in sorted order: row i of M g is row_i(M) g, so the
         # targets of each generator then fall into few contiguous blocks of
         # the table, and the next level's gathers and scatters stay in cache
-        nxt = np.concatenate(self.new)
-        self.new = []
+        threads = len(halves)
+        nxt = np.concatenate(sum(halves, []))
+        halves.clear()  # frees the pieces before the sort
         nxt.sort()
-        return nxt
+        if threads == 1:
+            return nxt
+        # two threads keep an index that each read unvisited before the
+        # other marked it, and the sort puts the repeat beside it: find the
+        # repeats a chunk at a time, then move the stretches between them
+        # down in place, as a copy of the level would cost its bytes again
+        repeats = []
+        for at in range(1, len(nxt), _CHUNK):
+            part = nxt[at : at + _CHUNK]
+            repeats += (at + np.flatnonzero(part == nxt[at - 1 : at - 1 + len(part)])).tolist()
+        kept = start = 0
+        for r in repeats + [len(nxt)]:
+            if kept < start:
+                nxt[kept : kept + r - start] = nxt[start:r]
+            kept += r - start
+            start = r + 1
+        return nxt[:kept]
 
     def hits(self, level: np.ndarray) -> bool:
         # every target of level d lies in levels d - 1, d or d + 1, all
@@ -684,7 +772,6 @@ class _Levels:
         self.prev = np.empty(0, dtype=np.int64)
         self.cur = np.array([self.root], dtype=np.int64)
         self.levels = [self.cur] if collect else None
-        self.new: List[np.ndarray] = []  # level d's targets, seen and repeated ones included
 
     def charge(self, width: int, order: int) -> int:
         # live while level d + 1 is built: the codes of levels d - 1 and d
@@ -699,16 +786,20 @@ class _Levels:
         # frontier search keeps no unvisited set to scan
         return False
 
-    def visit(self, tgts: np.ndarray) -> None:
-        # only gather the targets: close sorts and probes the whole level once
-        self.new.append(tgts.ravel("K"))
+    def split(self, width: int) -> bool:
+        # its charge holds one chunk's targets, not two
+        return False
 
-    def close(self) -> np.ndarray:
+    def visit(self, tgts: np.ndarray) -> List[np.ndarray]:
+        # only gather the targets: close sorts and probes the whole level once
+        return [tgts.ravel("K")]
+
+    def close(self, halves: List[List[np.ndarray]]) -> np.ndarray:
         # one sort of the level's targets; the codes of levels d - 1 and d,
         # far fewer than the k |L_d| targets, then probe them in order.  The
         # mask of first occurrences, cleared at every hit, leaves level d + 1
-        joined = np.concatenate(self.new)
-        self.new = []
+        joined = np.concatenate(sum(halves, []))
+        halves.clear()  # frees the targets before the sort
         joined.sort()
         keep = np.empty(len(joined), dtype=bool)
         keep[:1] = True
@@ -740,6 +831,20 @@ class _Levels:
         return np.sort(np.concatenate(self.levels))
 
 
+def _act_and_visit(store, level: np.ndarray, start: int, stop: int) -> List[np.ndarray]:
+    """The pieces of the next level that store.visit keeps from the targets
+    of level[start:stop], acted on a chunk at a time."""
+    new = []
+    for s in range(start, stop, store.chunk):
+        # a chunk's targets stay allocated while the next chunk's are built:
+        # freed at once, they let malloc trim the heap and fault it back in
+        # at every chunk, which made a fresh dg_table sweep of p = 3..101 13%
+        # slower
+        tgts = store.act(level[s : s + store.chunk])
+        new += store.visit(tgts)
+    return new
+
+
 def _bfs(
     gens: List[ModMatrix],
     *,
@@ -758,14 +863,20 @@ def _bfs(
     (len(indices), k) targets; charge(width, order), the bytes live while
     the next level is built from a level of width elements, with order
     elements reached so far; bottom_up(width, order), which says whether
-    the store builds that level by scan() instead, from its unvisited
-    elements (the table near the end of a sweep; never frontier search);
-    visit(targets), which records the targets of one chunk; close(), which
-    returns level d + 1 once level d's targets are visited; scan(), which
-    returns level d + 1 without level d; hits(level d), called after close
-    or scan, which says whether a target of level d lies in level d; and
-    codes(), the sorted element codes.  A level whose charge exceeds the
-    budget is never built; peak_bytes is the largest charge.
+    the store builds that level by scan(width, order) instead, from its
+    unvisited elements (the table near the end of a sweep; never frontier
+    search); split(width), which says whether that level is expanded in two
+    halves (_halves; the table from _SPLIT elements, never frontier
+    search, whose charge holds one chunk's targets); visit(targets), which
+    returns what the next level needs of one chunk's targets as a list of
+    pieces; close(halves), which empties halves, one list of pieces per
+    thread, and returns level d + 1 from them, without the repeats that two
+    threads may both keep; scan(width, order), which returns level d + 1
+    without level d; hits(level d), called after close or scan, which says
+    whether a target of level d lies in level d; and codes(), the sorted
+    element codes.  A level whose charge exceeds the budget is never built;
+    peak_bytes is the largest charge.  A split changes no level, so the
+    results do not depend on the CPU count.
 
     The collision rule lives here, on the level sizes alone.  While the
     girth is tracked at level d, an element of level d has one neighbour in
@@ -795,17 +906,12 @@ def _bfs(
         level = cur if want_girth and girth is None else None
         if store.bottom_up(width, order):
             del cur
-            cur = store.scan()
+            cur = store.scan(width, order)
         else:
-            for s in range(0, width, store.chunk):
-                # a chunk's targets stay allocated while the next chunk's
-                # are built: freed at once, they let malloc trim the heap and
-                # fault it back in at every chunk, which made a fresh
-                # dg_table sweep of p = 3..101 13% slower
-                tgts = store.act(cur[s : s + store.chunk])
-                store.visit(tgts)
-            del cur, tgts
-            cur = store.close()
+            work = functools.partial(_act_and_visit, store, cur)
+            halves = _halves(work, width, store.split(width))
+            del cur, work  # level d, freed before close unless the girth is open
+            cur = store.close(halves)
         if level is not None and k * width - len(cur) - (width if d else 0) > 0:
             girth = 2 * d + 1 if store.hits(level) else 2 * d + 2
             if girth_only:

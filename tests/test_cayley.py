@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -528,19 +531,11 @@ def _random_sl(n, m, count, rng):
     return out
 
 
-@pytest.mark.parametrize("want_girth", [False, True])
-def test_bottom_up_at_every_level_matches_the_reference(monkeypatch, want_girth):
-    # the switch forced on, so the table builds every level, the empty one
-    # past the diameter included, by scan: an unvisited index is in level
-    # d + 1 when a target of it is visited.  Random generator sets over
-    # SL_2 ranks (p <= 13) and SL_3(F_3), the paper's SL_3(F_3) pair, and
-    # proper subgroups whose unvisited ranks never run out: the upper
-    # triangular pair mod 7 (order 42) and the unitriangular pair mod 3
-    # (order 27).  Each sweep runs with the default blocks and chunks, and
-    # with scan blocks of 64 ranks and chunks of 5, so a level's new indices
-    # come from many of both.  No unused rank (a top whose cofactor vector
-    # is 0) reaches the rank action or comes out of scan, and codes() drops
-    # the unused ranks that the table marks visited
+def _table_cases():
+    """Random generator sets over SL_2 ranks (p <= 13) and SL_3(F_3), the
+    paper's SL_3(F_3) pair, and proper subgroups whose unvisited ranks never
+    run out: the upper triangular pair mod 7 (order 42) and the
+    unitriangular pair mod 3 (order 27), last."""
     rng = np.random.default_rng(21)
     cases = [_random_sl(2, m, count, rng) for m in (2, 3, 5, 7, 11, 13) for count in (1, 2)]
     cases += [_random_sl(3, 3, 2, rng), list(spec_generators(SPEC3, 3))]
@@ -551,6 +546,20 @@ def test_bottom_up_at_every_level_matches_the_reference(monkeypatch, want_girth)
             for r in ([[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
         ]
     )
+    return cases
+
+
+@pytest.mark.parametrize("want_girth", [False, True])
+def test_bottom_up_at_every_level_matches_the_reference(monkeypatch, want_girth):
+    # the switch forced on, so the table builds every level, the empty one
+    # past the diameter included, by scan: an unvisited index is in level
+    # d + 1 when a target of it is visited.  The generator sets of
+    # _table_cases.  Each sweep runs with the default blocks and chunks, and
+    # with scan blocks of 64 ranks and chunks of 5, so a level's new indices
+    # come from many of both.  No unused rank (a top whose cofactor vector
+    # is 0) reaches the rank action or comes out of scan, and codes() drops
+    # the unused ranks that the table marks visited
+    cases = _table_cases()
     scans, orders = [], []
 
     def used(table, ranks):
@@ -558,8 +567,8 @@ def test_bottom_up_at_every_level_matches_the_reference(monkeypatch, want_girth)
         tops = np.asarray(ranks) // (len(table.seen) // len(table.cls))
         return (table.cls[tops] != 0).all()
 
-    def spy(self, scan=cayley._Table.scan):
-        nxt = scan(self)
+    def spy(self, width, order, scan=cayley._Table.scan):
+        nxt = scan(self, width, order)
         assert (np.diff(nxt) > 0).all() and nxt.dtype == np.int32
         assert used(self, nxt)
         scans.append(len(nxt))
@@ -602,6 +611,135 @@ def test_bottom_up_at_every_level_matches_the_reference(monkeypatch, want_girth)
         orders.append(res.order)
     # the proper subgroups, each swept twice
     assert orders[-4:] == [42, 42, 27, 27]
+
+
+def _threads(monkeypatch, cpus):
+    """The threads that cayley starts, with cpus as the CPUs available."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(cayley.threading, "Thread", Spy)
+    return started
+
+
+@pytest.mark.parametrize("want_girth", [False, True])
+def test_split_at_every_level_matches_the_reference(monkeypatch, want_girth):
+    # the 2^20 gate at 1, so the table expands every level in two halves,
+    # the upper one on a worker, top-down and, at the tail or with the
+    # switch forced on, bottom-up; the generator sets of _table_cases, with
+    # default and small blocks and chunks.  A short switch interval
+    # interleaves the halves, so both may keep an index that close drops
+    started = _threads(monkeypatch, 2)
+    monkeypatch.setattr(cayley, "_SPLIT", 1)
+    kw = dict(want_girth=want_girth, girth_only=False, collect=True, memory_budget=1 << 30)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for gens, small, up in itertools.product(_table_cases(), (False, True), (False, True)):
+            gens = symmetrize(gens)
+            ref = _bfs_reference(gens)
+            with monkeypatch.context() as mp:
+                if small:
+                    mp.setattr(cayley, "_SCAN_BYTES", 64)
+                    mp.setattr(cayley, "_TARGET_BYTES", 8 * len(gens) * 5)
+                if up:
+                    mp.setattr(cayley._Table, "bottom_up", lambda self, width, order: True)
+                res = _engine(gens, table=True, **kw)
+            assert (res.order, res.diameter, res.max_frontier, res.sphere_sizes) == (
+                ref.order,
+                ref.diameter,
+                ref.max_frontier,
+                ref.sphere_sizes,
+            ), (gens, small, up)
+            assert res.girth == (ref.girth if want_girth else None)
+            assert res.codes.tolist() == ref.codes
+    finally:
+        sys.setswitchinterval(interval)
+    assert started and not any(t.is_alive() for t in started)
+
+
+def test_close_drops_the_repeats_of_two_threads(monkeypatch):
+    # the pieces of two threads' halves, which share some indices: close
+    # returns the sorted distinct level when it looks for the repeats 1 to
+    # 5 elements or the default chunk at a time, so also where a repeat and
+    # its first copy lie in two chunks (every repeat, with chunks of 1); the
+    # pieces of one thread it keeps as they are
+    gens = symmetrize(spec_generators(SPEC2, 5))
+    table = cayley._Table(gens, cayley._table_index(gens))
+    rng = np.random.default_rng(22)
+    level = np.sort(rng.choice(5**3, size=60, replace=False)).astype(np.int32)
+    shared = level[::3]
+    for chunk in (1, 2, 3, 4, 5, None):
+        with monkeypatch.context() as mp:
+            if chunk:
+                mp.setattr(cayley, "_CHUNK", chunk)
+            for _ in range(5):
+                lower = rng.permutation(np.setdiff1d(level, shared[1::2]))
+                upper = rng.permutation(np.union1d(np.setdiff1d(level, lower), shared[::2]))
+                halves = [np.array_split(lower, 3), np.array_split(upper, 4)]
+                nxt = table.close(halves)
+                assert halves == [] and nxt.dtype == np.int32
+                assert nxt.tolist() == level.tolist()
+            joined = np.sort(np.concatenate([lower, upper]))
+            assert table.close([[upper, lower[::-1]]]).tolist() == joined.tolist()
+
+
+def test_one_cpu_runs_both_halves_here(monkeypatch):
+    # with one CPU the split still runs, both halves in the calling thread:
+    # a Thread that fails when called shows that none starts, and the
+    # results equal those of two CPUs
+    monkeypatch.setattr(cayley, "_SPLIT", 1)
+    kw = dict(want_girth=True, girth_only=False, collect=True, memory_budget=1 << 30)
+    gens = symmetrize(spec_generators(SPEC3, 3))
+    with monkeypatch.context() as mp:
+        _threads(mp, 2)
+        two = _engine(gens, table=True, **kw)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a thread was started on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cayley.threading, "Thread", fail)
+    one = _engine(gens, table=True, **kw)
+    assert (one.order, one.girth, one.diameter, one.sphere_sizes, one.peak_bytes) == (
+        two.order,
+        two.girth,
+        two.diameter,
+        two.sphere_sizes,
+        two.peak_bytes,
+    )
+    assert one.codes.tolist() == two.codes.tolist()
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_an_error_in_either_half_reaches_bfs_and_the_worker_is_joined(monkeypatch, where):
+    # an act that raises in one thread's half only: bfs raises it, and the
+    # worker has ended, also when the calling thread's half raised first
+    started = _threads(monkeypatch, 2)
+    monkeypatch.setattr(cayley, "_SPLIT", 1)
+    init = cayley._Table.__init__
+
+    def failing(self, gens, index):
+        init(self, gens, index)
+        act = self.act
+
+        def checked(ranks):
+            main = threading.current_thread() is threading.main_thread()
+            if main == (where == "caller"):
+                raise RuntimeError(f"act failed in the {where}")
+            return act(ranks)
+
+        self.act = checked
+
+    monkeypatch.setattr(cayley._Table, "__init__", failing)
+    with pytest.raises(RuntimeError, match=f"act failed in the {where}"):
+        cayley.bfs(spec_generators(SPEC3, 3))
+    assert started and not any(t.is_alive() for t in started)
 
 
 @pytest.mark.parametrize(
@@ -668,8 +806,8 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
         calls = closed[store] = []
         answers = probed[store] = []
 
-        def spy(self, close, calls=calls, table=store is cayley._Table):
-            nxt = close(self)
+        def spy(self, close, *args, calls=calls, table=store is cayley._Table):
+            nxt = close(self, *args)
             if close is scan:
                 scanned.append(len(nxt))
             assert (np.diff(nxt) > 0).all()  # sorted by index
@@ -687,7 +825,9 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
         # which never calls close
         for name in ("close", "scan") if store is cayley._Table else ("close",):
             step = getattr(store, name)
-            monkeypatch.setattr(store, name, lambda self, step=step, spy=spy: spy(self, step))
+            monkeypatch.setattr(
+                store, name, lambda self, *args, step=step, spy=spy: spy(self, step, *args)
+            )
         monkeypatch.setattr(store, "hits", spy_hits)
         kw = dict(want_girth=want_girth, girth_only=False, collect=False, memory_budget=1 << 30)
         girths[store] = _engine(gens, table=store is cayley._Table, **kw).girth
@@ -733,12 +873,12 @@ def _close_levels(prev, cur, targets, d):
     store.prev = np.array(prev, dtype=np.int64)
     store.cur = np.array(cur, dtype=np.int64)
     store.levels = []
-    # the targets arrive in chunks, as visit gathers them
+    # the targets arrive in chunks, as visit gathers them, in one half
     targets = np.array(targets, dtype=np.int64)
-    store.new = [targets[: len(targets) // 2], targets[len(targets) // 2 :]]
-    nxt = store.close()
+    halves = [[targets[: len(targets) // 2], targets[len(targets) // 2 :]]]
+    nxt = store.close(halves)
     assert np.array_equal(store.prev, cur)
-    assert store.cur is nxt and store.levels == [nxt] and store.new == []
+    assert store.cur is nxt and store.levels == [nxt] and halves == []
     # the rule as _bfs applies it, with the hand-built targets in place of
     # its k |L_d|; once d closes, store.prev is level d
     if len(targets) - len(nxt) - (len(cur) if d else 0) > 0:
@@ -881,8 +1021,8 @@ def test_sphere_size_check_catches_a_level_with_a_stray_element(monkeypatch):
     real = cayley._Levels.close
     calls = []
 
-    def close(self):
-        nxt = real(self)
+    def close(self, halves):
+        nxt = real(self, halves)
         calls.append(len(nxt))
         if len(calls) == 2:  # level 2
             nxt = self.cur = np.sort(np.append(nxt, stray))
