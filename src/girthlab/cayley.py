@@ -12,12 +12,13 @@ cycle closes at level d exactly when the k |L_d| targets outnumber the
 is odd when a target of level d lies in level d, which each store answers
 at that one level (hits).
 
-One vectorized, deterministic level loop (_bfs) does the sweep: chunking,
-the collision rule, the level bookkeeping and the memory budget.  Only its
-visited set varies.  A girth-only search always takes frontier search,
-whose ball is far smaller than the group; a full sweep takes the table
-whenever its elements are ranked (_table_index) and 3 bytes per index of
-the table, and the rank action's tables, fit the budget:
+One deterministic level loop (_bfs) does the sweep: the level sizes, the
+memory budget and the collision rule.  Each visited set builds its own next
+level, vectorized and a chunk at a time.  A girth-only search always takes
+frontier search, whose ball is far smaller than the group; a full sweep
+takes the table whenever its elements are ranked (_table_index) and 3
+bytes per index of the table, and the rank action's tables, fit the
+budget:
 
 - _Table: one visited byte per index.  Since the rule reads level sizes, the
   table keeps no depth.  It answers hits by clearing level d for a moment
@@ -39,14 +40,14 @@ the table, and the rank action's tables, fit the budget:
   stretches of the table, and the next level's lookups stay cache-local.  A
   level is acted on in chunks sized for the cache, not for the budget:
   _TARGET_BYTES of int64 targets (2^14 elements at degree 4).  The action's
-  gathers make temporaries of the chunk's length, and visit reads the table
-  at one generator column of targets at a time and writes the new indices
+  gathers make temporaries of the chunk's length, and the table is read at
+  one generator column of targets at a time and the new indices written
   back, so all of these passes stay in cache.  It picks the unvisited
   targets with np.compress, a third of the cost of a boolean mask index on a
   chunk.  A level's indices are int32 while the index space is at most 2^31
   (_index_dtype) and int64 past it, so the pieces of the next level, their
   concatenation and the in-place sort in close take half the bytes.  The
-  targets stay int64 and are narrowed only as visit keeps the new ones:
+  targets stay int64 and only the new ones are narrowed as they are kept:
   numpy gathers through int32 indices about 1.5 times slower.  codes()
   unranks the visited indices and sorts them.
   Near the end of a sweep a level is built bottom-up (Beamer, Asanovic and
@@ -72,9 +73,9 @@ the table, and the rank action's tables, fit the budget:
   two threads may both keep an index that each read unvisited before the
   other marked it, and close drops the repeats after its sort.  scan gives
   each half of its blocks to one thread, which only reads the table until
-  both join, so its level stays sorted and unrepeated.  On one CPU both
-  halves run in turn in the calling thread, and no output depends on the
-  CPU count.
+  both join, so its level stays sorted and unrepeated.  On one CPU the
+  whole level runs in the calling thread, as a narrower level does, and no
+  output depends on the CPU count.
 - _Levels: frontier search (Korf et al., "Frontier Search", J. ACM 52(5),
   2005), which keeps only the sorted codes of levels d - 1 and d while it
   builds d + 1, so a girth-only ball search costs memory in proportion to
@@ -107,7 +108,6 @@ graph, not the modulus, and it is charged to the memory budget.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import threading
@@ -565,18 +565,16 @@ def _index_dtype(space: int):
 
 def _halves(work, stop: int, split: bool) -> List[list]:
     """The lists that work(start, stop) returns for range(stop), one per
-    thread: [work(0, stop)], or with split the halves below and above the
-    middle mid.  When two CPUs are available the upper half runs on a worker
-    thread, [work(0, mid), work(mid, stop)] (numpy releases the GIL in the
-    gathers, compresses and scatters of the halves); on one CPU both run
-    here in turn, [work(0, mid) + work(mid, stop)].  The worker is always
-    joined, and its exception re-raised here."""
-    if not split:
+    thread.  With split, and when two CPUs are available, the halves below
+    and above the middle mid, the upper one on a worker thread: [work(0,
+    mid), work(mid, stop)] (numpy releases the GIL in the gathers,
+    compresses and scatters of the halves).  Otherwise the whole range
+    here, [work(0, stop)].  The worker is always joined, and its exception
+    re-raised here."""
+    # os has no sched_getaffinity on macOS and Windows: one CPU there
+    if not split or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return [work(0, stop)]
     mid = stop // 2
-    # os has no sched_getaffinity on macOS and Windows: one CPU there
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return [work(0, mid) + work(mid, stop)]
     upper = []  # the worker's result, or the exception it raised
 
     def run() -> None:
@@ -598,10 +596,12 @@ def _halves(work, stop: int, split: bool) -> List[list]:
 
 class _Table:
     """Visited set over a whole index space: one byte per index, set once the
-    index is reached.
+    index is reached, and level d as cur.
 
     The index is the rank in SL_n(F_m) (m^3 bytes for n = 2, m^(n^2-1) for
-    n >= 3); unrank maps indices back to codes.  The table holds no depth:
+    n >= 3); unrank maps indices back to codes.  advance builds level d + 1
+    top-down, by acting on level d and visiting the targets, or bottom-up by
+    scan, as bottom_up decides.  The table holds no depth:
     _bfs's collision rule needs only the level sizes, hits acts on level d
     once more, at the one level where the rule finds a cycle, and scan
     needs only to know which indices are visited.  The unused ranks, those
@@ -620,7 +620,7 @@ class _Table:
         size, self.tables = index  # from _table_index
         if n == 2:
             self.act, self.unrank = _sl2_ranks(m, gens)
-            self.root = m  # the identity: r0 = 1, t = 0
+            root = m  # the identity: r0 = 1, t = 0
             # the top is row 0 (a, b), and r0 stands in for the code of its
             # cofactor vector (-b, a): both are 0 only at r0 = 0
             self.cls = np.arange(m * m, dtype=np.int32)
@@ -628,13 +628,14 @@ class _Table:
             self.cls = _classes(n, m)  # shared with the rank action
             self.act, self.unrank = _sln_ranks(n, m, gens, self.cls)
             # the identity: its top rows, C = e_(n-1) and s = 0
-            self.root = m ** (n - 1) * sum(m ** (i * (n + 1)) for i in range(n - 1))
+            root = m ** (n - 1) * sum(m ** (i * (n + 1)) for i in range(n - 1))
         self.used = modmat.group_order_sl(n, m)
         self.seen = np.zeros(size, dtype=bool)
-        self.seen[self.root] = True
+        self.seen[root] = True
         # the unused ranks read visited, so scan never acts on them
         self._mark_unused(True)
         self.dtype = _index_dtype(size)
+        self.cur = np.array([root], dtype=self.dtype)
 
     def _mark_unused(self, value: bool) -> None:
         # the ranks of every top whose cofactor vector is 0: the table holds
@@ -646,15 +647,17 @@ class _Table:
         # _sln_ranks's class and step tables), 9 bytes per element of level
         # d (its index of 4 bytes, or 8 past an index space of 2^31; the rest
         # is spare) and the int64 target block of one chunk.  Not charged:
-        # level d + 1's pieces as visit keeps them and their concatenation
-        # in close, _top_action's tables, each within _BLOCK_BYTES, and the
-        # temporaries that build _sln_ranks's tables before the first level.
+        # level d + 1's pieces as _act_and_visit keeps them and their
+        # concatenation in close, _top_action's tables, each within
+        # _BLOCK_BYTES, and the temporaries that build _sln_ranks's tables
+        # before the first level.
         # A level built by scan fits this charge: scan runs when fewer than
         # width used indices are unvisited, and holds its kept indices (4
         # bytes) and one block's unvisited ones (8, and up to 1 MiB more for
         # the block's kept ones), then the level beside its pieces: below 8
-        # of the 9 bytes per element of level d, which _bfs frees first
-        # unless the girth is open.  Past 2^31 indices the kept ones take 8.
+        # of the 9 bytes per element of level d, which advance frees first
+        # unless _bfs keeps it while the girth is open.  Past 2^31 indices
+        # the kept ones take 8.
         # A level is split (_SPLIT) only when 5 bytes per element, its spare
         # beside its index, cover the worker's live bytes: one chunk's act
         # and visit temporaries (1.8 MB at degree 4) and, in scan, one
@@ -664,10 +667,6 @@ class _Table:
     def bottom_up(self, width: int, order: int) -> bool:
         # scan acts on the unvisited used indices, top-down on level d
         return self.used - order < width
-
-    def split(self, width: int) -> bool:
-        # a level this wide leaves spare charge for the worker's bytes
-        return width >= _SPLIT
 
     def scan(self, width: int, order: int) -> np.ndarray:
         # level d + 1 bottom-up: the unvisited indices with a visited
@@ -692,24 +691,50 @@ class _Table:
             return pieces
 
         count = -(-len(self.seen) // _SCAN_BYTES)
-        pieces = sum(_halves(blocks, count, self.split(width)), [])
+        pieces = sum(_halves(blocks, count, width >= _SPLIT), [])
         nxt = np.concatenate(pieces) if pieces else np.empty(0, dtype=self.dtype)
         self.seen[nxt] = True
         return nxt
 
-    def visit(self, tgts: np.ndarray) -> List[np.ndarray]:
-        # one generator column at a time: right multiplication by a fixed
-        # generator is injective, so a column holds no duplicate, and the
-        # targets visited by an earlier column or chunk are dropped
+    def _act_and_visit(self, start: int, stop: int) -> List[np.ndarray]:
+        # the pieces of level d + 1 among the targets of cur[start:stop],
+        # acted on a chunk at a time and visited one generator column at a
+        # time: right multiplication by a fixed generator is injective, so a
+        # column holds no duplicate, and the targets visited by an earlier
+        # column or chunk are dropped
         new = []
-        for j in range(self.k):
-            t = tgts[:, j]
-            kept = np.compress(~self.seen[t], t)
-            # scatter through the int64 targets, which index faster than
-            # int32 ones; only the kept level is narrowed
-            self.seen[kept] = True
-            new.append(kept.astype(self.dtype, copy=False))
+        for s in range(start, stop, self.chunk):
+            # a chunk's targets stay allocated while the next chunk's are
+            # built: freed at once, they let malloc trim the heap and fault
+            # it back in at every chunk, which made a fresh dg_table sweep of
+            # p = 3..101 13% slower
+            tgts = self.act(self.cur[s : s + self.chunk])
+            for j in range(self.k):
+                t = tgts[:, j]
+                kept = np.compress(~self.seen[t], t)
+                # scatter through the int64 targets, which index faster than
+                # int32 ones; only the kept level is narrowed
+                self.seen[kept] = True
+                new.append(kept.astype(self.dtype, copy=False))
+            # the last column's int64 kept targets, freed before the next
+            # chunk's act: alive there, they raised the SL_4(F_3) closure's
+            # peak RSS by about 0.3 MB
+            del kept
         return new
+
+    def advance(self, order: int) -> None:
+        # cur is dropped before scan or close builds level d + 1, so level d
+        # is freed there unless _bfs keeps it while the girth is open.  A
+        # level of _SPLIT elements or more leaves spare charge for the
+        # worker's bytes
+        width = len(self.cur)
+        if self.bottom_up(width, order):
+            self.cur = None
+            self.cur = self.scan(width, order)
+        else:
+            halves = _halves(self._act_and_visit, width, width >= _SPLIT)
+            self.cur = None
+            self.cur = self.close(halves)
 
     def close(self, halves: List[List[np.ndarray]]) -> np.ndarray:
         # level d + 1 in sorted order: row i of M g is row_i(M) g, so the
@@ -767,10 +792,8 @@ class _Levels:
         n, m = gens[0].n, gens[0].m
         self.k = len(gens)
         self.act = _product_action(n, m, gens)
-        self.chunk = _CHUNK
-        self.root = modmat.encode(ModMatrix.identity(n, m))
         self.prev = np.empty(0, dtype=np.int64)
-        self.cur = np.array([self.root], dtype=np.int64)
+        self.cur = np.array([modmat.encode(ModMatrix.identity(n, m))], dtype=np.int64)
         self.levels = [self.cur] if collect else None
 
     def charge(self, width: int, order: int) -> int:
@@ -780,26 +803,20 @@ class _Levels:
         # charged, in close: the sort temporaries, the one-byte mask over
         # the targets and the probe positions of levels d - 1 and d
         kept = order if self.levels is not None else len(self.prev) + width
-        return 8 * kept + width + 8 * self.k * (min(width, self.chunk) + width)
+        return 8 * kept + width + 8 * self.k * (min(width, _CHUNK) + width)
 
-    def bottom_up(self, width: int, order: int) -> bool:
-        # frontier search keeps no unvisited set to scan
-        return False
+    def advance(self, order: int) -> None:
+        # only gather the targets, a chunk at a time: close sorts and probes
+        # the whole level once.  The pieces are freed as they are joined,
+        # before the sort
+        chunks = range(0, len(self.cur), _CHUNK)
+        self.close(np.concatenate([self.act(self.cur[s : s + _CHUNK]).ravel("K") for s in chunks]))
 
-    def split(self, width: int) -> bool:
-        # its charge holds one chunk's targets, not two
-        return False
-
-    def visit(self, tgts: np.ndarray) -> List[np.ndarray]:
-        # only gather the targets: close sorts and probes the whole level once
-        return [tgts.ravel("K")]
-
-    def close(self, halves: List[List[np.ndarray]]) -> np.ndarray:
-        # one sort of the level's targets; the codes of levels d - 1 and d,
-        # far fewer than the k |L_d| targets, then probe them in order.  The
-        # mask of first occurrences, cleared at every hit, leaves level d + 1
-        joined = np.concatenate(sum(halves, []))
-        halves.clear()  # frees the targets before the sort
+    def close(self, joined: np.ndarray) -> None:
+        # one sort of level d's targets, in place; the codes of levels d - 1
+        # and d, far fewer than the k |L_d| targets, then probe them in
+        # order.  The mask of first occurrences, cleared at every hit, leaves
+        # level d + 1
         joined.sort()
         keep = np.empty(len(joined), dtype=bool)
         keep[:1] = True
@@ -821,7 +838,6 @@ class _Levels:
         self.prev, self.cur = self.cur, nxt
         if self.levels is not None:
             self.levels.append(nxt)
-        return nxt
 
     def hits(self, level: np.ndarray) -> bool:
         # read from the probe of level d that close made
@@ -829,20 +845,6 @@ class _Levels:
 
     def codes(self) -> np.ndarray:
         return np.sort(np.concatenate(self.levels))
-
-
-def _act_and_visit(store, level: np.ndarray, start: int, stop: int) -> List[np.ndarray]:
-    """The pieces of the next level that store.visit keeps from the targets
-    of level[start:stop], acted on a chunk at a time."""
-    new = []
-    for s in range(start, stop, store.chunk):
-        # a chunk's targets stay allocated while the next chunk's are built:
-        # freed at once, they let malloc trim the heap and fault it back in
-        # at every chunk, which made a fresh dg_table sweep of p = 3..101 13%
-        # slower
-        tgts = store.act(level[s : s + store.chunk])
-        new += store.visit(tgts)
-    return new
 
 
 def _bfs(
@@ -858,25 +860,19 @@ def _bfs(
     (_table_index) says, or over a _Levels store when index is None.
 
     A store indexes elements in its own way (_Table by SL_n rank, _Levels by
-    code) and provides root, the index of the identity; chunk,
-    the number of elements acted on at once; act(indices), the
-    (len(indices), k) targets; charge(width, order), the bytes live while
-    the next level is built from a level of width elements, with order
-    elements reached so far; bottom_up(width, order), which says whether
-    the store builds that level by scan(width, order) instead, from its
-    unvisited elements (the table near the end of a sweep; never frontier
-    search); split(width), which says whether that level is expanded in two
-    halves (_halves; the table from _SPLIT elements, never frontier
-    search, whose charge holds one chunk's targets); visit(targets), which
-    returns what the next level needs of one chunk's targets as a list of
-    pieces; close(halves), which empties halves, one list of pieces per
-    thread, and returns level d + 1 from them, without the repeats that two
-    threads may both keep; scan(width, order), which returns level d + 1
-    without level d; hits(level d), called after close or scan, which says
-    whether a target of level d lies in level d; and codes(), the sorted
-    element codes.  A level whose charge exceeds the budget is never built;
-    peak_bytes is the largest charge.  A split changes no level, so the
-    results do not depend on the CPU count.
+    code) and provides five members: cur, level d as an array of indices
+    sorted by index, the identity alone at construction; charge(width,
+    order), the bytes live while the next level is built from a level of
+    width elements, with order elements reached so far; advance(order),
+    which replaces cur with level d + 1 and drops its own reference to level
+    d before it builds the next level, so that level d is freed unless the
+    loop keeps it; hits(level d), called after advance, which says whether a
+    target of level d lies in level d; and codes(), the sorted element
+    codes.  How a level is built is the store's own choice: the table alone
+    builds a level bottom-up near the end of a sweep and splits a wide level
+    between two threads, and neither changes a level, so the results do not
+    depend on the CPU count.  A level whose charge exceeds the budget is
+    never built; peak_bytes is the largest charge.
 
     The collision rule lives here, on the level sizes alone.  While the
     girth is tracked at level d, an element of level d has one neighbour in
@@ -889,37 +885,30 @@ def _bfs(
     """
     k = len(gens)
     store = _Levels(gens, collect) if index is None else _Table(gens, index)
-    cur = np.array([store.root], dtype=np.int64)
     sizes = [1]
     order = 1
     peak = 0
     d = 0
     girth: Optional[int] = None
     while True:
-        charge = store.charge(len(cur), order)
+        width = len(store.cur)
+        charge = store.charge(width, order)
         if charge > memory_budget:
             raise BudgetExceededError(d, order)
         peak = max(peak, charge)
-        width = len(cur)
-        # level d is needed after close or scan only while the girth is
-        # tracked: otherwise free it before they build the next level
-        level = cur if want_girth and girth is None else None
-        if store.bottom_up(width, order):
-            del cur
-            cur = store.scan(width, order)
-        else:
-            work = functools.partial(_act_and_visit, store, cur)
-            halves = _halves(work, width, store.split(width))
-            del cur, work  # level d, freed before close unless the girth is open
-            cur = store.close(halves)
-        if level is not None and k * width - len(cur) - (width if d else 0) > 0:
+        # level d is needed after advance only while the girth is tracked:
+        # otherwise the store frees it before it builds the next level
+        level = store.cur if want_girth and girth is None else None
+        store.advance(order)
+        new = len(store.cur)
+        if level is not None and k * width - new - (width if d else 0) > 0:
             girth = 2 * d + 1 if store.hits(level) else 2 * d + 2
             if girth_only:
                 return BfsResult(order, None, girth, k, max(sizes), peak, None, tuple(sizes))
-        if not len(cur):
+        if not new:
             break
-        sizes.append(len(cur))
-        order += len(cur)
+        sizes.append(new)
+        order += new
         d += 1
     codes = store.codes() if collect else None
     return BfsResult(order, d, girth, k, max(sizes), peak, codes, tuple(sizes))

@@ -182,6 +182,13 @@ def girth_lower_bound(spec: GraphSpec, p: int) -> GirthBound:
     return GirthBound(lam, beta, gamma, p, raw, reported)
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v, summed by np.einsum, whose loop does not go through BLAS: the
+    threaded sums of OpenBLAS round differently with the number of CPUs the
+    process may run on."""
+    return float(np.einsum("i,i", u, v))
+
+
 def _lanczos(matvec, q: np.ndarray):
     """Lanczos steps from the unit mean-free vector q, without
     reorthogonalization: yields (q_j, alpha_j, beta_j) for j = 0, 1, ...
@@ -190,16 +197,18 @@ def _lanczos(matvec, q: np.ndarray):
     mean-free subspace even as rounding leaks in the constant vector.  The
     steps are deterministic, so a second run from the same q yields the same
     vectors: the Ritz vector is rebuilt that way instead of storing them.
+    Every dot product and norm is summed by _dot, so the steps do not depend
+    on the CPU count either.
     """
     q_prev = np.zeros_like(q)
     beta = 0.0
     while True:
         w = matvec(q)
         w -= w.mean()
-        alpha = float(q @ w)
+        alpha = _dot(q, w)
         w -= alpha * q
         w -= beta * q_prev
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(_dot(w, w))
         yield q, alpha, beta
         w /= beta
         q_prev, q = q, w
@@ -232,13 +241,16 @@ def second_eigenvalue(
     Lanczos steps of pass 1, and residual the true ||Ay - rho y||: the
     interval [rho - residual, rho + residual] contains an eigenvalue of A on
     the mean-free subspace (Parlett, The Symmetric Eigenvalue Problem,
-    section 4.5).  Deterministic for a fixed seed.
+    section 4.5).  Deterministic for a fixed seed, which must be >= 0, on
+    any number of CPUs.
 
     Memory is charged to memory_budget by the BFS and by the neighbour map
     (cayley.neighbour_map), which raise BudgetExceededError when it does not
     fit.  Lanczos then holds the map and at most seven float64 vectors of the
     order, which the map's charge covers.
     """
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     gens = cayley.symmetrize(generators)
     for g in gens:
         if g.is_identity():
@@ -257,7 +269,7 @@ def second_eigenvalue(
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(order)
     start -= start.mean()
-    start /= np.linalg.norm(start)
+    start /= math.sqrt(_dot(start, start))
 
     alphas: List[float] = []
     betas: List[float] = []
@@ -275,10 +287,11 @@ def second_eigenvalue(
     for coeff, (q, _, _) in zip(s, _lanczos(matvec, start)):
         y += coeff * q
     y -= y.mean()
-    y /= np.linalg.norm(y)
+    y /= math.sqrt(_dot(y, y))
     ay = matvec(y)
-    rho = float(y @ ay)
-    residual = float(np.linalg.norm(ay - rho * y))
+    rho = _dot(y, ay)
+    ay -= rho * y
+    residual = math.sqrt(_dot(ay, ay))
     return SpectralGapReport(
         order=order,
         degree=k,

@@ -203,6 +203,72 @@ def _engine(gens, *, table, **kw):
     return cayley._bfs(gens, index=index, **kw)
 
 
+class _SetStore:
+    """A visited set of element codes in a Python set, with only the members
+    that _bfs reads: cur, charge, advance, hits and codes.  Its charge is
+    width + order, recorded in _charges."""
+
+    def __init__(self, gens, collect):
+        self._gens = gens
+        self.cur = [modmat.encode(ModMatrix.identity(gens[0].n, gens[0].m))]
+        self._seen = set(self.cur)
+        self._charges = []
+
+    def _targets(self, level):
+        n, m = self._gens[0].n, self._gens[0].m
+        return {modmat.encode(modmat.decode(c, n, m) @ g) for c in level for g in self._gens}
+
+    def charge(self, width, order):
+        self._charges.append(width + order)
+        return width + order
+
+    def advance(self, order):
+        self.cur = sorted(self._targets(self.cur) - self._seen)
+        self._seen.update(self.cur)
+
+    def hits(self, level):
+        return not self._targets(level).isdisjoint(level)
+
+    def codes(self):
+        return np.array(sorted(self._seen), dtype=np.int64)
+
+
+@pytest.mark.parametrize("want_girth,girth_only", [(False, False), (True, False), (True, True)])
+def test_a_store_of_five_members_drives_the_loop(monkeypatch, want_girth, girth_only):
+    # _bfs reads a store only through cur, charge, advance, hits and codes:
+    # _SetStore, put in frontier search's place, gives the reference's
+    # order, girth, diameter, sphere sizes and codes, or, girth-only, the
+    # levels up to the first cycle.  Even (SL_2(F_7), 6) and odd girths
+    # (SL_2(F_11), 9; SL_3(F_3), 3)
+    stores = []
+
+    def store(gens, collect):
+        stores.append(_SetStore(gens, collect))
+        return stores[-1]
+
+    monkeypatch.setattr(cayley, "_Levels", store)
+    kw = dict(want_girth=want_girth, girth_only=girth_only, collect=True, memory_budget=1 << 30)
+    for spec, m in ((SPEC2, 7), (SPEC2, 11), (SPEC3, 3)):
+        gens = symmetrize(spec_generators(spec, m))
+        ref = _bfs_reference(gens)
+        res = _engine(gens, table=False, **kw)
+        depth = len(res.sphere_sizes)
+        assert res.sphere_sizes == ref.sphere_sizes[:depth], (m, res.sphere_sizes)
+        assert res.order == sum(res.sphere_sizes)
+        assert res.girth == (ref.girth if want_girth else None)
+        assert res.peak_bytes == max(stores[-1]._charges)
+        if girth_only:
+            assert (res.diameter, res.codes) == (None, None)
+            assert depth == (ref.girth - 1) // 2 + 1
+        else:
+            assert (res.order, res.diameter, res.max_frontier) == (
+                ref.order,
+                ref.diameter,
+                ref.max_frontier,
+            )
+            assert res.codes.tolist() == ref.codes
+
+
 def test_dense_and_sparse_paths_agree():
     X, Y = spec_generators(SPEC2, 7)
     ref = _bfs_reference([X, Y])
@@ -474,17 +540,23 @@ def test_frontier_chunks_do_not_change_the_result(monkeypatch):
     # chunks and chunks at least as wide as the widest level must give the
     # same graph.  Both stores over SL_2 ranks (p = 11, 13) and SL_3 ranks
     # (SL_3(F_3)), frontier search alone over the composite modulus 9; the
-    # spy records how many elements each visit gets.  A level that the table
-    # takes bottom-up passes through no visit, so its width, split into the
+    # spy records how many elements each act gets.  A level that the table
+    # takes bottom-up is never acted on, so its width, split into the
     # table's chunks, is recorded where the switch picks scan
     widths = []
     for store in (cayley._Table, cayley._Levels):
 
-        def spy(self, tgts, visit=store.visit):
-            widths.append(len(tgts))
-            return visit(self, tgts)
+        def init(self, *args, init=store.__init__):
+            init(self, *args)
+            act = self.act
 
-        monkeypatch.setattr(store, "visit", spy)
+            def spy(indices):
+                widths.append(len(indices))
+                return act(indices)
+
+            self.act = spy
+
+        monkeypatch.setattr(store, "__init__", init)
 
     def spy_up(self, width, order, bottom_up=cayley._Table.bottom_up):
         up = bottom_up(self, width, order)
@@ -567,12 +639,12 @@ def test_bottom_up_at_every_level_matches_the_reference(monkeypatch, want_girth)
         tops = np.asarray(ranks) // (len(table.seen) // len(table.cls))
         return (table.cls[tops] != 0).all()
 
-    def spy(self, width, order, scan=cayley._Table.scan):
-        nxt = scan(self, width, order)
+    def spy(self, order, advance=cayley._Table.advance):
+        advance(self, order)
+        nxt = self.cur
         assert (np.diff(nxt) > 0).all() and nxt.dtype == np.int32
         assert used(self, nxt)
         scans.append(len(nxt))
-        return nxt
 
     def init(self, gens, index, init=cayley._Table.__init__):
         init(self, gens, index)
@@ -586,7 +658,7 @@ def test_bottom_up_at_every_level_matches_the_reference(monkeypatch, want_girth)
 
     monkeypatch.setattr(cayley._Table, "__init__", init)
     monkeypatch.setattr(cayley._Table, "bottom_up", lambda self, width, order: True)
-    monkeypatch.setattr(cayley._Table, "scan", spy)
+    monkeypatch.setattr(cayley._Table, "advance", spy)
     kw = dict(want_girth=want_girth, girth_only=False, collect=True, memory_budget=1 << 30)
     for gens, small in itertools.product(cases, (False, True)):
         gens = symmetrize(gens)
@@ -689,23 +761,34 @@ def test_close_drops_the_repeats_of_two_threads(monkeypatch):
             assert table.close([[upper, lower[::-1]]]).tolist() == joined.tolist()
 
 
-def test_one_cpu_runs_both_halves_here(monkeypatch):
-    # with one CPU the split still runs, both halves in the calling thread:
-    # a Thread that fails when called shows that none starts, and the
-    # results equal those of two CPUs
+def test_one_cpu_runs_each_level_whole_here(monkeypatch):
+    # with one CPU no level is split, the 2^20 gate at 1 included: each
+    # level is acted on and visited in one piece in the calling thread, a
+    # Thread that fails when called shows that none starts, and the results
+    # equal those of two CPUs, whose worker takes the upper halves
     monkeypatch.setattr(cayley, "_SPLIT", 1)
     kw = dict(want_girth=True, girth_only=False, collect=True, memory_budget=1 << 30)
     gens = symmetrize(spec_generators(SPEC3, 3))
+    spans = []
+
+    def spy(self, start, stop, work=cayley._Table._act_and_visit):
+        spans.append((start, stop, len(self.cur)))
+        return work(self, start, stop)
+
+    monkeypatch.setattr(cayley._Table, "_act_and_visit", spy)
     with monkeypatch.context() as mp:
         _threads(mp, 2)
         two = _engine(gens, table=True, **kw)
+    assert any(start > 0 for start, _, _ in spans)
 
     def fail(*args, **kwargs):
         raise AssertionError("a thread was started on one CPU")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(cayley.threading, "Thread", fail)
+    spans.clear()
     one = _engine(gens, table=True, **kw)
+    assert spans and all(start == 0 and stop == width for start, stop, width in spans)
     assert (one.order, one.girth, one.diameter, one.sphere_sizes, one.peak_bytes) == (
         two.order,
         two.girth,
@@ -801,33 +884,31 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
     assert cayley._table_index(gens) is not None
     act = cayley._product_action(n, m, gens)
     closed, probed, girths = {}, {}, {}
-    scan, scanned = cayley._Table.scan, []
+    ups = []  # the table's choice at each level: bottom-up or not
+
+    def spy_up(self, width, order, bottom_up=cayley._Table.bottom_up):
+        ups.append(bottom_up(self, width, order))
+        return ups[-1]
+
+    monkeypatch.setattr(cayley._Table, "bottom_up", spy_up)
     for store in (cayley._Table, cayley._Levels):
         calls = closed[store] = []
         answers = probed[store] = []
 
-        def spy(self, close, *args, calls=calls, table=store is cayley._Table):
-            nxt = close(self, *args)
-            if close is scan:
-                scanned.append(len(nxt))
+        def spy(self, order, advance=store.advance, calls=calls, table=store is cayley._Table):
+            advance(self, order)
+            nxt = self.cur
             assert (np.diff(nxt) > 0).all()  # sorted by index
             # the table's levels hold 4-byte indices: m^3 and m^8 ranks stay
             # below 2^31; frontier search keeps int64 codes
             assert nxt.dtype == (np.int32 if table else np.int64)
             calls.append(np.sort(self.unrank(nxt)) if table else nxt)
-            return nxt
 
         def spy_hits(self, level, hits=store.hits, answers=answers):
             answers.append(hits(self, level))
             return answers[-1]
 
-        # level d + 1 comes from close, or from the table's bottom-up scan,
-        # which never calls close
-        for name in ("close", "scan") if store is cayley._Table else ("close",):
-            step = getattr(store, name)
-            monkeypatch.setattr(
-                store, name, lambda self, *args, step=step, spy=spy: spy(self, step, *args)
-            )
+        monkeypatch.setattr(store, "advance", spy)
         monkeypatch.setattr(store, "hits", spy_hits)
         kw = dict(want_girth=want_girth, girth_only=False, collect=False, memory_budget=1 << 30)
         girths[store] = _engine(gens, table=store is cayley._Table, **kw).girth
@@ -835,7 +916,8 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
     assert len(table) == len(frontier) > 3
     # the table takes its last levels bottom-up, the empty one past the
     # diameter included
-    assert 0 < len(scanned) < len(table) and scanned[-1] == 0
+    assert len(ups) == len(table) and 0 < sum(ups) < len(ups)
+    assert ups[-1] and len(table[-1]) == 0
     # both stores track the same levels: one probe, at the level where the
     # count finds the first cycle, with the same answer
     girth = girths[cayley._Table]
@@ -846,7 +928,7 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
     last = (girth - 1) // 2 if want_girth else 0
     tracked = 0
     prev = np.array([modmat.encode(ModMatrix.identity(n, m))])
-    # the d-th call of close or scan returns level d
+    # the d-th call of advance builds level d
     for d, (codes, frontier_codes) in enumerate(zip(table, frontier), 1):
         assert np.array_equal(codes, frontier_codes)
         assert (np.diff(codes) > 0).all()
@@ -873,12 +955,11 @@ def _close_levels(prev, cur, targets, d):
     store.prev = np.array(prev, dtype=np.int64)
     store.cur = np.array(cur, dtype=np.int64)
     store.levels = []
-    # the targets arrive in chunks, as visit gathers them, in one half
-    targets = np.array(targets, dtype=np.int64)
-    halves = [[targets[: len(targets) // 2], targets[len(targets) // 2 :]]]
-    nxt = store.close(halves)
+    # the targets joined into one array, as advance gathers them
+    store.close(np.array(targets, dtype=np.int64))
+    nxt = store.cur
     assert np.array_equal(store.prev, cur)
-    assert store.cur is nxt and store.levels == [nxt] and halves == []
+    assert store.levels == [nxt]
     # the rule as _bfs applies it, with the hand-built targets in place of
     # its k |L_d|; once d closes, store.prev is level d
     if len(targets) - len(nxt) - (len(cur) if d else 0) > 0:
@@ -1021,12 +1102,11 @@ def test_sphere_size_check_catches_a_level_with_a_stray_element(monkeypatch):
     real = cayley._Levels.close
     calls = []
 
-    def close(self, halves):
-        nxt = real(self, halves)
-        calls.append(len(nxt))
+    def close(self, joined):
+        real(self, joined)
+        calls.append(len(self.cur))
         if len(calls) == 2:  # level 2
-            nxt = self.cur = np.sort(np.append(nxt, stray))
-        return nxt
+            self.cur = np.sort(np.append(self.cur, stray))
 
     monkeypatch.setattr(cayley._Levels, "close", close)
     gens = symmetrize(spec_generators(SPEC2, p))
@@ -1277,8 +1357,8 @@ def test_sln_ranks_index_the_group_and_act_like_product_action(n, m):
     else:
         # |SL_4(F_3)| / 3^15 = 0.845 of the ranks are used
         assert abs(len(codes) / len(ranks) - group_order_sl(n, m) / space) < 0.01
-    root = cayley._Table(gens, cayley._table_index(gens)).root
-    assert unrank(np.array([root])).tolist() == [modmat.encode(ModMatrix.identity(n, m))]
+    root = cayley._Table(gens, cayley._table_index(gens)).cur
+    assert unrank(root).tolist() == [modmat.encode(ModMatrix.identity(n, m))]
     sample = rng.choice(len(used), size=min(len(used), 20_000), replace=False)
     tgts = act(used[sample])
     assert tgts.shape == (len(sample), len(gens))

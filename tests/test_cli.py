@@ -192,6 +192,13 @@ def test_seed_is_a_spectral_option_only(capsys):
     assert json.loads(out)["seed"] == 3
 
 
+def test_spectral_negative_seed_exits_one_without_a_traceback(capsys):
+    spec = ["--n", "2", "--l", "1", "--a", "2", "--b", "2"]
+    code, out, err = run_capture(capsys, ["spectral", *spec, "--p", "5", "--seed", "-1"])
+    assert (code, out) == (EXIT_PARAM, "")
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_spectral_over_the_budget_exits_two_with_the_partial_result(capsys):
     # the BFS of the 120 elements at p = 5 fits 10,000 bytes; their
     # neighbour map, 8 * 120 * (4 + max(2^2 + 4, 4 + 3)) = 11,520 bytes, does not

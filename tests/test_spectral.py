@@ -2,6 +2,9 @@
 second eigenvalues."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -230,6 +233,45 @@ def test_second_eigenvalue_deterministic():
     assert r1.second_eigenvalue == r2.second_eigenvalue
     assert r1.iterations == r2.iterations
     assert r1.residual == r2.residual
+
+
+def test_second_eigenvalue_rejects_a_negative_seed_before_the_bfs(monkeypatch):
+    def bfs(*args, **kwargs):
+        raise AssertionError("the BFS ran")
+
+    monkeypatch.setattr(cayley, "bfs", bfs)
+    X, Y = spec_generators(SPEC2, 5)
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        second_eigenvalue([X, Y], seed=-1)
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two CPUs"
+)
+def test_spectral_output_does_not_depend_on_the_cpu_count():
+    # spectral at p = 53 in two fresh interpreters, one pinned to a single
+    # CPU before numpy is imported, so that OpenBLAS starts one thread
+    # there: the outputs are the same bytes.  No *_NUM_THREADS variable is
+    # passed on, so the other child's BLAS threads follow its CPUs
+    code = (
+        "import os, sys\n"
+        "if sys.argv[1] == 'one':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from girthlab import cli\n"
+        "spec = ['--n', '2', '--l', '1', '--a', '2', '--b', '2']\n"
+        "sys.exit(cli.run(['spectral', *spec, '--p', '53', '--seed', '1']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cayley.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    one, all_cpus = (
+        subprocess.run(
+            [sys.executable, "-c", code, cpus], env=env, capture_output=True, check=True
+        ).stdout
+        for cpus in ("one", "all")
+    )
+    assert b'"second_eigenvalue"' in one
+    assert one == all_cpus
 
 
 def test_second_eigenvalue_budget_is_its_neighbour_map_charge():
