@@ -89,10 +89,16 @@ budget:
   memory budget: the sort's temporaries, the mask and the probe positions
   of levels d - 1 and d.
   Generators act by decode, product and encode (_product_action), the one
-  kernel on element codes, which needs no table of m^n rows.  Its chunks
-  stay at 2^19 elements: they touch no table, the gathered targets of the
-  whole level are kept until close anyway, and 2^14-element chunks cost
-  the girth-only ball search memory without making it faster.  Its codes
+  kernel on element codes, which needs no table of m^n rows.  It reduces
+  each product entry e as e - (e // m) m, since numpy's int64 % is about
+  4.5 times slower than a floor division by a scalar, and it works in
+  place, in blocks of _ACT_BLOCK codes whose digit arrays and two scratch
+  vectors stay in cache.  advance allocates the level's gathered targets
+  once, and each chunk's act writes its block of them where close sorts
+  them, so no chunk's targets are copied again.  Its chunks stay at 2^19
+  elements: they touch no table, the gathered targets of the whole level
+  are kept until close anyway, and the kernel's blocks, not the chunks,
+  keep its arrays in cache.  Its codes
   stay int64, because they pass 2^31 at n = 2 for m > 215, and close keeps
   its boolean mask indexing, because np.compress there builds an 8-byte
   index for every kept element and raised the ball search's peak RSS
@@ -143,6 +149,7 @@ def _default_memory_budget() -> int:
 
 DEFAULT_MEMORY_BUDGET = _default_memory_budget()  # bytes, read once at import
 _CHUNK = 1 << 19  # frontier search's elements per chunk
+_ACT_BLOCK = 1 << 15  # codes that _product_action decodes at once: its scratch stays in cache
 _BLOCK_BYTES = 1 << 18  # a row-block table of _top_action stays in cache
 _TARGET_BYTES = 1 << 19  # a chunk of the table's int64 targets stays in cache
 _SCAN_BYTES = 1 << 18  # table bytes that scan reads at once
@@ -311,16 +318,24 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
     The one kernel on element codes, shared by frontier search and
     neighbour_map: it builds no table over the m^n row codes, so it costs
     nothing up front at any modulus, and a frontier of 10^5 codes takes
-    milliseconds.  A code is
-    decoded into n^2 contiguous digit arrays, one per entry.  Entry (r, x) of
-    M g is sum_c digit(r, c) g[c, x] mod m, and it is added, times its place
-    weight m^(n r + x), into the output column of g; zero terms are skipped,
-    and an entry that is a lone digit needs no reduction.  Every operation acts on
-    a 1-D array of the chunk's length.  Returns act(codes) -> int64 array of
-    shape (len(codes), len(gens)) whose column j holds the codes of M g_j, as
-    a transposed view of a (len(gens), len(codes)) block; exact in int64
-    because every partial sum of a code stays below m^(n^2) <= 2^63 and
-    every product entry below n m^2, which bfs() also keeps below 2^63.
+    milliseconds.  The codes are taken in blocks of _ACT_BLOCK, whose arrays
+    stay in cache.  A block is decoded into n^2 contiguous digit arrays, one
+    per entry, by n^2 - 1 floor divisions: a code lies below m^(n^2), so the
+    last quotient is the last digit.  Entry (r, x) of M g is sum_c digit(r,
+    c) g[c, x] mod m, and it is added, times its place weight m^(n r + x),
+    into the output column of g; zero terms are skipped, and an entry that
+    is a lone digit needs no reduction.  Any other entry e is reduced as e -
+    (e // m) m, in two scratch vectors of the block's length that every
+    entry and generator reuses: numpy's int64 % is about 4.5 times slower
+    than a floor division by a scalar.  Every operation writes into an
+    existing 1-D array of the block's length.  Returns act(codes, out=None)
+    -> int64 array of shape (len(codes), len(gens)) whose column j holds the
+    codes of M g_j, as a transposed view of a (len(gens), len(codes)) block:
+    out when it is given (frontier search passes a block of its level's
+    gathered targets), which is filled whole, and a new block otherwise.
+    Exact in int64 because every partial sum of a code stays below m^(n^2)
+    <= 2^63 and every product entry below n m^2, which bfs() also keeps
+    below 2^63.
     """
     k = len(gens)
     # entry (r, x) of M g as its place weight m^(n r + x) and its nonzero
@@ -335,23 +350,52 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
         for g in gens
     ]
 
-    def act(codes) -> np.ndarray:
-        rest = np.asarray(codes, dtype=np.int64)
-        digits = []  # digits[n r + c]: entry (r, c) of every code
-        for _ in range(n * n):
-            q = rest // m  # faster than np.divmod, as in _top_action
-            digits.append(rest - q * m)
-            rest = q
-        out = np.zeros((k, len(rest)), dtype=np.int64)
-        for col, plan in zip(out, plans):
-            for weight, ((i, w), *more) in plan:
-                entry = digits[i] if w == 1 else digits[i] * w
-                for i, w in more:
-                    entry = entry + (digits[i] if w == 1 else digits[i] * w)
-                if more or w != 1:  # a lone digit is already reduced
-                    entry = entry % m
-                col += entry if weight == 1 else entry * weight
+    def act(codes, out=None) -> np.ndarray:
+        codes = np.asarray(codes, dtype=np.int64)
+        if out is None:
+            out = np.empty((k, len(codes)), dtype=np.int64)
+        # two scratch vectors, shared by every block, entry and generator
+        e, t = (np.empty(min(len(codes), _ACT_BLOCK), dtype=np.int64) for _ in range(2))
+        for s in range(0, len(codes), _ACT_BLOCK):
+            part = codes[s : s + _ACT_BLOCK]
+            size = len(part)
+            block(part, out[:, s : s + size], e[:size], t[:size])
         return out.T
+
+    def block(rest, out, e, t) -> None:
+        digits = []  # digits[n r + c]: entry (r, c) of every code
+        for _ in range(n * n - 1):
+            q = rest // m  # faster than np.divmod, as in _top_action
+            d = q * m
+            np.subtract(rest, d, out=d)
+            digits.append(d)
+            rest = q
+        digits.append(rest)  # a code lies below m^(n^2): the last quotient is a digit
+        for col, plan in zip(out, plans):
+            if not plan:  # the zero matrix
+                col.fill(0)
+            for at, (weight, ((i, w), *more)) in enumerate(plan):
+                entry = digits[i]
+                if more or w != 1:  # a lone digit is already reduced
+                    entry = e
+                    np.multiply(digits[i], w, out=e)
+                    for i, w in more:
+                        if w == 1:
+                            np.add(e, digits[i], out=e)
+                        else:
+                            np.multiply(digits[i], w, out=t)
+                            np.add(e, t, out=e)
+                    # e - (e // m) m, not e % m
+                    np.floor_divide(e, m, out=t)
+                    np.multiply(t, m, out=t)
+                    np.subtract(e, t, out=e)
+                if at == 0:  # the first entry fills the column: no zero fill
+                    np.multiply(entry, weight, out=col)
+                elif weight == 1:
+                    np.add(col, entry, out=col)
+                else:
+                    np.multiply(entry, weight, out=t)
+                    np.add(col, t, out=col)
 
     return act
 
@@ -798,19 +842,30 @@ class _Levels:
 
     def charge(self, width: int, order: int) -> int:
         # live while level d + 1 is built: the codes of levels d - 1 and d
-        # (of every level when collecting), one chunk's target block, and
-        # the k targets of 8 bytes gathered per element of level d.  Not
-        # charged, in close: the sort temporaries, the one-byte mask over
-        # the targets and the probe positions of levels d - 1 and d
+        # (of every level when collecting), the k targets of 8 bytes
+        # gathered per element of level d, and a term of k int64 per element
+        # of one chunk.  act writes its targets into the gathered ones, so
+        # that term now covers act's scratch: the n^2 digit arrays and two
+        # scratch vectors of one block, 8 (n^2 + 2) bytes per element of
+        # min(width, _ACT_BLOCK).  It does so once level d holds (n^2 + 2) /
+        # k blocks; below that, at most 2.9 MB of scratch at n = 3 is not
+        # charged.  Not charged, in close: the sort temporaries, the
+        # one-byte mask over the targets and the probe positions of levels
+        # d - 1 and d
         kept = order if self.levels is not None else len(self.prev) + width
         return 8 * kept + width + 8 * self.k * (min(width, _CHUNK) + width)
 
     def advance(self, order: int) -> None:
         # only gather the targets, a chunk at a time: close sorts and probes
-        # the whole level once.  The pieces are freed as they are joined,
-        # before the sort
-        chunks = range(0, len(self.cur), _CHUNK)
-        self.close(np.concatenate([self.act(self.cur[s : s + _CHUNK]).ravel("K") for s in chunks]))
+        # the whole level once.  Each chunk's act writes its (k, L) block
+        # straight into the level's one target array, where close reads it,
+        # so no chunk's block is copied again
+        k, width = self.k, len(self.cur)
+        joined = np.empty(k * width, dtype=np.int64)
+        for s in range(0, width, _CHUNK):
+            part = self.cur[s : s + _CHUNK]
+            self.act(part, out=joined[k * s : k * (s + len(part))].reshape(k, len(part)))
+        self.close(joined)
 
     def close(self, joined: np.ndarray) -> None:
         # one sort of level d's targets, in place; the codes of levels d - 1
@@ -1123,8 +1178,10 @@ def neighbour_map(
     _product_action as a (k, N) block, and one searchsorted finds all their
     positions.  Before anything is allocated, 8 N (k + max(n^2 + 4, k + 3, 7))
     bytes are charged to memory_budget: beside the codes and the targets,
-    first the decode's n^2 digit arrays and its three temporaries, then the
-    positions and one row's membership check, and, once the codes and the
+    first n^2 + 3 vectors for the kernel's n^2 digit arrays and its two
+    scratch vectors (of one _ACT_BLOCK block, so past 2^15 vertices this
+    part is more than they take), then the positions and one row's
+    membership check, and, once the codes and the
     targets are freed, the seven float64 vectors that spectral's Lanczos
     holds beside the positions.  Raises BudgetExceededError, at
     the BFS's full depth, when they do not fit, and AssertionError when a

@@ -86,8 +86,9 @@ def prime_iter(
 
     Ranges ("lo..hi", inclusive) are filtered by the degenerate congruences
     when a, b are given: p dividing a or b is skipped, and optionally p with
-    a or b congruent to 1.  Explicit lists are returned as given (per-prime
-    failures surface in the report rows instead).
+    a or b congruent to 1.  Explicit lists are not filtered (per-prime
+    failures surface in the report rows instead), but a repeated prime is
+    kept once, so that each modulus gets one row.
     """
     explicit = True
     if isinstance(selector, str):
@@ -119,7 +120,7 @@ def prime_iter(
             ):
                 continue
         out.append(p)
-    out.sort()
+    out = sorted(set(out))
     if not out:
         print("warning: prime selection is empty", file=sys.stderr)
     return out

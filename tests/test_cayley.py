@@ -492,21 +492,53 @@ def test_top_action_matches_matrix_product(n, m):
 
 
 @pytest.mark.parametrize(
-    "n,m", [(2, 6), (3, 4), (4, 3), (5, 2), (2, 101), (1, 10_007), (2, 1009), (2, 7)]
+    "n,m",
+    [(2, 6), (3, 4), (4, 3), (5, 2), (2, 101), (1, 10_007), (2, 1009), (2, 7), (2, 55_103)],
 )
 def test_product_action_matches_matrix_product(n, m):
     # random matrices, singular ones and zero entries included, so that the
-    # kernel's skipped zero terms and lone digits are all exercised
+    # kernel's skipped zero terms and lone digits are all exercised; the
+    # lowest and highest codes, whose digits are all 0 or all m - 1, and at
+    # m = 55,103 a code space just below 2^63
     rng = np.random.default_rng(1000 * n + m)
     gens = [
         ModMatrix.from_rows(rng.integers(0, m, size=(n, n)).tolist(), m) for _ in range(3)
     ]
-    codes = rng.integers(0, m ** (n * n), size=300)
+    codes = np.concatenate([[0, m ** (n * n) - 1], rng.integers(0, m ** (n * n), size=300)])
     tgts = cayley._product_action(n, m, gens)(codes)
-    assert tgts.shape == (300, 3)
+    assert tgts.shape == (302, 3)
     for j, g in enumerate(gens):
         want = [modmat.encode(modmat.decode(c, n, m) @ g) for c in codes.tolist()]
         assert tgts[:, j].tolist() == want
+
+
+@pytest.mark.parametrize("n,m", [(2, 1009), (3, 127)])
+@pytest.mark.parametrize("codes_per_block", [7, None])
+def test_product_action_fills_a_block_in_place(n, m, codes_per_block, monkeypatch):
+    # act(codes, out=block) writes the whole (k, L) block, a view inside a
+    # larger array as frontier search passes it, returns its transposed view
+    # and touches nothing around it; the zero matrix's column, which has no
+    # entry to add, is filled too.  With blocks of 7 codes, the 50 codes
+    # take eight blocks, the last one short
+    if codes_per_block:
+        monkeypatch.setattr(cayley, "_ACT_BLOCK", codes_per_block)
+    rng = np.random.default_rng(n + m)
+    gens = [
+        ModMatrix.from_rows(rng.integers(0, m, size=(n, n)).tolist(), m) for _ in range(3)
+    ]
+    gens.append(ModMatrix.from_rows([[0] * n] * n, m))
+    act = cayley._product_action(n, m, gens)
+    codes = rng.integers(0, m ** (n * n), size=50)
+    joined = np.full(4 * 80, -1, dtype=np.int64)
+    block = joined[40 : 40 + 4 * 50].reshape(4, 50)
+    got = act(codes, out=block)
+    assert np.shares_memory(got, block) and got.shape == (50, 4)
+    assert np.array_equal(got, act(codes))
+    assert (got[:, 3] == 0).all()
+    assert (joined[:40] == -1).all() and (joined[40 + 4 * 50 :] == -1).all()
+    for j, g in enumerate(gens[:3]):
+        want = [modmat.encode(modmat.decode(c, n, m) @ g) for c in codes.tolist()]
+        assert got[:, j].tolist() == want
 
 
 @pytest.mark.parametrize("spec,m", [(SPEC3, 3), (SPEC2, 9), (SPEC2, 10), (SPEC2, 11)])
@@ -550,9 +582,10 @@ def test_frontier_chunks_do_not_change_the_result(monkeypatch):
             init(self, *args)
             act = self.act
 
-            def spy(indices):
+            def spy(indices, **out):
+                # frontier search passes out=, the table's rank act takes none
                 widths.append(len(indices))
-                return act(indices)
+                return act(indices, **out)
 
             self.act = spy
 

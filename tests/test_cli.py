@@ -347,6 +347,9 @@ def test_prime_iter_ranges():
     assert prime_iter("3..20", 2, 2) == [3, 5, 7, 11, 13, 17, 19]
     assert prime_iter("2..4", 2, 2) == [3]
     assert prime_iter("3,5") == [3, 5]
+    # a repeated prime is swept, and its row printed, once
+    assert prime_iter("5,3,3,5") == [3, 5]
+    assert prime_iter([7, 7]) == [7]
     with pytest.raises(ParameterError):
         prime_iter("4,6")
     with pytest.raises(ParameterError):
