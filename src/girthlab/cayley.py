@@ -206,24 +206,6 @@ class CayleyStats:
     peak_bytes: int = 0
     error: Optional[str] = None
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "l": self.l,
-            "a": self.a,
-            "b": self.b,
-            "m": self.m,
-            "order": self.order,
-            "generated_full": self.generated_full,
-            "girth": self.girth,
-            "diameter": self.diameter,
-            "dg_ratio": None if self.dg_ratio is None else float(self.dg_ratio),
-            "degree": self.degree,
-            "seconds": self.seconds,
-            "peak_bytes": self.peak_bytes,
-            "error": self.error,
-        }
-
 
 def symmetrize(generators: Sequence[ModMatrix]) -> List[ModMatrix]:
     """Generators plus inverses, deduplicated, in first-seen order."""

@@ -23,15 +23,17 @@ are zeroed unless --timings is passed, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple, Union
 
 from . import cayley, modmat, params, spectral, words
 from .cayley import BudgetExceededError, DegenerateSpecError
-from .exactmat import ParameterError, generator_pair, magic_pair
+from .exactmat import ParameterError, Word, _Square, generator_pair, magic_pair
 from .modmat import is_prime
 from .params import GraphSpec
 from .words import RecipeError
@@ -134,17 +136,40 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json(payload: dict) -> str:
+def _fields(report) -> dict:
+    """A dataclass's declared fields by name; TypeError for anything else."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
+def _plain(value):
+    """What `json` cannot encode itself, as what it can.  Matrices and words
+    are dataclasses too, so they are tested first."""
+    if isinstance(value, _Square):
+        return value.entries
+    if isinstance(value, Word):
+        return str(value)
+    if isinstance(value, Fraction):
+        return float(value)
+    return _fields(value)
+
+
+def _json(report) -> str:
+    """A report (a dataclass) or a dict as JSON, with the schema version; a
+    report's keys, also nested ones, are its field names."""
+    payload = report if isinstance(report, dict) else _fields(report)
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
-def _spec_or_unguaranteed(args: argparse.Namespace) -> Tuple[GraphSpec, dict]:
-    """The spec and its JSON block.  A tuple outside `validate`'s domain
-    (a or b < 2, l < 1) is measured with no regime and no guarantees."""
+def _spec_or_unguaranteed(
+    args: argparse.Namespace,
+) -> Tuple[GraphSpec, Union[GraphSpec, dict]]:
+    """The spec and its JSON block, which is the spec itself inside
+    `validate`'s domain.  A tuple outside it (a or b < 2, l < 1) is measured
+    with no regime and no guarantees."""
     try:
         spec = params.validate(args.n, args.l, args.a, args.b)
-        return spec, spec.to_json()
+        return spec, spec
     except ParameterError:
         spec = GraphSpec(args.n, args.l, args.a, args.b, regime=None)
         info = {
@@ -161,39 +186,27 @@ def _spec_or_unguaranteed(args: argparse.Namespace) -> Tuple[GraphSpec, dict]:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec = params.validate(args.n, args.l, args.a, args.b)
-    _emit(args, _json(spec.to_json()))
+    _emit(args, _json(spec))
     return EXIT_OK
-
-
-def _matrix_rows(M) -> list:
-    return [list(r) for r in M.entries]
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     A, B = magic_pair(args.n, args.a, args.b)
     X, Y = generator_pair(args.n, args.l, args.a, args.b)
-    payload = {
-        "n": args.n,
-        "l": args.l,
-        "a": args.a,
-        "b": args.b,
-        "A": _matrix_rows(A),
-        "B": _matrix_rows(B),
-        "X=A^l": _matrix_rows(X),
-        "Y=B^l": _matrix_rows(Y),
-    }
+    mats = {"A": A, "B": B, "X=A^l": X, "Y=B^l": Y}
     if args.p is not None:
-        payload["modulus"] = args.p
-        payload["X mod m"] = _matrix_rows(modmat.reduce(X, args.p))
-        payload["Y mod m"] = _matrix_rows(modmat.reduce(Y, args.p))
+        mats["X mod m"] = modmat.reduce(X, args.p)
+        mats["Y mod m"] = modmat.reduce(Y, args.p)
     if args.fmt == "text":
         lines = []
-        for key in ("A", "B", "X=A^l", "Y=B^l", "X mod m", "Y mod m"):
-            if key in payload:
-                lines.append(f"{key}:")
-                lines += ["  " + " ".join(str(x) for x in row) for row in payload[key]]
+        for key, M in mats.items():
+            lines.append(f"{key}:")
+            lines += ["  " + " ".join(str(x) for x in row) for row in M.entries]
         _emit(args, "\n".join(lines) + "\n")
     else:
+        payload = {"n": args.n, "l": args.l, "a": args.a, "b": args.b, **mats}
+        if args.p is not None:
+            payload["modulus"] = args.p
         _emit(args, _json(payload))
     return EXIT_OK
 
@@ -204,7 +217,7 @@ def _cmd_graph_stats(args: argparse.Namespace) -> int:
     stats = cayley.cayley_stats(
         spec, args.p, memory_budget=args.memory_budget, propagate_errors=True
     )
-    payload = {"spec": spec_info, **stats.to_json()}
+    payload = {"spec": spec_info, **_fields(stats)}
     if not args.timings:
         payload["seconds"] = 0.0
     _emit(args, _json(payload))
@@ -223,10 +236,7 @@ def _cmd_dg_table(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         payload = {
             "spec": spec_info,
-            "rows": [
-                {**r.to_json(), "seconds": (r.seconds if args.timings else 0.0)}
-                for r in rows
-            ],
+            "rows": [r if args.timings else dataclasses.replace(r, seconds=0.0) for r in rows],
         }
         _emit(args, _json(payload))
     else:
@@ -237,7 +247,7 @@ def _cmd_dg_table(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     spec, _ = _spec_or_unguaranteed(args)
     gb = spectral.girth_lower_bound(spec, args.p)
-    _emit(args, _json(gb.to_json()))
+    _emit(args, _json(gb))
     return EXIT_OK
 
 
@@ -247,7 +257,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     report = spectral.second_eigenvalue(
         [X, Y], seed=args.seed, memory_budget=args.memory_budget
     )
-    _emit(args, _json({"spec": spec_info, "p": args.p, **report.to_json()}))
+    _emit(args, _json({"spec": spec_info, "p": args.p, **_fields(report)}))
     return EXIT_OK
 
 
@@ -267,7 +277,7 @@ def _cmd_verify_freeness(args: argparse.Namespace) -> int:
     payload = {
         "spec": spec_info,
         "guaranteed_free": guaranteed,
-        **report.to_json(),
+        **_fields(report),
     }
     _emit(args, _json(payload))
     if report.violations and guaranteed:
@@ -282,9 +292,10 @@ def _asserted_generation_prime(spec: GraphSpec, p: int) -> bool:
 
     dim2 asserts every prime not dividing a or b; dim3 asserts only p = 3;
     the general regime asserts only p = q.  Larger primes sit below unknown
-    effective constants and are reported, never asserted.
+    effective constants and are reported, never asserted; a composite
+    modulus is never asserted.
     """
-    if not spec.has(params.GENERATION):
+    if not spec.has(params.GENERATION) or not is_prime(p):
         return False
     if spec.regime == "dim2":
         return spec.a % p != 0 and spec.b % p != 0
@@ -323,7 +334,7 @@ def _cmd_verify_recipe(args: argparse.Namespace) -> int:
         replay = words.replay_recipe_qt(
             args.q, args.t, memory_budget=args.memory_budget
         )
-    _emit(args, _json(replay.to_json()))
+    _emit(args, _json(replay))
     return EXIT_BUDGET if replay.closure_partial else EXIT_OK
 
 
@@ -351,7 +362,7 @@ def _cmd_verify_lucas(args: argparse.Namespace) -> int:
 
 def _cmd_subgroup_gens(args: argparse.Namespace) -> int:
     gens = words.schreier_generators(args.m)
-    _emit(args, _json(gens.to_json()))
+    _emit(args, _json(gens))
     return EXIT_OK
 
 

@@ -37,19 +37,6 @@ class GraphSpec:
     def has(self, flag: str) -> bool:
         return flag in self.guarantees
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "l": self.l,
-            "a": self.a,
-            "b": self.b,
-            "regime": self.regime,
-            "q": self.q,
-            "t": self.t,
-            "guarantees": dict(sorted(self.guarantees.items())),
-            "alternative_q": list(self.alternative_q),
-        }
-
 
 def _prime_divisors(x: int):
     out = []

@@ -50,16 +50,6 @@ class GirthBound:
     bound_raw: float
     bound_reported: int
 
-    def to_json(self) -> dict:
-        return {
-            "lambda_max": self.lambda_max,
-            "beta_max": self.beta_max,
-            "gamma": self.gamma,
-            "p": self.p,
-            "bound_raw": self.bound_raw,
-            "bound_reported": self.bound_reported,
-        }
-
 
 @dataclass(frozen=True)
 class SpectralGapReport:
@@ -67,22 +57,10 @@ class SpectralGapReport:
     degree: int
     top_eigenvalue: float
     second_eigenvalue: float
-    normalized_gap: float
+    gap: float  # (degree - second_eigenvalue) / degree
     iterations: int
     residual: float
     seed: int
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "degree": self.degree,
-            "top_eigenvalue": self.top_eigenvalue,
-            "second_eigenvalue": self.second_eigenvalue,
-            "gap": self.normalized_gap,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "seed": self.seed,
-        }
 
 
 def gram_lambda_max(M: ExactMatrix) -> float:
@@ -297,7 +275,7 @@ def second_eigenvalue(
         degree=k,
         top_eigenvalue=float(k),
         second_eigenvalue=rho,
-        normalized_gap=(k - rho) / k,
+        gap=(k - rho) / k,
         iterations=steps,
         residual=residual,
         seed=seed,

@@ -60,26 +60,15 @@ def letters_to_word(letters: Sequence[int]) -> Word:
 
 @dataclass(frozen=True)
 class FreenessReport:
-    params: Tuple[int, int, int, int]  # (n, l, a, b)
+    n: int
+    l: int
+    a: int
+    b: int
     max_length: int
     violations: Tuple[Word, ...]
     words_checked: int
     partial: bool = False
     budget: int = DEFAULT_WORD_BUDGET
-
-    def to_json(self) -> dict:
-        n, l, a, b = self.params
-        return {
-            "n": n,
-            "l": l,
-            "a": a,
-            "b": b,
-            "max_length": self.max_length,
-            "violations": [str(w) for w in self.violations],
-            "words_checked": self.words_checked,
-            "partial": self.partial,
-            "budget": self.budget,
-        }
 
 
 @dataclass(frozen=True)
@@ -87,13 +76,6 @@ class SubgroupGenerators:
     index: int
     generators: Tuple[Word, ...]
     rank: int
-
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "rank": self.rank,
-            "generators": [str(w) for w in self.generators],
-        }
 
 
 @dataclass(frozen=True)
@@ -111,23 +93,6 @@ class RecipeReplay:
     expected_order: int
     closure_order: Optional[int]
     closure_partial: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "n": self.n,
-            "expected_order": self.expected_order,
-            "closure_order": self.closure_order,
-            "closure_partial": self.closure_partial,
-            "steps": [
-                {
-                    "label": s.label,
-                    "word": str(s.word),
-                    "matrix": [list(r) for r in s.matrix.entries],
-                }
-                for s in self.steps
-            ],
-        }
 
 
 _BLOCK_DEPTH = 8  # a block holds at most 3^8 words per level
@@ -313,6 +278,8 @@ def freeness_scan(
     """
     if max_length < 2:
         raise ParameterError(f"max_length must be >= 2, got {max_length}")
+    if budget < 0:
+        raise ParameterError(f"budget must be >= 0, got {budget}")
     X, Y = generator_pair(n, l, a, b, allow_small=True)
     mats = [X.entries, X.inverse().entries, Y.entries, Y.inverse().entries]
     nu = max(max(sum(abs(x) for x in row) for row in m) for m in mats)
@@ -320,7 +287,10 @@ def freeness_scan(
     violations, checked, partial = _scan(gens, max_length, budget)
     violations.sort(key=lambda ls: (len(ls), ls))
     return FreenessReport(
-        (n, l, a, b),
+        n,
+        l,
+        a,
+        b,
         max_length,
         tuple(letters_to_word(ls) for ls in violations),
         checked,

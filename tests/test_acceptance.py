@@ -198,5 +198,5 @@ def test_criterion_9_spectral_gap_reporting():
             assert rep.second_eigenvalue < 4.0
             print(
                 f"  {p}, {rep.order}, {rep.second_eigenvalue:.6f}, "
-                f"{rep.normalized_gap:.6f}"
+                f"{rep.gap:.6f}"
             )

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 
 import pytest
 
@@ -289,6 +290,19 @@ def test_verify_generation_asserted_prime(capsys):
     assert data["generated_full"] is True and data["asserted"] is True
 
 
+def test_verify_generation_never_asserts_a_composite_modulus(capsys):
+    # dim2 asserts every prime not dividing a or b; 9 is not prime, so the
+    # closure is reported with no expected order and no assertion
+    code, out, _ = run_capture(
+        capsys,
+        ["verify", "generation", "--n", "2", "--l", "1", "--a", "2", "--b", "2", "--p", "9"],
+    )
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert (data["order"], data["expected_order"], data["generated_full"]) == (648, None, None)
+    assert data["asserted"] is False
+
+
 def test_verify_recipe_sl3(capsys):
     code, out, _ = run_capture(capsys, ["verify", "recipe", "sl3", "--a", "4", "--b", "2"])
     assert code == EXIT_OK
@@ -522,6 +536,37 @@ def test_out_of_domain_tuple_is_measured_unguaranteed(capsys, cmd):
     assert out == expected
 
 
+_SPEC = ["--n", "2", "--l", "1", "--a", "2", "--b", "2"]
+
+
+# In-domain reports pinned byte for byte against tests/golden/<name>: a spec
+# block with its guarantees, matrices as rows, words as text, a Fraction
+# ratio as a float, nested steps and rows.  The bound's floats are exact:
+# gram_lambda_max checks its float in exact arithmetic.
+_GOLDEN = {
+    "validate.json": ["validate", "--n", "4", "--l", "10", "--a", "4", "--b", "7"],
+    "construct.json": ["construct", "--n", "3", "--l", "4", "--a", "4", "--b", "2", "--p", "7"],
+    "construct.txt": [
+        "construct", "--n", "3", "--l", "4", "--a", "4", "--b", "2", "--p", "7",
+        "--format", "text",
+    ],
+    "bound.json": ["bound", *_SPEC, "--p", "10007"],
+    "girth.json": ["girth", *_SPEC, "--p", "13"],
+    "dg-table.json": ["dg-table", *_SPEC, "--primes", "2..31", "--format", "json"],
+    "verify-freeness.json": ["verify", "freeness", *_UNGUARANTEED, "--max-length", "8"],
+    "verify-recipe-sl3.json": ["verify", "recipe", "sl3", "--a", "4", "--b", "2"],
+    "subgroup-gens.json": ["subgroup-gens", "--m", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_report_matches_its_golden_output(capsys, name):
+    code, out, err = run_capture(capsys, _GOLDEN[name])
+    assert (code, err) == (EXIT_OK, "")
+    with open(os.path.join(os.path.dirname(__file__), "golden", name)) as fh:
+        assert out == fh.read()
+
+
 def test_out_of_domain_export_dot_is_pinned(capsys):
     code, out, _ = run_capture(capsys, ["export-dot", *_UNGUARANTEED, "--p", "3"])
     assert code == EXIT_OK
@@ -603,7 +648,6 @@ def test_cli_defaults_come_from_the_parser(capsys):
 
 # Each leaf command, with arguments that parse, and the options beyond those
 # arguments that its handler reads.  -o is on every command.
-_SPEC = ["--n", "2", "--l", "1", "--a", "2", "--b", "2"]
 _LEAVES = {
     "validate": (["validate", *_SPEC], {"-o"}),
     "construct": (["construct", *_SPEC], {"-o", "--format"}),

@@ -164,7 +164,7 @@ def test_second_eigenvalue_connected_strictly_below_degree():
     rep = second_eigenvalue([X, Y])
     assert rep.order == 120
     assert rep.second_eigenvalue < 4.0
-    assert rep.normalized_gap > 0.0
+    assert rep.gap > 0.0
 
 
 def _adjacency_edges(p):

@@ -1,12 +1,13 @@
 """Word machinery: freeness scans, shortest identity words, subgroup
 generators, recipe replays."""
 
+import json
 from itertools import islice
 
 import numpy as np
 import pytest
 
-from girthlab import cayley, modmat
+from girthlab import cayley, cli, modmat
 from girthlab import words as words_mod
 from girthlab.cayley import DegenerateSpecError
 from girthlab.exactmat import (
@@ -228,6 +229,14 @@ def test_freeness_scan_budget_partial():
     assert report.words_checked == 100
 
 
+def test_freeness_scan_rejects_a_negative_budget():
+    # a budget of 0 checks no word and is partial; below 0 there is no scan
+    report = freeness_scan(2, 1, 2, 2, 6, budget=0)
+    assert (report.words_checked, report.partial) == (0, True)
+    with pytest.raises(ParameterError, match="budget must be >= 0, got -1"):
+        freeness_scan(2, 1, 2, 2, 6, budget=-1)
+
+
 # the length-10 relations of (2, 1, 1, 1), in report order
 RELATIONS_1111 = [
     "X Y X^-1 Y X Y^-1",
@@ -443,8 +452,8 @@ def test_eval_word_on_a_reduced_pair_matches_exact_reduction():
 
 def test_report_json_roundtrip():
     report = freeness_scan(2, 1, 1, 1, 6)
-    data = report.to_json()
+    data = json.loads(cli._json(report))
     assert data["violations"] and data["words_checked"] > 0
     replay = replay_recipe_sl3_mod3(4, 2)
-    data = replay.to_json()
+    data = json.loads(cli._json(replay))
     assert len(data["steps"]) == 12 and data["closure_order"] == 5616
