@@ -157,8 +157,6 @@ _SPLIT = 1 << 20  # a table level this wide is expanded in two halves (_Table.ch
 _CLASS_CHUNK = 1 << 16  # entries of _sln_ranks's class table built at once
 _DOT_LIMIT = 10_000
 
-CSV_COLUMNS = ("p", "order", "full", "girth", "diameter", "ratio", "seconds", "peak_bytes")
-
 
 class DegenerateSpecError(ValueError):
     """Generator set collapses (identity image or equal images)."""
@@ -1080,21 +1078,15 @@ def cayley_stats(
     m: int,
     *,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
-    propagate_errors: bool = False,
 ) -> CayleyStats:
     """Order, girth, diameter, and ratio for one modulus, from a single BFS.
 
-    Failures land in the error field by default (table rows never abort);
-    single-graph callers pass propagate_errors for the real exception.
+    A degenerate generator pair raises DegenerateSpecError and an exhausted
+    budget BudgetExceededError; dg_table turns either into an error row.
     """
     t0 = time.perf_counter()
-    try:
-        X, Y = spec_generators(spec, m)
-        res = bfs([X, Y], want_girth=True, memory_budget=memory_budget)
-    except (DegenerateSpecError, BudgetExceededError) as exc:
-        if propagate_errors:
-            raise
-        return CayleyStats(spec.n, spec.l, spec.a, spec.b, m, error=str(exc))
+    X, Y = spec_generators(spec, m)
+    res = bfs([X, Y], want_girth=True, memory_budget=memory_budget)
     full = None
     if modmat.is_prime(m):
         full = res.order == modmat.group_order_sl(spec.n, m)
@@ -1124,28 +1116,16 @@ def dg_table(
     *,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> List[CayleyStats]:
-    """One stats row per modulus, ascending; per-row failures never abort."""
-    return [cayley_stats(spec, p, memory_budget=memory_budget) for p in sorted(primes)]
-
-
-def stats_csv(rows: Sequence[CayleyStats], *, timings: bool = False) -> str:
-    """Render stats rows as CSV with the fixed documented column order.
-
-    seconds is zeroed unless timings is requested: wall time is the one
-    column that would break byte-identical reruns.
-    """
-    out = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        if r.error is not None:
-            out.append(f"{r.m},,,,,,,")
-            continue
-        full = "" if r.generated_full is None else str(r.generated_full).lower()
-        ratio = "" if r.dg_ratio is None else f"{float(r.dg_ratio):.6f}"
-        secs = f"{r.seconds:.3f}" if timings else "0.000"
-        out.append(
-            f"{r.m},{r.order},{full},{r.girth},{r.diameter},{ratio},{secs},{r.peak_bytes}"
-        )
-    return "\n".join(out) + "\n"
+    """One stats row per modulus, ascending.  A modulus whose generators are
+    degenerate or whose BFS exceeds the budget gets a row with only its error,
+    and the sweep goes on."""
+    rows = []
+    for p in sorted(primes):
+        try:
+            rows.append(cayley_stats(spec, p, memory_budget=memory_budget))
+        except (DegenerateSpecError, BudgetExceededError) as exc:
+            rows.append(CayleyStats(spec.n, spec.l, spec.a, spec.b, p, error=str(exc)))
+    return rows
 
 
 def neighbour_map(

@@ -18,6 +18,12 @@ Exit codes: 0 success, 1 parameter error, 2 budget exhaustion with partial
 results written, 3 verification failure (a claim check that did not hold).
 All output is deterministic for a fixed configuration; wall-clock timings
 are zeroed unless --timings is passed, so reruns are byte-identical.
+
+Both output formats are encoded in this module: JSON, with schema_version
+2, and the dg-table CSV.  A report about a tuple carries the tuple's
+GraphSpec as its "spec" block, with one key set for every tuple: outside
+validate's domain the regime, q and t are null and the guarantees and
+alternative_q empty.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence
 
 from . import cayley, modmat, params, spectral, words
 from .cayley import BudgetExceededError, DegenerateSpecError
@@ -38,7 +44,7 @@ from .modmat import is_prime
 from .params import GraphSpec
 from .words import RecipeError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENV_MEMORY_BUDGET = "GIRTHLAB_MEMORY_BUDGET"
 
 EXIT_OK = 0
@@ -78,7 +84,7 @@ def _int(text: str) -> int:
 
 
 def prime_iter(
-    selector,
+    selector: str,
     a: Optional[int] = None,
     b: Optional[int] = None,
     *,
@@ -92,20 +98,16 @@ def prime_iter(
     failures surface in the report rows instead), but a repeated prime is
     kept once, so that each modulus gets one row.
     """
-    explicit = True
-    if isinstance(selector, str):
-        sel = selector.strip()
-        if ".." in sel:
-            lo_s, hi_s = sel.split("..", 1)
-            lo, hi = _int(lo_s), _int(hi_s)
-            if lo < 2 or hi < 2:
-                raise ParameterError(f"range bounds must be >= 2, got {sel!r}")
-            values = range(lo, hi + 1)
-            explicit = False
-        else:
-            values = [_int(x) for x in sel.split(",") if x.strip()]
+    sel = selector.strip()
+    explicit = ".." not in sel
+    if explicit:
+        values = [_int(x) for x in sel.split(",") if x.strip()]
     else:
-        values = list(selector)
+        lo_s, hi_s = sel.split("..", 1)
+        lo, hi = _int(lo_s), _int(hi_s)
+        if lo < 2 or hi < 2:
+            raise ParameterError(f"range bounds must be >= 2, got {sel!r}")
+        values = range(lo, hi + 1)
     out = []
     for p in values:
         if not is_prime(p):
@@ -161,27 +163,37 @@ def _json(report) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
-def _spec_or_unguaranteed(
-    args: argparse.Namespace,
-) -> Tuple[GraphSpec, Union[GraphSpec, dict]]:
-    """The spec and its JSON block, which is the spec itself inside
-    `validate`'s domain.  A tuple outside it (a or b < 2, l < 1) is measured
-    with no regime and no guarantees."""
+def _csv(rows: Sequence[cayley.CayleyStats]) -> str:
+    """dg-table rows as CSV, in the fixed documented column order.  A row with
+    an error keeps its modulus and leaves the other columns empty."""
+    out = ["p,order,full,girth,diameter,ratio,seconds,peak_bytes"]
+    for r in rows:
+        if r.error is not None:
+            out.append(f"{r.m},,,,,,,")
+            continue
+        full = "" if r.generated_full is None else str(r.generated_full).lower()
+        ratio = "" if r.dg_ratio is None else f"{float(r.dg_ratio):.6f}"
+        out.append(
+            f"{r.m},{r.order},{full},{r.girth},{r.diameter},{ratio},"
+            f"{r.seconds:.3f},{r.peak_bytes}"
+        )
+    return "\n".join(out) + "\n"
+
+
+def _timed(args: argparse.Namespace, row: cayley.CayleyStats) -> cayley.CayleyStats:
+    """The row with its seconds zeroed unless --timings: wall time is the one
+    field that would break byte-identical reruns."""
+    return row if args.timings else dataclasses.replace(row, seconds=0.0)
+
+
+def _spec_or_unguaranteed(args: argparse.Namespace) -> GraphSpec:
+    """The tuple's `GraphSpec`, which is also its JSON block.  A tuple outside
+    `validate`'s domain (a or b < 2, l < 1) is measured with no regime and no
+    guarantees."""
     try:
-        spec = params.validate(args.n, args.l, args.a, args.b)
-        return spec, spec
+        return params.validate(args.n, args.l, args.a, args.b)
     except ParameterError:
-        spec = GraphSpec(args.n, args.l, args.a, args.b, regime=None)
-        info = {
-            "n": args.n,
-            "l": args.l,
-            "a": args.a,
-            "b": args.b,
-            "regime": None,
-            "guarantees": {},
-            "note": "outside the validated parameter domain; measured only",
-        }
-        return spec, info
+        return GraphSpec(args.n, args.l, args.a, args.b, regime=None)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -213,19 +225,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_graph_stats(args: argparse.Namespace) -> int:
     """Handler for both `girth` and `diameter`: one BFS yields the full row."""
-    spec, spec_info = _spec_or_unguaranteed(args)
-    stats = cayley.cayley_stats(
-        spec, args.p, memory_budget=args.memory_budget, propagate_errors=True
-    )
-    payload = {"spec": spec_info, **_fields(stats)}
-    if not args.timings:
-        payload["seconds"] = 0.0
-    _emit(args, _json(payload))
+    spec = _spec_or_unguaranteed(args)
+    stats = cayley.cayley_stats(spec, args.p, memory_budget=args.memory_budget)
+    _emit(args, _json({"spec": spec, **_fields(_timed(args, stats))}))
     return EXIT_OK
 
 
 def _cmd_dg_table(args: argparse.Namespace) -> int:
-    spec, spec_info = _spec_or_unguaranteed(args)
+    spec = _spec_or_unguaranteed(args)
     primes = prime_iter(
         args.primes, args.a, args.b, skip_unit_residues=args.skip_unit_residues
     )
@@ -233,38 +240,35 @@ def _cmd_dg_table(args: argparse.Namespace) -> int:
     for r in rows:
         if r.error:
             print(f"warning: p={r.m}: {r.error}", file=sys.stderr)
+    rows = [_timed(args, r) for r in rows]
     if args.fmt == "json":
-        payload = {
-            "spec": spec_info,
-            "rows": [r if args.timings else dataclasses.replace(r, seconds=0.0) for r in rows],
-        }
-        _emit(args, _json(payload))
+        _emit(args, _json({"spec": spec, "rows": rows}))
     else:
-        _emit(args, cayley.stats_csv(rows, timings=args.timings))
+        _emit(args, _csv(rows))
     return EXIT_OK
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    spec, _ = _spec_or_unguaranteed(args)
+    spec = _spec_or_unguaranteed(args)
     gb = spectral.girth_lower_bound(spec, args.p)
     _emit(args, _json(gb))
     return EXIT_OK
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
-    spec, spec_info = _spec_or_unguaranteed(args)
+    spec = _spec_or_unguaranteed(args)
     X, Y = cayley.spec_generators(spec, args.p)
     report = spectral.second_eigenvalue(
         [X, Y], seed=args.seed, memory_budget=args.memory_budget
     )
-    _emit(args, _json({"spec": spec_info, "p": args.p, **_fields(report)}))
+    _emit(args, _json({"spec": spec, "p": args.p, **_fields(report)}))
     return EXIT_OK
 
 
 def _cmd_verify_freeness(args: argparse.Namespace) -> int:
     if args.word_budget < 0:
         raise ParameterError(f"--word-budget must be >= 0 (words), got {args.word_budget}")
-    spec, spec_info = _spec_or_unguaranteed(args)
+    spec = _spec_or_unguaranteed(args)
     report = words.freeness_scan(
         args.n,
         args.l,
@@ -275,7 +279,7 @@ def _cmd_verify_freeness(args: argparse.Namespace) -> int:
     )
     guaranteed = spec.has(params.FREENESS)
     payload = {
-        "spec": spec_info,
+        "spec": spec,
         "guaranteed_free": guaranteed,
         **_fields(report),
     }
@@ -290,29 +294,28 @@ def _cmd_verify_freeness(args: argparse.Namespace) -> int:
 def _asserted_generation_prime(spec: GraphSpec, p: int) -> bool:
     """Is full generation at p an asserted claim (vs merely reported)?
 
-    dim2 asserts every prime not dividing a or b; dim3 asserts only p = 3;
-    the general regime asserts only p = q.  Larger primes sit below unknown
-    effective constants and are reported, never asserted; a composite
-    modulus is never asserted.
+    dim2 asserts every prime (one dividing a or b never gets here:
+    spec_generators has raised DegenerateSpecError); dim3 and the general
+    regime assert only p = q, which is 3 for dim3.  Larger primes sit below
+    unknown effective constants and are reported, never asserted; a
+    composite modulus is never asserted.
     """
-    if not spec.has(params.GENERATION) or not is_prime(p):
-        return False
-    if spec.regime == "dim2":
-        return spec.a % p != 0 and spec.b % p != 0
-    if spec.regime == "dim3":
-        return p == 3
-    return p == spec.q
+    return (
+        spec.has(params.GENERATION)
+        and is_prime(p)
+        and (spec.regime == "dim2" or p == spec.q)
+    )
 
 
 def _cmd_verify_generation(args: argparse.Namespace) -> int:
-    spec, spec_info = _spec_or_unguaranteed(args)
+    spec = _spec_or_unguaranteed(args)
     X, Y = cayley.spec_generators(spec, args.p)
     order = cayley.closure([X, Y], memory_budget=args.memory_budget)
     expected = modmat.group_order_sl(args.n, args.p) if is_prime(args.p) else None
     full = None if expected is None else order == expected
     asserted = _asserted_generation_prime(spec, args.p)
     payload = {
-        "spec": spec_info,
+        "spec": spec,
         "p": args.p,
         "order": order,
         "expected_order": expected,
@@ -367,7 +370,7 @@ def _cmd_subgroup_gens(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    spec, _ = _spec_or_unguaranteed(args)
+    spec = _spec_or_unguaranteed(args)
     X, Y = cayley.spec_generators(spec, args.p)
     _emit(args, cayley.export_dot([X, Y], memory_budget=args.memory_budget))
     return EXIT_OK

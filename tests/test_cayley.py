@@ -21,7 +21,6 @@ from girthlab.cayley import (
     export_dot,
     girth,
     spec_generators,
-    stats_csv,
     symmetrize,
 )
 from girthlab.exactmat import ParameterError
@@ -106,6 +105,18 @@ def test_dg_table_error_rows_do_not_abort():
     rows = dg_table(SPEC2, [2, 5])
     assert rows[0].error is not None and rows[0].m == 2
     assert rows[1].error is None and rows[1].order == 120
+
+
+def test_cayley_stats_raises_where_dg_table_records_the_error():
+    # 2 divides a = b = 2, so both generators reduce to the identity mod 2
+    with pytest.raises(DegenerateSpecError) as exc:
+        cayley_stats(SPEC2, 2)
+    (row,) = dg_table(SPEC2, [2])
+    assert row == cayley.CayleyStats(2, 1, 2, 2, 2, error=str(exc.value))
+    with pytest.raises(BudgetExceededError) as exc:
+        cayley_stats(SPEC2, 5, memory_budget=1000)
+    (row,) = dg_table(SPEC2, [5], memory_budget=1000)
+    assert row == cayley.CayleyStats(2, 1, 2, 2, 5, error=str(exc.value))
 
 
 def test_ball_volume_bound():
@@ -332,15 +343,6 @@ def test_export_dot_rejects_large():
     X, Y = spec_generators(SPEC2, 23)
     with pytest.raises(ParameterError):
         export_dot([X, Y])
-
-
-def test_stats_csv_format():
-    rows = dg_table(SPEC2, [3, 5])
-    text = stats_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "p,order,full,girth,diameter,ratio,seconds,peak_bytes"
-    assert lines[1].startswith("3,24,true,3,")
-    assert ",0.000," in lines[1]  # timings zeroed by default
 
 
 def test_girth_of_inverse_pair_cycle():

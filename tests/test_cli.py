@@ -1,5 +1,6 @@
 """CLI surface: argument grammar, exit codes, output determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,9 +8,10 @@ import os
 
 import pytest
 
-from girthlab import cli, words
+from girthlab import cayley, cli, words
 from girthlab.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARAM, EXIT_VERIFY, prime_iter, run
 from girthlab.exactmat import ParameterError
+from girthlab.params import validate
 
 
 def run_capture(capsys, argv):
@@ -24,7 +26,7 @@ def test_validate_subcommand(capsys):
     )
     assert code == EXIT_OK
     data = json.loads(out)
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert set(data["guarantees"]) == {"freeness", "generation", "girth-bound"}
 
 
@@ -363,7 +365,7 @@ def test_prime_iter_ranges():
     assert prime_iter("3,5") == [3, 5]
     # a repeated prime is swept, and its row printed, once
     assert prime_iter("5,3,3,5") == [3, 5]
-    assert prime_iter([7, 7]) == [7]
+    assert prime_iter("7,7") == [7]
     with pytest.raises(ParameterError):
         prime_iter("4,6")
     with pytest.raises(ParameterError):
@@ -401,6 +403,34 @@ def test_invalid_format_for_subcommand(capsys):
         code, out, err = run_capture(capsys, argv)
         assert (code, out) == (EXIT_PARAM, ""), argv
         assert "--format" in err
+
+
+def test_csv_format():
+    rows = cayley.dg_table(validate(2, 1, 2, 2), [2, 3, 5])
+    lines = cli._csv(rows).splitlines()
+    assert lines[0] == "p,order,full,girth,diameter,ratio,seconds,peak_bytes"
+    assert lines[1] == "2,,,,,,,"  # 2 divides a and b: an error row
+    assert lines[2].startswith("3,24,true,3,4,1.333333,")
+    assert lines[3].startswith("5,120,true,")
+
+
+def test_seconds_are_zeroed_unless_timings(monkeypatch, capsys):
+    stats = cayley.cayley_stats
+
+    def timed(*args, **kwargs):
+        return dataclasses.replace(stats(*args, **kwargs), seconds=1.25)
+
+    monkeypatch.setattr(cayley, "cayley_stats", timed)
+    for timings, seconds, column in (([], 0.0, "0.000"), (["--timings"], 1.25, "1.250")):
+        code, out, _ = run_capture(capsys, ["girth", *_SPEC, "--p", "5", *timings])
+        assert (code, json.loads(out)["seconds"]) == (EXIT_OK, seconds)
+        argv = ["dg-table", *_SPEC, "--primes", "3,5", *timings]
+        code, out, _ = run_capture(capsys, argv + ["--format", "json"])
+        assert code == EXIT_OK
+        assert [r["seconds"] for r in json.loads(out)["rows"]] == [seconds, seconds]
+        code, out, _ = run_capture(capsys, argv)
+        assert code == EXIT_OK
+        assert [line.split(",")[6] for line in out.splitlines()[1:]] == [column, column]
 
 
 def test_dg_table_json_format(capsys):
@@ -464,17 +494,20 @@ def test_verify_lucas_negative_max_alpha_is_a_parameter_error(capsys):
 
 
 # a = b = 1 is outside `validate`'s domain: the graph commands measure it and
-# report a spec block with no regime.  The outputs are pinned byte for byte.
+# report a spec block with no regime, q or t and no guarantees.  The outputs
+# are pinned byte for byte.
 _UNGUARANTEED = ["--n", "2", "--l", "1", "--a", "1", "--b", "1"]
 _UNGUARANTEED_SPEC = """\
   "spec": {
     "a": 1,
+    "alternative_q": [],
     "b": 1,
     "guarantees": {},
     "l": 1,
     "n": 2,
-    "note": "outside the validated parameter domain; measured only",
-    "regime": null
+    "q": null,
+    "regime": null,
+    "t": null
   }"""
 _UNGUARANTEED_EXACT = {
     "girth": (
@@ -494,7 +527,7 @@ _UNGUARANTEED_EXACT = {
   "n": 2,
   "order": 24,
   "peak_bytes": 1013,
-  "schema_version": 1,
+  "schema_version": 2,
   "seconds": 0.0,
 %s
 }
@@ -519,7 +552,7 @@ p,order,full,girth,diameter,ratio,seconds,peak_bytes
   "generated_full": true,
   "order": 24,
   "p": 3,
-  "schema_version": 1,
+  "schema_version": 2,
 %s
 }
 """
@@ -537,6 +570,30 @@ def test_out_of_domain_tuple_is_measured_unguaranteed(capsys, cmd):
 
 
 _SPEC = ["--n", "2", "--l", "1", "--a", "2", "--b", "2"]
+
+
+@pytest.mark.parametrize(
+    "tuple_", [_SPEC, _UNGUARANTEED], ids=["in-domain", "out-of-domain"]
+)
+@pytest.mark.parametrize(
+    "cmd,opts",
+    [
+        (["girth"], ["--p", "3"]),
+        (["dg-table"], ["--primes", "3", "--format", "json"]),
+        (["spectral"], ["--p", "3"]),
+        (["verify", "freeness"], ["--max-length", "4"]),
+        (["verify", "generation"], ["--p", "3"]),
+    ],
+    ids=["girth", "dg-table", "spectral", "verify freeness", "verify generation"],
+)
+def test_spec_block_has_validates_key_set(capsys, tuple_, cmd, opts):
+    # one key set in every report, inside validate's domain and outside it
+    code, out, _ = run_capture(capsys, ["validate", *_SPEC])
+    assert code == EXIT_OK
+    keys = set(json.loads(out)) - {"schema_version"}
+    code, out, _ = run_capture(capsys, [*cmd, *tuple_, *opts])
+    assert code == EXIT_OK
+    assert set(json.loads(out)["spec"]) == keys
 
 
 # In-domain reports pinned byte for byte against tests/golden/<name>: a spec
@@ -590,7 +647,7 @@ _UNGUARANTEED_FLOAT = {
         "gamma": 1.6180339887470476,
         "lambda_max": 2.6180339887356197,
         "p": 3,
-        "schema_version": 1,
+        "schema_version": 2,
     },
     "spectral": {
         "degree": 4,
@@ -599,7 +656,7 @@ _UNGUARANTEED_FLOAT = {
         "order": 24,
         "p": 3,
         "residual": 0.0,
-        "schema_version": 1,
+        "schema_version": 2,
         "second_eigenvalue": 1 + math.sqrt(3),
         "seed": 0,
         "spec": json.loads("{%s}" % _UNGUARANTEED_SPEC)["spec"],
