@@ -7,12 +7,12 @@ One subcommand per capability keeps the acceptance suite scriptable:
     subgroup-gens, export-dot
 
 Each command takes `-o FILE` and only the other options its handler reads:
-`--memory-budget` on the commands that run a BFS (girth, diameter, dg-table,
-spectral, verify generation, verify recipe, export-dot), `--timings` on
-girth, diameter and dg-table, `--format` on construct (json | text) and
-dg-table (csv | json), and `--threads`, which has no effect, on verify
-freeness.  Any other option is unrecognized: exit 1.  No option is matched
-by a prefix: `dg-table --p 61` does not read `--primes`.
+`--memory-budget` on the commands that build a graph (girth, diameter,
+dg-table, spectral, verify generation, verify recipe, export-dot),
+`--timings` on girth, diameter and dg-table, `--format` on construct
+(json | text) and dg-table (csv | json), and `--threads`, which has no
+effect, on verify freeness.  Any other option is unrecognized: exit 1.  No
+option is matched by a prefix: `dg-table --p 61` does not read `--primes`.
 
 Exit codes: 0 success, 1 parameter error, 2 budget exhaustion with partial
 results written, 3 verification failure (a claim check that did not hold).
@@ -20,10 +20,10 @@ All output is deterministic for a fixed configuration; wall-clock timings
 are zeroed unless --timings is passed, so reruns are byte-identical.
 
 Both output formats are encoded in this module: JSON, with schema_version
-2, and the dg-table CSV.  A report about a tuple carries the tuple's
-GraphSpec as its "spec" block, with one key set for every tuple: outside
-validate's domain the regime, q and t are null and the guarantees and
-alternative_q empty.
+3 (version 3 added the spectral report's `modules`), and the dg-table CSV.
+A report about a tuple carries the tuple's GraphSpec as its "spec" block,
+with one key set for every tuple: outside validate's domain the regime, q
+and t are null and the guarantees and alternative_q empty.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .modmat import is_prime
 from .params import GraphSpec
 from .words import RecipeError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 ENV_MEMORY_BUDGET = "GIRTHLAB_MEMORY_BUDGET"
 
 EXIT_OK = 0
@@ -407,7 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     # no parser matches an option by a prefix: which prefixes would parse
     # depends on each command's option set, so a script could rely on one
     # silently
-    ap = argparse.ArgumentParser(prog="girthlab", description=__doc__, allow_abbrev=False)
+    # the description is this module's docstring, with its line breaks kept
+    ap = argparse.ArgumentParser(
+        prog="girthlab",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
+    )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     _leaf(sub, "validate", _cmd_validate)

@@ -10,28 +10,39 @@ gram_lambda_max, whose float is checked in exact arithmetic to lie above the
 top eigenvalue of the Gram matrix: each is an upper bound, not an estimate
 that may fall short of the true value.
 
-The second adjacency eigenvalue lambda_2 comes from two-pass Lanczos on the
-mean-free subspace, where it is the top eigenvalue.  The report's
-`iterations` counts Lanczos steps, and its `residual` is the true residual
-||Ay - rho y|| of the unit Ritz vector y with Rayleigh quotient rho, the
-reported lambda_2, so [rho - residual, rho + residual] contains an
-eigenvalue of A on the mean-free subspace.  Compare lambda_2 with the
-Ramanujan bound 2 sqrt(k - 1) (Lubotzky-Phillips-Sarnak, 1988), 2 sqrt 3
-for the 4-regular graphs.
+The second adjacency eigenvalue lambda_2 comes from two-pass Lanczos.  For
+the pair [[1, s], [0, 1]], [[1, 0], [t, 1]] mod an odd prime p (s, t != 0),
+which generates SL_2(F_p), it runs on the two Gelfand-Graev modules: the
+functions f on the group with f(u g) = psi(u) f(g) for the characters
+psi_e(u) = omega^(e u12), omega = exp(2 pi i / p), of the upper unitriangular
+group U, with e = 1 and e the least quadratic non-residue.  Each is a
+Schreier graph with phases on the p^2 - 1 cosets of U, the nonzero bottom
+rows, and together they contain every nontrivial irreducible representation
+of SL_2(F_p) (Piatetski-Shapiro, Complex Representations of GL(2,K) for
+Finite Fields K, 1983), so the larger of their two top eigenvalues is
+lambda_2.  Any other generator set runs on the whole Cayley graph's
+mean-free subspace, where lambda_2 is the top eigenvalue.  The report's
+`modules` lists each Lanczos run with its `iterations` (Lanczos steps) and
+its `residual`, the true residual ||Ay - rho y|| of the unit Ritz vector y
+with Rayleigh quotient rho; the top-level ones are those of the run that
+gives lambda_2, so [rho - residual, rho + residual] contains an eigenvalue
+of A on that run's space.  Compare lambda_2 with the Ramanujan bound
+2 sqrt(k - 1) (Lubotzky-Phillips-Sarnak, 1988), 2 sqrt 3 for the 4-regular
+graphs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import cayley
-from .cayley import DegenerateSpecError
+from .cayley import BudgetExceededError, DegenerateSpecError
 from .exactmat import ExactMatrix, ParameterError, ShapeError, generator_pair
-from .modmat import ModMatrix
+from .modmat import ModMatrix, is_prime
 from .params import GraphSpec
 
 _MAX_DIM = 8
@@ -52,6 +63,19 @@ class GirthBound:
 
 
 @dataclass(frozen=True)
+class ModuleSolve:
+    """One Lanczos run: on the module psi_e (psi = e) of p^2 - 1 vertices,
+    or on the Cayley graph's mean-free subspace (psi None, vertices the
+    order)."""
+
+    psi: Optional[int]
+    vertices: int
+    top_eigenvalue: float
+    iterations: int
+    residual: float
+
+
+@dataclass(frozen=True)
 class SpectralGapReport:
     order: int
     degree: int
@@ -61,6 +85,7 @@ class SpectralGapReport:
     iterations: int
     residual: float
     seed: int
+    modules: Tuple[ModuleSolve, ...]
 
 
 def gram_lambda_max(M: ExactMatrix) -> float:
@@ -161,28 +186,47 @@ def girth_lower_bound(spec: GraphSpec, p: int) -> GirthBound:
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    """u . v, summed by np.einsum, whose loop does not go through BLAS: the
-    threaded sums of OpenBLAS round differently with the number of CPUs the
-    process may run on."""
-    return float(np.einsum("i,i", u, v))
+    """The real part of conj(u) . v, summed by np.einsum over the float64
+    parts, whose loop does not go through BLAS: the threaded sums of
+    OpenBLAS round differently with the number of CPUs the process may run
+    on.  Lanczos takes only products that are real in exact arithmetic:
+    norms, and q* A q for a Hermitian A."""
+    return float(np.einsum("i,i", u.view(np.float64), v.view(np.float64)))
 
 
-def _lanczos(matvec, q: np.ndarray):
-    """Lanczos steps from the unit mean-free vector q, without
-    reorthogonalization: yields (q_j, alpha_j, beta_j) for j = 0, 1, ...
+def _apply(targets: np.ndarray, weights: Optional[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """A v for the (k, V) map targets: (A v)_i is the sum over j of
+    weights[j, i] v[targets[j, i]], or of v[targets[j, i]] when weights is
+    None."""
+    if weights is None:
+        w = v[targets[0]]
+        for row in targets[1:]:
+            w += v[row]
+        return w
+    w = weights[0] * v[targets[0]]
+    for weight, row in zip(weights[1:], targets[1:]):
+        w += weight * v[row]
+    return w
 
-    Each new vector has its mean subtracted, so the recurrence stays on the
-    mean-free subspace even as rounding leaks in the constant vector.  The
-    steps are deterministic, so a second run from the same q yields the same
-    vectors: the Ritz vector is rebuilt that way instead of storing them.
-    Every dot product and norm is summed by _dot, so the steps do not depend
-    on the CPU count either.
+
+def _lanczos(targets: np.ndarray, weights: Optional[np.ndarray], q: np.ndarray, mean_free: bool):
+    """Lanczos steps of the Hermitian A of _apply from the unit vector q,
+    without reorthogonalization: yields (q_j, alpha_j, beta_j) for j = 0, 1,
+    ...
+
+    With mean_free, q is mean-free and each new vector has its mean
+    subtracted, so the recurrence stays on the mean-free subspace even as
+    rounding leaks in the constant vector.  The steps are deterministic, so a
+    second run from the same q yields the same vectors: the Ritz vector is
+    rebuilt that way instead of storing them.  Every dot product and norm is
+    summed by _dot, so the steps do not depend on the CPU count either.
     """
     q_prev = np.zeros_like(q)
     beta = 0.0
     while True:
-        w = matvec(q)
-        w -= w.mean()
+        w = _apply(targets, weights, q)
+        if mean_free:
+            w -= w.mean()
         alpha = _dot(q, w)
         w -= alpha * q
         w -= beta * q_prev
@@ -198,6 +242,144 @@ def _top_ritz(alphas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
     return np.linalg.eigh(T)[1][:, -1]
 
 
+def _top_pair(
+    targets: np.ndarray, weights: Optional[np.ndarray], start: np.ndarray, mean_free: bool
+) -> Tuple[float, int, float]:
+    """(rho, steps, residual) of two-pass Lanczos from the unit vector start:
+    the Rayleigh quotient of the top Ritz vector y, the steps of pass 1, and
+    the true ||Ay - rho y||."""
+    alphas: List[float] = []
+    betas: List[float] = []
+    for _, alpha, beta in _lanczos(targets, weights, start, mean_free):
+        alphas.append(alpha)
+        betas.append(beta)
+        steps = len(alphas)
+        if beta <= max(_TOL, _BREAKDOWN * len(targets)) or steps >= _MAX_ITER:
+            break
+        if steps % _CHECK_EVERY == 0 and beta * abs(_top_ritz(alphas, betas)[-1]) <= _TOL:
+            break
+    s = _top_ritz(alphas, betas)
+
+    y = np.zeros_like(start)
+    for coeff, (q, _, _) in zip(s, _lanczos(targets, weights, start, mean_free)):
+        y += coeff * q
+    if mean_free:
+        y -= y.mean()
+    y /= math.sqrt(_dot(y, y))
+    ay = _apply(targets, weights, y)
+    rho = _dot(y, ay)
+    ay -= rho * y
+    return rho, steps, math.sqrt(_dot(ay, ay))
+
+
+def _unitriangular_prime(generators: Sequence[ModMatrix]) -> Optional[int]:
+    """p when the generators are X = [[1, s], [0, 1]] and Y = [[1, 0], [t, 1]]
+    mod an odd prime p with s, t != 0, else None.
+
+    Then X^(1/s) = E12(1) and Y^(1/t) = E21(1), which generate SL_2(F_p):
+    the group is certified without a BFS, and the Gelfand-Graev modules hold
+    the whole spectrum of its Cayley graph but the trivial eigenvalue.
+    """
+    if len(generators) != 2:
+        return None
+    X, Y = generators
+    p = X.m
+    if X.n != 2 or Y.n != 2 or Y.m != p or p == 2 or not is_prime(p):
+        return None
+    (x11, s), (x21, x22) = X.entries
+    (y11, y12), (t, y22) = Y.entries
+    if (x11, x21, x22, y11, y12, y22) != (1, 0, 1, 1, 0, 1) or s == 0 or t == 0:
+        return None
+    return p
+
+
+def _least_nonresidue(p: int) -> int:
+    """The least quadratic non-residue mod the odd prime p (Euler's
+    criterion)."""
+    return next(e for e in range(2, p) if pow(e, (p - 1) // 2, p) == p - 1)
+
+
+def _gelfand_graev(gens: Sequence[ModMatrix], p: int, e: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(targets, weights), both (k, p^2 - 1), of the module psi_e of
+    SL_2(F_p) under the k symmetrized generators gens.
+
+    Vertex c p + d - 1 is the coset U sigma(c, d) of the nonzero bottom row
+    (c, d), with sigma(c, d) = [[0, -1/c], [c, d]] if c != 0 and
+    [[1/d, 0], [0, d]] otherwise.  For generator g its target is the row
+    (c', d') = (c, d) g, and its weight is omega^(e x) for the x with
+    sigma(c, d) g = [[1, x], [0, 1]] sigma(c', d'): with (r1, r2) the top
+    row of sigma(c, d) g, x = r1 / c' if c' != 0 and r2 / d' otherwise.  The
+    table of roots has omega^(p - x) = conj(omega^x) exactly, so the weighted
+    matrix is exactly Hermitian.
+    """
+    k, V = len(gens), p * p - 1
+    inv = np.zeros(p, dtype=np.int64)
+    inv[1:] = [pow(i, -1, p) for i in range(1, p)]
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    roots[(p + 1) // 2 :] = roots[(p - 1) // 2 : 0 : -1].conj()
+    c, d = np.divmod(np.arange(1, V + 1, dtype=np.int64), p)
+    s1 = np.where(c == 0, inv[d], 0)  # the top row of sigma(c, d)
+    s2 = (p - inv[c]) % p
+    targets = np.empty((k, V), dtype=np.int64)
+    weights = np.empty((k, V), dtype=np.complex128)
+    for j, g in enumerate(gens):
+        (g11, g12), (g21, g22) = g.entries
+        c2, d2 = (c * g11 + d * g21) % p, (c * g12 + d * g22) % p
+        r1, r2 = (s1 * g11 + s2 * g21) % p, (s1 * g12 + s2 * g22) % p
+        x = np.where(c2 == 0, r2 * inv[d2], r1 * inv[c2])
+        targets[j] = c2 * p + d2 - 1
+        weights[j] = roots[e * x % p]
+    return targets, weights
+
+
+def _module_solve(gens: Sequence[ModMatrix], p: int, e: int, rng) -> ModuleSolve:
+    """Lanczos on the module psi_e, from a complex start vector of rng.
+    Neither module holds the trivial representation, so no mean is
+    subtracted."""
+    targets, weights = _gelfand_graev(gens, p, e)
+    start = rng.standard_normal(2 * (p * p - 1)).view(np.complex128)
+    start /= math.sqrt(_dot(start, start))
+    return ModuleSolve(e, p * p - 1, *_top_pair(targets, weights, start, False))
+
+
+def _module_solves(
+    gens: Sequence[ModMatrix], p: int, rng, memory_budget: int
+) -> List[ModuleSolve]:
+    """Lanczos on psi_1, then on psi_eps for the least non-residue eps.
+
+    One module is held at a time: its targets and weights, 24 k bytes a
+    vertex, and at most seven complex128 Lanczos vectors.  That is charged
+    first, with fourteen 8-byte vectors that also cover the build's scratch;
+    over memory_budget it raises BudgetExceededError at depth 0.
+    """
+    V = p * p - 1
+    charge = 8 * V * (3 * len(gens) + 14)
+    if charge > memory_budget:
+        raise BudgetExceededError(
+            0, 0, f"the two Gelfand-Graev modules of {V} vertices need {charge} bytes"
+        )
+    return [_module_solve(gens, p, e, rng) for e in (1, _least_nonresidue(p))]
+
+
+def _cayley_solve(gens: Sequence[ModMatrix], rng, memory_budget: int) -> ModuleSolve:
+    """Lanczos on the mean-free subspace of the Cayley graph, from a
+    mean-free start vector of rng.
+
+    Memory is charged to memory_budget by the BFS and by the neighbour map
+    (cayley.neighbour_map), which raise BudgetExceededError when it does not
+    fit.  Lanczos then holds the map and at most seven float64 vectors of the
+    order, which the map's charge covers.
+    """
+    res = cayley.bfs(gens, collect=True, memory_budget=memory_budget)
+    nbr = cayley.neighbour_map(gens, res, memory_budget=memory_budget)
+    order = nbr.shape[1]
+    del res  # the codes are not needed past the map
+    start = rng.standard_normal(order)
+    start -= start.mean()
+    start /= math.sqrt(_dot(start, start))
+    return ModuleSolve(None, order, *_top_pair(nbr, None, start, True))
+
+
 def second_eigenvalue(
     generators: Sequence[ModMatrix],
     *,
@@ -207,25 +389,32 @@ def second_eigenvalue(
     """Second-largest adjacency eigenvalue of the Cayley graph on the group
     the generators produce.
 
-    Two-pass Lanczos on the mean-free subspace, where the top eigenvalue of
-    the adjacency A is lambda_2.  Pass 1 keeps only the tridiagonal T and
+    For X = [[1, s], [0, 1]], Y = [[1, 0], [t, 1]] mod an odd prime p with
+    s, t != 0 (the dim2 pair at every p not dividing l a b), the group is
+    SL_2(F_p), of order p (p^2 - 1), and Lanczos runs on its two
+    Gelfand-Graev modules of p^2 - 1 vertices each (_gelfand_graev): no
+    BFS, no neighbour map.  lambda_2 is the larger top eigenvalue of the
+    two.  Any other generator set runs one BFS and Lanczos on the mean-free
+    subspace of the whole Cayley graph.
+
+    Each run is two-pass Lanczos.  Pass 1 keeps only the tridiagonal T and
     stops when Paige's estimate beta_j |s_j| of the top Ritz pair's residual
     is at most _TOL (checked every few steps), when beta_j <= _TOL, which
     bounds that estimate (beta_j ~ 0 means the Krylov space is invariant), or
-    after _MAX_ITER steps.  Pass 2 repeats the steps from the same seeded
-    start vector to build the Ritz vector y, made mean-free and unit.
+    after _MAX_ITER steps.  Pass 2 repeats the steps from the same start
+    vector to build the Ritz vector y, made unit (and mean-free on the
+    Cayley graph).  Its top eigenvalue is the Rayleigh quotient rho = y* A y,
+    its iterations the Lanczos steps of pass 1, and its residual the true
+    ||Ay - rho y||: [rho - residual, rho + residual] contains an eigenvalue
+    of A on that module (Parlett, The Symmetric Eigenvalue Problem, section
+    4.5).  The report's modules lists the runs; its second_eigenvalue,
+    iterations and residual are those of the run with the largest rho.  The
+    start vectors are drawn in turn from one generator seeded with seed,
+    which must be >= 0; the result is deterministic on any number of CPUs.
 
-    second_eigenvalue is the Rayleigh quotient rho = y.Ay, iterations the
-    Lanczos steps of pass 1, and residual the true ||Ay - rho y||: the
-    interval [rho - residual, rho + residual] contains an eigenvalue of A on
-    the mean-free subspace (Parlett, The Symmetric Eigenvalue Problem,
-    section 4.5).  Deterministic for a fixed seed, which must be >= 0, on
-    any number of CPUs.
-
-    Memory is charged to memory_budget by the BFS and by the neighbour map
-    (cayley.neighbour_map), which raise BudgetExceededError when it does not
-    fit.  Lanczos then holds the map and at most seven float64 vectors of the
-    order, which the map's charge covers.
+    The memory of either path is charged to memory_budget before it is
+    allocated (_module_solves, _cayley_solve); BudgetExceededError carries
+    the partial result when it does not fit.
     """
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
@@ -233,50 +422,24 @@ def second_eigenvalue(
     for g in gens:
         if g.is_identity():
             raise DegenerateSpecError("identity generator; adjacency undefined")
-    res = cayley.bfs(gens, collect=True, memory_budget=memory_budget)
-    nbr = cayley.neighbour_map(gens, res, memory_budget=memory_budget)
-    order, k = nbr.shape[1], len(gens)
-    del res  # the codes are not needed past the map
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        w = v[nbr[0]]
-        for row in nbr[1:]:
-            w += v[row]
-        return w
-
     rng = np.random.default_rng(seed)
-    start = rng.standard_normal(order)
-    start -= start.mean()
-    start /= math.sqrt(_dot(start, start))
-
-    alphas: List[float] = []
-    betas: List[float] = []
-    for _, alpha, beta in _lanczos(matvec, start):
-        alphas.append(alpha)
-        betas.append(beta)
-        steps = len(alphas)
-        if beta <= max(_TOL, _BREAKDOWN * k) or steps >= _MAX_ITER:
-            break
-        if steps % _CHECK_EVERY == 0 and beta * abs(_top_ritz(alphas, betas)[-1]) <= _TOL:
-            break
-    s = _top_ritz(alphas, betas)
-
-    y = np.zeros(order)
-    for coeff, (q, _, _) in zip(s, _lanczos(matvec, start)):
-        y += coeff * q
-    y -= y.mean()
-    y /= math.sqrt(_dot(y, y))
-    ay = matvec(y)
-    rho = _dot(y, ay)
-    ay -= rho * y
-    residual = math.sqrt(_dot(ay, ay))
+    p = _unitriangular_prime(generators)
+    if p is None:
+        solves = [_cayley_solve(gens, rng, memory_budget)]
+        order = solves[0].vertices
+    else:
+        solves = _module_solves(gens, p, rng, memory_budget)
+        order = p * (p * p - 1)
+    best = max(solves, key=lambda solve: solve.top_eigenvalue)
+    k, rho = len(gens), best.top_eigenvalue
     return SpectralGapReport(
         order=order,
         degree=k,
         top_eigenvalue=float(k),
         second_eigenvalue=rho,
         gap=(k - rho) / k,
-        iterations=steps,
-        residual=residual,
+        iterations=best.iterations,
+        residual=best.residual,
         seed=seed,
+        modules=tuple(solves),
     )

@@ -26,7 +26,7 @@ def test_validate_subcommand(capsys):
     )
     assert code == EXIT_OK
     data = json.loads(out)
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
     assert set(data["guarantees"]) == {"freeness", "generation", "girth-bound"}
 
 
@@ -203,20 +203,47 @@ def test_spectral_negative_seed_exits_one_without_a_traceback(capsys):
 
 
 def test_spectral_over_the_budget_exits_two_with_the_partial_result(capsys):
-    # the BFS of the 120 elements at p = 5 fits 10,000 bytes; their
-    # neighbour map, 8 * 120 * (4 + max(2^2 + 4, 4 + 3)) = 11,520 bytes, does not
+    # mod the composite 9 the Cayley path runs: the BFS of the 648 elements
+    # fits 62,000 bytes; their neighbour map, 8 * 648 * (4 + max(2^2 + 4,
+    # 4 + 3)) = 62,208 bytes, does not
     code, out, _ = run_capture(
         capsys,
         [
             "spectral", "--n", "2", "--l", "1", "--a", "2", "--b", "2",
-            "--p", "5", "--memory-budget", "10000",
+            "--p", "9", "--memory-budget", "62000",
         ],
     )
     assert code == EXIT_BUDGET
     data = json.loads(out)
     assert data["partial"] is True
-    assert data["order_so_far"] == 120
+    assert (data["depth_reached"], data["order_so_far"]) == (8, 648)
     assert "neighbour map" in data["error"]
+
+
+def test_spectral_modules_over_the_budget_exit_two_at_depth_zero(capsys):
+    # at p = 5 the two modules of 24 vertices are charged 8 * 24 * (3 * 4 +
+    # 14) = 4,992 bytes before anything is built
+    code, out, _ = run_capture(
+        capsys,
+        [
+            "spectral", "--n", "2", "--l", "1", "--a", "2", "--b", "2",
+            "--p", "5", "--memory-budget", "4991",
+        ],
+    )
+    assert code == EXIT_BUDGET
+    data = json.loads(out)
+    assert (data["partial"], data["depth_reached"], data["order_so_far"]) == (True, 0, 0)
+    assert "Gelfand-Graev modules" in data["error"]
+
+
+def test_help_keeps_the_command_list_on_its_own_lines(capsys):
+    # the top-level description is the cli docstring with its line breaks:
+    # the command list does not run into the next paragraph
+    code, out, _ = run_capture(capsys, ["--help"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert "    subgroup-gens, export-dot" in lines
+    assert any(line.startswith("Each command takes") for line in lines)
 
 
 def test_verify_freeness_clean(capsys):
@@ -527,7 +554,7 @@ _UNGUARANTEED_EXACT = {
   "n": 2,
   "order": 24,
   "peak_bytes": 1013,
-  "schema_version": 2,
+  "schema_version": 3,
   "seconds": 0.0,
 %s
 }
@@ -552,7 +579,7 @@ p,order,full,girth,diameter,ratio,seconds,peak_bytes
   "generated_full": true,
   "order": 24,
   "p": 3,
-  "schema_version": 2,
+  "schema_version": 3,
 %s
 }
 """
@@ -637,8 +664,10 @@ def test_out_of_domain_export_dot_is_pinned(capsys):
 # Floating-point fields come from numpy reductions, so they are compared to
 # 1e-9 rather than by text, and a residual pinned at 0.0 to 1e-12; every
 # other field is exact.  The spectral values are exact: lambda_2 = 1 + sqrt 3
-# (a dense eigvalsh of the 24-vertex adjacency agrees), and Lanczos finds an
-# invariant subspace after 5 steps, so the residual is rounding only.
+# (a dense eigvalsh of the 24-vertex adjacency agrees).  The pair
+# [[1, 1], [0, 1]], [[1, 0], [1, 1]] mod 3 takes the module path, and
+# Lanczos finds an invariant subspace of each 8-vertex module after 5 steps,
+# with top eigenvalue 1 + sqrt 3 in both, so the residuals are rounding only.
 _UNGUARANTEED_FLOAT = {
     "bound": {
         "beta_max": 2.618033988740681,
@@ -647,16 +676,26 @@ _UNGUARANTEED_FLOAT = {
         "gamma": 1.6180339887470476,
         "lambda_max": 2.6180339887356197,
         "p": 3,
-        "schema_version": 2,
+        "schema_version": 3,
     },
     "spectral": {
         "degree": 4,
         "gap": (3 - math.sqrt(3)) / 4,
         "iterations": 5,
+        "modules": [
+            {
+                "iterations": 5,
+                "psi": psi,
+                "residual": 0.0,
+                "top_eigenvalue": 1 + math.sqrt(3),
+                "vertices": 8,
+            }
+            for psi in (1, 2)
+        ],
         "order": 24,
         "p": 3,
         "residual": 0.0,
-        "schema_version": 2,
+        "schema_version": 3,
         "second_eigenvalue": 1 + math.sqrt(3),
         "seed": 0,
         "spec": json.loads("{%s}" % _UNGUARANTEED_SPEC)["spec"],
@@ -670,13 +709,24 @@ def test_out_of_domain_tuple_float_reports(capsys, cmd):
     code, out, _ = run_capture(capsys, [cmd, *_UNGUARANTEED, "--p", "3"])
     assert code == EXIT_OK
     data = json.loads(out)
-    expected = _UNGUARANTEED_FLOAT[cmd]
-    assert list(data) == list(expected)
-    for key, want in expected.items():
-        if isinstance(want, float):
-            assert data[key] == pytest.approx(want, rel=1e-9, abs=1e-12), key
-        else:
-            assert data[key] == want, key
+    _assert_close(data, _UNGUARANTEED_FLOAT[cmd], cmd)
+
+
+def _assert_close(got, want, where):
+    """got == want, with the same keys in the same order, and floats to
+    1e-9 (a zero to 1e-12)."""
+    if isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12), where
+    elif isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, where
 
 
 def test_cli_defaults_come_from_the_parser(capsys):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from girthlab import cayley
+from girthlab import cayley, spectral
 from girthlab.cayley import BudgetExceededError, spec_generators
 from girthlab.exactmat import ExactMatrix, ParameterError, ShapeError, magic_pair, power_closed_form
 from girthlab.modmat import ModMatrix
@@ -275,17 +275,32 @@ def test_spectral_output_does_not_depend_on_the_cpu_count():
 
 
 def test_second_eigenvalue_budget_is_its_neighbour_map_charge():
-    # 8 N (k + max(n^2 + 4, k + 3)) bytes for the N = 120 elements at n = 2
-    # and degree 4, above the BFS's own peak: one byte less raises the
-    # partial result at the BFS's full depth, and exactly the charge runs as
-    # the default does
-    X, Y = spec_generators(SPEC2, 5)
-    charge = 8 * 120 * (4 + max(2 * 2 + 4, 4 + 3))
+    # mod the composite 9 the Cayley path runs: 8 N (k + max(n^2 + 4, k + 3))
+    # bytes for the N = 648 elements at n = 2 and degree 4, above the BFS's
+    # own peak: one byte less raises the partial result at the BFS's full
+    # depth, and exactly the charge runs as the default does
+    X, Y = spec_generators(SPEC2, 9)
+    charge = 8 * 648 * (4 + max(2 * 2 + 4, 4 + 3))
+    assert charge == 62_208
     full = cayley.bfs([X, Y], collect=True, memory_budget=charge)
     assert full.peak_bytes < charge
     with pytest.raises(BudgetExceededError) as exc:
         second_eigenvalue([X, Y], memory_budget=charge - 1)
-    assert (exc.value.depth_reached, exc.value.order_so_far) == (full.diameter, 120)
+    assert (exc.value.depth_reached, exc.value.order_so_far) == (full.diameter, 648)
+    assert full.diameter == 8
+    assert second_eigenvalue([X, Y], memory_budget=charge) == second_eigenvalue([X, Y])
+
+
+def test_second_eigenvalue_budget_is_the_module_charge():
+    # at p = 5 one module of V = 24 vertices is held at a time: its targets
+    # and weights, 24 k bytes a vertex, and fourteen 8-byte vectors, 8 V
+    # (3 k + 14) bytes.  One byte less raises at depth 0 before anything is
+    # built, and exactly the charge runs as the default does
+    X, Y = spec_generators(SPEC2, 5)
+    charge = 8 * 24 * (3 * 4 + 14)
+    with pytest.raises(BudgetExceededError, match="Gelfand-Graev modules") as exc:
+        second_eigenvalue([X, Y], memory_budget=charge - 1)
+    assert (exc.value.depth_reached, exc.value.order_so_far) == (0, 0)
     assert second_eigenvalue([X, Y], memory_budget=charge) == second_eigenvalue([X, Y])
 
 
@@ -343,3 +358,125 @@ def test_neighbour_map_charge_holds_the_lanczos_vectors_at_n_1():
     report = second_eigenvalue([g], memory_budget=charge)
     assert report.order == 100
     assert report.second_eigenvalue == pytest.approx(2 * math.cos(2 * math.pi / 100), abs=1e-6)
+
+
+def _distinct(values, tol=1e-9):
+    """The sorted values with each run closer than tol kept once."""
+    out = []
+    for v in np.sort(values):
+        if not out or v - out[-1] > tol:
+            out.append(v)
+    return np.array(out)
+
+
+def _module_matrix(p, e):
+    """The dense matrix of the module psi_e of SL_2(F_p) under the dim2
+    generators; it must be Hermitian."""
+    gens = cayley.symmetrize(spec_generators(SPEC2, p))
+    targets, weights = spectral._gelfand_graev(gens, p, e)
+    V = p * p - 1
+    A = np.zeros((V, V), dtype=complex)
+    for row, weight in zip(targets, weights):
+        np.add.at(A, (np.arange(V), row), weight)
+    assert np.array_equal(A, A.conj().T)
+    return A
+
+
+def _modules_hold_the_spectrum(p, es):
+    """Whether the distinct eigenvalues of the modules psi_e, e in es, are
+    those of the Cayley graph without its trivial 4, to 1e-9."""
+    cayley_values = _distinct(_dense_spectrum(p))
+    assert cayley_values[-1] == pytest.approx(4.0, abs=1e-9)
+    modules = _distinct(np.concatenate([np.linalg.eigvalsh(_module_matrix(p, e)) for e in es]))
+    return len(modules) == len(cayley_values) - 1 and np.allclose(
+        modules, cayley_values[:-1], rtol=0, atol=1e-9
+    )
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_gelfand_graev_modules_hold_the_cayley_spectrum(p):
+    assert _modules_hold_the_spectrum(p, (1, spectral._least_nonresidue(p)))
+
+
+def test_one_gelfand_graev_module_misses_lambda_2_at_5():
+    # psi_1 alone tops out at 2.9032, below lambda_2 = 1 + sqrt 5
+    assert spectral._least_nonresidue(5) == 2
+    assert not _modules_hold_the_spectrum(5, (1,))
+    assert np.linalg.eigvalsh(_module_matrix(5, 1))[-1] == pytest.approx(2.9032, abs=1e-4)
+    assert np.linalg.eigvalsh(_module_matrix(5, 2))[-1] == pytest.approx(1 + math.sqrt(5))
+
+
+def test_gelfand_graev_phase_is_the_unitriangular_factor():
+    # each generator permutes the cosets, and sigma(c, d) g =
+    # [[1, x], [0, 1]] sigma((c, d) g) for every vertex and generator, with x
+    # read back from the weight of psi_1
+    p = 7
+    gens = cayley.symmetrize(spec_generators(SPEC2, p))
+    targets, weights = spectral._gelfand_graev(gens, p, 1)
+
+    def sigma(i):
+        c, d = divmod(i + 1, p)
+        rows = [[0, -pow(c, -1, p)], [c, d]] if c else [[pow(d, -1, p), 0], [0, d]]
+        return ModMatrix.from_rows(rows, p)
+
+    for g, row, weight in zip(gens, targets, weights):
+        assert sorted(row) == list(range(p * p - 1))
+        for i in range(p * p - 1):
+            x = round(np.angle(weight[i]) * p / (2 * math.pi)) % p
+            assert weight[i] == pytest.approx(np.exp(2j * math.pi * x / p), abs=1e-12)
+            u = ModMatrix.from_rows([[1, x], [0, 1]], p)
+            assert sigma(i) @ g == u @ sigma(int(row[i]))
+
+
+# lambda_2 of the dim2 graph by scipy's eigsh on the whole Cayley graph,
+# pinned as the benchmark's LAMBDA2 (perfbench/workloads.py)
+_LAMBDA2_PINS = {13: 3.377088930783943, 53: 3.4934728930859484}
+
+
+@pytest.mark.parametrize("p", [5, 13, 53])
+def test_module_path_agrees_with_the_cayley_path(p):
+    gens = spec_generators(SPEC2, p)
+    rep = second_eigenvalue(list(gens), seed=0)
+    assert (rep.order, rep.degree) == (p * (p * p - 1), 4)
+    assert [(m.psi, m.vertices) for m in rep.modules] == [
+        (1, p * p - 1),
+        (spectral._least_nonresidue(p), p * p - 1),
+    ]
+    best = max(rep.modules, key=lambda m: m.top_eigenvalue)
+    assert (rep.second_eigenvalue, rep.iterations, rep.residual) == (
+        best.top_eigenvalue,
+        best.iterations,
+        best.residual,
+    )
+    whole = spectral._cayley_solve(
+        cayley.symmetrize(gens), np.random.default_rng(0), cayley.DEFAULT_MEMORY_BUDGET
+    )
+    assert (whole.psi, whole.vertices) == (None, p * (p * p - 1))
+    assert rep.second_eigenvalue == pytest.approx(whole.top_eigenvalue, abs=1e-9)
+    if p in _LAMBDA2_PINS:
+        assert rep.second_eigenvalue == pytest.approx(_LAMBDA2_PINS[p], abs=1e-9)
+
+
+def test_module_path_runs_no_bfs(monkeypatch):
+    def bfs(*args, **kwargs):
+        raise AssertionError("the BFS ran")
+
+    monkeypatch.setattr(cayley, "bfs", bfs)
+    rep = second_eigenvalue(list(spec_generators(SPEC2, 13)))
+    assert rep.order == 2184
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [ModMatrix.from_rows([[1, 2], [0, 1]], 9), ModMatrix.from_rows([[1, 0], [2, 1]], 9)],
+        [ModMatrix.from_rows([[1, 1], [0, 1]], 2), ModMatrix.from_rows([[1, 0], [1, 1]], 2)],
+        [ModMatrix.from_rows([[1, 2], [0, 1]], 5), ModMatrix.from_rows([[2, 1], [1, 1]], 5)],
+        [ModMatrix.from_rows([[1, 0], [2, 1]], 5), ModMatrix.from_rows([[1, 2], [0, 1]], 5)],
+    ],
+    ids=["composite", "p=2", "not unitriangular", "swapped"],
+)
+def test_other_generator_sets_take_the_cayley_path(gens):
+    rep = second_eigenvalue(gens)
+    assert [(m.psi, m.vertices) for m in rep.modules] == [(None, rep.order)]
+    assert rep.order == cayley.bfs(gens).order
