@@ -106,10 +106,14 @@ budget:
 
 Codes are int64 in both, so the code space m^(n^2) must fit in 63 bits.
 
-The spectral solver and DOT export share one neighbour map (neighbour_map):
-the positions, among the sorted codes of a collected BFS, of every vertex's
-neighbours.  It acts through _product_action too, so its memory follows the
-graph, not the modulus, and it is charged to the memory budget.
+The spectral solver's Cayley path and DOT export share one neighbour map
+(neighbour_map): the positions, among the sorted codes of a collected BFS,
+of every vertex's neighbours.  It acts through _product_action too, so its
+memory follows the graph, not the modulus, and it is charged to the memory
+budget.  The solver's other path, the Gelfand-Graev modules of SL_2(F_p)
+(spectral._gelfand_graev), needs no BFS: its vertices are the nonzero top
+rows, and it reads their row table and shift from _sl2_rows, the same
+tables that _sl2_ranks builds the rank action from.
 """
 
 from __future__ import annotations
@@ -380,30 +384,28 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
     return act
 
 
-def _sl2_ranks(m: int, gens: Sequence[ModMatrix]):
-    """Right multiplication on the ranks of SL_2(F_m), and the unrank map.
+def _sl2_rows(m: int, gens: Sequence[ModMatrix]):
+    """The row action of SL_2(F_m) on its top rows: (x0, y0, rows, shift).
 
     Row 0 of [[a, b], [c, d]] has the code r0 = a + b m, and det = 1 puts
     row 1 on the line v0(r0) + t (a, b), with the point v0 = (-1/b, 0) when
-    b != 0 and (0, 1/a) when b = 0, and 0 <= t < m.  The rank is r0 m + t,
-    so m^3 ranks index the m^3 - m elements; those with r0 = 0 are unused.  Row i of M g
-    is row_i(M) g, so row 0 of M g has the code T_g[r0], and row 1 of M g is
-    v0(r0) g + t row_0(M g), on the line of T_g[r0] at t + s_g[r0] for a
-    shift s_g[r0] that does not depend on t.  So rank(M g) = T_g[r0] m +
-    (t + s_g[r0]) mod m, from two tables over the m^2 row-0 codes per
-    generator and one of the 2m residues.  n = 2 keeps this shift form:
-    _sln_ranks's step table over the (class, t) pairs would hold k m^3
-    int64 entries, more than the m^3-byte table it serves.  Returns (act,
-    unrank): act(ranks), the ranks of every M g_j as _product_action gives
-    their codes, also as a transposed view, and unrank(ranks), the element
-    codes of the ranks in order.
+    b != 0 and (0, 1/a) when b = 0, and 0 <= t < m.  So every element with
+    top row r0 is [[1, 0], [t, 1]] sigma(r0) for one t, with the
+    representative sigma(r0) = [r0; v0(r0)], and x0, y0 are the entries of
+    v0 over the m^2 codes.  Row i of M g is row_i(M) g, so for generator
+    g_j, sigma(r0) g_j = [[1, 0], [s, 1]] sigma(r2) with the top row
+    r2 = rows[j, r0], the code of (a, b) g_j, and s = shift[j, r0], read off
+    at a nonzero entry of row r2.  rows and shift are (k, m^2) int64, and
+    both are 0 at the unused code r0 = 0.  Two readers: _sl2_ranks, the rank
+    table's action, and spectral._gelfand_graev, whose module vertices are
+    the nonzero top rows.
     """
     r0 = np.arange(m * m, dtype=np.int64)
     a, b = r0 % m, r0 // m
     inv = np.array([0] + [pow(x, -1, m) for x in range(1, m)], dtype=np.int64)
     lead = b != 0
     x0, y0 = np.where(lead, -inv[b], 0) % m, np.where(lead, 0, inv[a])  # v0(r0)
-    head, shift = (np.empty((len(gens), m * m), dtype=np.int64) for _ in range(2))
+    rows, shift = (np.empty((len(gens), m * m), dtype=np.int64) for _ in range(2))
     for j, g in enumerate(gens):
         (g00, g01), (g10, g11) = g.entries
         a2, b2 = (a * g00 + b * g10) % m, (a * g01 + b * g11) % m
@@ -411,8 +413,28 @@ def _sl2_ranks(m: int, gens: Sequence[ModMatrix]):
         # v0(r0) g - v0(r2) = s (a2, b2), read off at a nonzero entry of row 0
         wx = (x0 * g00 + y0 * g10 - x0[r2]) % m
         wy = (x0 * g01 + y0 * g11 - y0[r2]) % m
-        head[j] = r2 * m
+        rows[j] = r2
         shift[j] = np.where(b2 != 0, wy * inv[b2], wx * inv[a2]) % m
+    return x0, y0, rows, shift
+
+
+def _sl2_ranks(m: int, gens: Sequence[ModMatrix]):
+    """Right multiplication on the ranks of SL_2(F_m), and the unrank map.
+
+    The rank of [[1, 0], [t, 1]] sigma(r0) is r0 m + t (_sl2_rows, which
+    spectral._gelfand_graev reads too), so m^3 ranks index the m^3 - m
+    elements; those with r0 = 0 are unused.  Since sigma(r0) g =
+    [[1, 0], [s_g[r0], 1]] sigma(T_g[r0]), rank(M g) = T_g[r0] m +
+    (t + s_g[r0]) mod m, from the row and shift tables over the m^2 row-0
+    codes per generator and one table of the 2m residues.  n = 2 keeps this
+    shift form: _sln_ranks's step table over the (class, t) pairs would hold
+    k m^3 int64 entries, more than the m^3-byte table it serves.  Returns
+    (act, unrank): act(ranks), the ranks of every M g_j as _product_action
+    gives their codes, also as a transposed view, and unrank(ranks), the
+    element codes of the ranks in order.
+    """
+    x0, y0, head, shift = _sl2_rows(m, gens)
+    head *= m
     wrap = np.arange(2 * m, dtype=np.int64) % m
 
     def act(ranks) -> np.ndarray:

@@ -180,29 +180,35 @@ class ExactMatrix(_Square):
     def magic_profile(self) -> Optional[Tuple[str, int]]:
         """("upper", a) or ("lower", b) if this is a magic matrix, else None.
 
-        A magic matrix is unitriangular with one constant off-diagonal band
-        right next to the diagonal and zeros everywhere else.
+        A magic matrix is unitriangular with one constant nonzero
+        off-diagonal band right next to the diagonal and zeros everywhere
+        else: the k = 1 matrix of _band_power.
         """
-        n = self.n
-        if n < 2:
+        if self.n < 2:
             return None
-        for side in ("upper", "lower"):
-            band = (
-                self.entries[0][1] if side == "upper" else self.entries[1][0]
-            )
-            ok = True
-            for i in range(n):
-                for j in range(n):
-                    d = j - i if side == "upper" else i - j
-                    want = 1 if d == 0 else (band if d == 1 else 0)
-                    if self.entries[i][j] != want:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok and band != 0:
+        for side, band in (("upper", self.entries[0][1]), ("lower", self.entries[1][0])):
+            if band != 0 and self == _band_power(self.n, side, band, 1):
                 return (side, band)
         return None
+
+
+def _band_power(n: int, side: str, band: int, k: int) -> ExactMatrix:
+    """The k-th power of the n x n magic matrix with this band on side
+    ("upper" or "lower"), in closed form.
+
+    Entry (i, j) is C(k, d) band^d at the distance d = j - i (upper) or
+    i - j (lower) from the diagonal, and 0 for d < 0.  A negative k uses the
+    generalized binomial, which agrees with the explicit inverse; k = 1 is
+    the magic matrix itself.
+    """
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            d = j - i if side == "upper" else i - j
+            row.append(binom_general(k, d) * band**d if d >= 0 else 0)
+        rows.append(tuple(row))
+    return ExactMatrix(n, tuple(rows))
 
 
 _LETTERS = ("X", "Y")
@@ -282,21 +288,7 @@ def magic_pair(n: int, a: int, b: int, *, allow_small: bool = False) -> Tuple[Ex
             f"band values must be >= {floor}, got a={a}, b={b}"
             + ("" if allow_small else " (freeness statements assume a,b >= 2)")
         )
-    A = ExactMatrix(
-        n,
-        tuple(
-            tuple(1 if i == j else (a if j == i + 1 else 0) for j in range(n))
-            for i in range(n)
-        ),
-    )
-    B = ExactMatrix(
-        n,
-        tuple(
-            tuple(1 if i == j else (b if i == j + 1 else 0) for j in range(n))
-            for i in range(n)
-        ),
-    )
-    return A, B
+    return _band_power(n, "upper", a, 1), _band_power(n, "lower", b, 1)
 
 
 def generator_pair(
@@ -309,25 +301,12 @@ def generator_pair(
 
 
 def power_closed_form(M: ExactMatrix, k: int) -> ExactMatrix:
-    """M^k for a magic matrix M, in closed form.
-
-    Entry (i, j) of the k-th power of an upper magic matrix is
-    C(k, j-i) * a^(j-i); the lower case is the transpose pattern.  Negative
-    k uses the generalized binomial, which agrees with the explicit inverse.
-    """
+    """M^k for a magic matrix M, in closed form (_band_power for the side
+    and band that M.magic_profile reads)."""
     profile = M.magic_profile()
     if profile is None:
         raise ShapeError("closed-form powers require a magic (unitriangular banded) matrix")
-    side, band = profile
-    n = M.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            d = j - i if side == "upper" else i - j
-            row.append(binom_general(k, d) * band**d if d >= 0 else 0)
-        rows.append(tuple(row))
-    return ExactMatrix(n, tuple(rows))
+    return _band_power(M.n, *profile, k)
 
 
 def matrix_power(M, k: int):

@@ -14,21 +14,25 @@ The second adjacency eigenvalue lambda_2 comes from two-pass Lanczos.  For
 the pair [[1, s], [0, 1]], [[1, 0], [t, 1]] mod an odd prime p (s, t != 0),
 which generates SL_2(F_p), it runs on the two Gelfand-Graev modules: the
 functions f on the group with f(u g) = psi(u) f(g) for the characters
-psi_e(u) = omega^(e u12), omega = exp(2 pi i / p), of the upper unitriangular
-group U, with e = 1 and e the least quadratic non-residue.  Each is a
-Schreier graph with phases on the p^2 - 1 cosets of U, the nonzero bottom
-rows, and together they contain every nontrivial irreducible representation
-of SL_2(F_p) (Piatetski-Shapiro, Complex Representations of GL(2,K) for
-Finite Fields K, 1983), so the larger of their two top eigenvalues is
-lambda_2.  Any other generator set runs on the whole Cayley graph's
-mean-free subspace, where lambda_2 is the top eigenvalue.  The report's
-`modules` lists each Lanczos run with its `iterations` (Lanczos steps) and
-its `residual`, the true residual ||Ay - rho y|| of the unit Ritz vector y
-with Rayleigh quotient rho; the top-level ones are those of the run that
-gives lambda_2, so [rho - residual, rho + residual] contains an eigenvalue
-of A on that run's space.  Compare lambda_2 with the Ramanujan bound
-2 sqrt(k - 1) (Lubotzky-Phillips-Sarnak, 1988), 2 sqrt 3 for the 4-regular
-graphs.
+psi_e(u) = omega^(e u21), omega = exp(2 pi i / p), of the lower unitriangular
+group U-, with e = 1 and e the least quadratic non-residue.  Each is a
+Schreier graph with phases on the p^2 - 1 cosets of U-, the nonzero top
+rows, which the generators move by the row action of the rank table
+(cayley._sl2_rows).  Conjugation by w = [[0, 1], [-1, 0]] carries U- to the
+upper unitriangular group U and psi_e to the character omega^(-e u12) of U,
+whose module matrix on the cosets of U is the complex conjugate of that of
+omega^(e u12), with the same spectrum.  The two modules of U together
+contain every nontrivial irreducible representation of SL_2(F_p)
+(Piatetski-Shapiro, Complex Representations of GL(2,K) for Finite Fields K,
+1983), so the larger of the two top eigenvalues is lambda_2.  Any other
+generator set runs on the whole Cayley graph's mean-free subspace, where
+lambda_2 is the top eigenvalue.  The report's `modules` lists each Lanczos
+run with its `iterations` (Lanczos steps) and its `residual`, the true
+residual ||Ay - rho y|| of the unit Ritz vector y with Rayleigh quotient
+rho; the top-level ones are those of the run that gives lambda_2, so
+[rho - residual, rho + residual] contains an eigenvalue of A on that run's
+space.  Compare lambda_2 with the Ramanujan bound 2 sqrt(k - 1)
+(Lubotzky-Phillips-Sarnak, 1988), 2 sqrt 3 for the 4-regular graphs.
 """
 
 from __future__ import annotations
@@ -278,7 +282,9 @@ def _unitriangular_prime(generators: Sequence[ModMatrix]) -> Optional[int]:
 
     Then X^(1/s) = E12(1) and Y^(1/t) = E21(1), which generate SL_2(F_p):
     the group is certified without a BFS, and the Gelfand-Graev modules hold
-    the whole spectrum of its Cayley graph but the trivial eigenvalue.
+    the whole spectrum of its Cayley graph but the trivial eigenvalue.  Only
+    this certificate reads the shape of the pair: the modules are built from
+    the row action of any generators (_gelfand_graev).
     """
     if len(generators) != 2:
         return None
@@ -303,33 +309,24 @@ def _gelfand_graev(gens: Sequence[ModMatrix], p: int, e: int) -> Tuple[np.ndarra
     """(targets, weights), both (k, p^2 - 1), of the module psi_e of
     SL_2(F_p) under the k symmetrized generators gens.
 
-    Vertex c p + d - 1 is the coset U sigma(c, d) of the nonzero bottom row
-    (c, d), with sigma(c, d) = [[0, -1/c], [c, d]] if c != 0 and
-    [[1/d, 0], [0, d]] otherwise.  For generator g its target is the row
-    (c', d') = (c, d) g, and its weight is omega^(e x) for the x with
-    sigma(c, d) g = [[1, x], [0, 1]] sigma(c', d'): with (r1, r2) the top
-    row of sigma(c, d) g, x = r1 / c' if c' != 0 and r2 / d' otherwise.  The
-    table of roots has omega^(p - x) = conj(omega^x) exactly, so the weighted
-    matrix is exactly Hermitian.
+    Every element is [[1, 0], [t, 1]] sigma(r0) for its top row r0, and
+    sigma(r0) g = [[1, 0], [s, 1]] sigma(r0 g) with the row table and the
+    shift s of cayley._sl2_rows, which also builds the rank table's action
+    (cayley._sl2_ranks).  So vertex r0 - 1 is the coset U- sigma(r0) of the
+    nonzero top row r0, its target under g is the row r0 g, and its weight
+    is psi_e([[1, 0], [s, 1]]) = omega^(e s).  The table of roots has
+    omega^(p - x) = conj(omega^x) exactly, so the weighted matrix is exactly
+    Hermitian.
     """
-    k, V = len(gens), p * p - 1
-    inv = np.zeros(p, dtype=np.int64)
-    inv[1:] = [pow(i, -1, p) for i in range(1, p)]
+    _, _, targets, shift = cayley._sl2_rows(p, gens)
     roots = np.exp(2j * np.pi * np.arange(p) / p)
     roots[(p + 1) // 2 :] = roots[(p - 1) // 2 : 0 : -1].conj()
-    c, d = np.divmod(np.arange(1, V + 1, dtype=np.int64), p)
-    s1 = np.where(c == 0, inv[d], 0)  # the top row of sigma(c, d)
-    s2 = (p - inv[c]) % p
-    targets = np.empty((k, V), dtype=np.int64)
-    weights = np.empty((k, V), dtype=np.complex128)
-    for j, g in enumerate(gens):
-        (g11, g12), (g21, g22) = g.entries
-        c2, d2 = (c * g11 + d * g21) % p, (c * g12 + d * g22) % p
-        r1, r2 = (s1 * g11 + s2 * g21) % p, (s1 * g12 + s2 * g22) % p
-        x = np.where(c2 == 0, r2 * inv[d2], r1 * inv[c2])
-        targets[j] = c2 * p + d2 - 1
-        weights[j] = roots[e * x % p]
-    return targets, weights
+    targets = targets[:, 1:]  # the top row r0 = 0 is no row of the group
+    targets -= 1
+    shift = shift[:, 1:]
+    shift *= e
+    shift %= p
+    return targets, roots[shift]
 
 
 def _module_solve(gens: Sequence[ModMatrix], p: int, e: int, rng) -> ModuleSolve:
@@ -349,7 +346,8 @@ def _module_solves(
 
     One module is held at a time: its targets and weights, 24 k bytes a
     vertex, and at most seven complex128 Lanczos vectors.  That is charged
-    first, with fourteen 8-byte vectors that also cover the build's scratch;
+    first, with fourteen 8-byte vectors that also cover the build's scratch
+    (cayley._sl2_rows's shift table and its temporaries);
     over memory_budget it raises BudgetExceededError at depth 0.
     """
     V = p * p - 1

@@ -40,13 +40,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cayley, modmat
 from .cayley import BudgetExceededError
-from .exactmat import ParameterError, Word, eval_word, generator_pair
+from .exactmat import ParameterError, Word, eval_word, generator_pair, magic_pair
 from .modmat import ModMatrix
 from .params import GraphSpec
 
 DEFAULT_WORD_BUDGET = 10_000_000
-
-_LETTER_NAMES = ("X", "X^-1", "Y", "Y^-1")
 
 
 class RecipeError(RuntimeError):
@@ -433,14 +431,10 @@ def replay_recipe_sl3_mod3(
 
 
 def _unit_band(n: int, m: int, *, upper: bool) -> ModMatrix:
-    rows = [
-        [
-            1 if i == j else (1 if (j == i + 1 if upper else i == j + 1) else 0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return ModMatrix.from_rows(rows, m)
+    """The magic matrix with band 1 above (upper) or below the diagonal,
+    mod m."""
+    A, B = magic_pair(n, 1, 1, allow_small=True)
+    return modmat.reduce(A if upper else B, m)
 
 
 def _qt_expected_steps(q: int, t: int):

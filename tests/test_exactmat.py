@@ -100,6 +100,23 @@ def test_power_additivity():
             assert (cache[k1] @ cache[k2]).entries == cache[k1 + k2].entries
 
 
+def test_magic_profile_reads_the_side_and_band():
+    A, B = magic_pair(4, 3, 5)
+    assert A.magic_profile() == ("upper", 3)
+    assert B.magic_profile() == ("lower", 5)
+    assert magic_pair(2, 1, 1, allow_small=True)[1].magic_profile() == ("lower", 1)
+    # no band, or band 0 next to the diagonal, is no magic matrix
+    assert ExactMatrix.identity(4).magic_profile() is None
+    assert ExactMatrix.from_rows([[1, 0, 0], [0, 1, 3], [0, 0, 1]]).magic_profile() is None
+    assert ExactMatrix.identity(1).magic_profile() is None
+    # A^2 has a second band, 9 at distance 2
+    assert (A @ A).magic_profile() is None
+    for i, j in ((3, 0), (0, 3), (1, 1), (2, 3)):
+        rows = [list(row) for row in A.entries]
+        rows[i][j] += 1
+        assert ExactMatrix.from_rows(rows).magic_profile() is None
+
+
 def test_power_closed_form_rejects_non_magic():
     M = ExactMatrix.from_rows([[1, 2], [3, 1]])
     with pytest.raises(ShapeError):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from girthlab import cayley, spectral
+from girthlab import cayley, modmat, spectral
 from girthlab.cayley import BudgetExceededError, spec_generators
 from girthlab.exactmat import ExactMatrix, ParameterError, ShapeError, magic_pair, power_closed_form
 from girthlab.modmat import ModMatrix
@@ -25,6 +25,9 @@ from girthlab.spectral import (
 )
 
 SPEC2 = validate(2, 1, 2, 2)
+# a pair with a != b: (2, 1, 2, 2) is symmetric under the anti-diagonal swap
+# J g J, which exchanges the upper and lower unitriangular groups
+SPEC23 = validate(2, 1, 2, 3)
 
 
 def magic_power(n, band, k, *, upper=True):
@@ -167,12 +170,11 @@ def test_second_eigenvalue_connected_strictly_below_degree():
     assert rep.gap > 0.0
 
 
-def _adjacency_edges(p):
-    """(rows, cols) of the dim2 Cayley graph at p, with neighbours found by
-    decode, product and encode rather than by the row-table kernel."""
-    from girthlab import cayley, modmat
-
-    X, Y = spec_generators(SPEC2, p)
+def _adjacency_edges(p, spec=SPEC2):
+    """(rows, cols) of the dim2 Cayley graph of spec at p, with neighbours
+    found by decode, product and encode rather than by the row-table
+    kernel."""
+    X, Y = spec_generators(spec, p)
     codes = [int(c) for c in cayley.bfs([X, Y], collect=True).codes]
     idx = {c: i for i, c in enumerate(codes)}
     gens = cayley.symmetrize([X, Y])
@@ -185,8 +187,8 @@ def _adjacency_edges(p):
     return len(codes), rows, cols
 
 
-def _dense_spectrum(p):
-    order, rows, cols = _adjacency_edges(p)
+def _dense_spectrum(p, spec=SPEC2):
+    order, rows, cols = _adjacency_edges(p, spec)
     A = np.zeros((order, order))
     A[rows, cols] = 1.0
     return np.sort(np.linalg.eigvalsh(A))
@@ -369,10 +371,10 @@ def _distinct(values, tol=1e-9):
     return np.array(out)
 
 
-def _module_matrix(p, e):
+def _module_matrix(p, e, spec=SPEC2):
     """The dense matrix of the module psi_e of SL_2(F_p) under the dim2
-    generators; it must be Hermitian."""
-    gens = cayley.symmetrize(spec_generators(SPEC2, p))
+    generators of spec; it must be Hermitian."""
+    gens = cayley.symmetrize(spec_generators(spec, p))
     targets, weights = spectral._gelfand_graev(gens, p, e)
     V = p * p - 1
     A = np.zeros((V, V), dtype=complex)
@@ -382,20 +384,26 @@ def _module_matrix(p, e):
     return A
 
 
-def _modules_hold_the_spectrum(p, es):
+def _modules_hold_the_spectrum(p, es, spec=SPEC2):
     """Whether the distinct eigenvalues of the modules psi_e, e in es, are
-    those of the Cayley graph without its trivial 4, to 1e-9."""
-    cayley_values = _distinct(_dense_spectrum(p))
+    those of the Cayley graph of spec without its trivial 4, to 1e-9."""
+    cayley_values = _distinct(_dense_spectrum(p, spec))
     assert cayley_values[-1] == pytest.approx(4.0, abs=1e-9)
-    modules = _distinct(np.concatenate([np.linalg.eigvalsh(_module_matrix(p, e)) for e in es]))
+    modules = _distinct(
+        np.concatenate([np.linalg.eigvalsh(_module_matrix(p, e, spec)) for e in es])
+    )
     return len(modules) == len(cayley_values) - 1 and np.allclose(
         modules, cayley_values[:-1], rtol=0, atol=1e-9
     )
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_gelfand_graev_modules_hold_the_cayley_spectrum(p):
-    assert _modules_hold_the_spectrum(p, (1, spectral._least_nonresidue(p)))
+@pytest.mark.parametrize(
+    "spec, p",
+    [(SPEC2, 5), (SPEC2, 7), (SPEC2, 11), (SPEC2, 13), (SPEC23, 5), (SPEC23, 7), (SPEC23, 11)],
+    ids=["5", "7", "11", "13", "2123-5", "2123-7", "2123-11"],
+)
+def test_gelfand_graev_modules_hold_the_cayley_spectrum(spec, p):
+    assert _modules_hold_the_spectrum(p, (1, spectral._least_nonresidue(p)), spec)
 
 
 def test_one_gelfand_graev_module_misses_lambda_2_at_5():
@@ -407,25 +415,25 @@ def test_one_gelfand_graev_module_misses_lambda_2_at_5():
 
 
 def test_gelfand_graev_phase_is_the_unitriangular_factor():
-    # each generator permutes the cosets, and sigma(c, d) g =
-    # [[1, x], [0, 1]] sigma((c, d) g) for every vertex and generator, with x
-    # read back from the weight of psi_1
+    # each generator permutes the nonzero top rows, and sigma(r0) g =
+    # [[1, 0], [s, 1]] sigma(r0 g) for every vertex r0 - 1 and generator,
+    # with sigma(r0) the rank table's element of rank r0 p and s read back
+    # from the weight of psi_1
     p = 7
-    gens = cayley.symmetrize(spec_generators(SPEC2, p))
-    targets, weights = spectral._gelfand_graev(gens, p, 1)
+    for spec in (SPEC2, SPEC23):
+        gens = cayley.symmetrize(spec_generators(spec, p))
+        targets, weights = spectral._gelfand_graev(gens, p, 1)
+        _, unrank = cayley._sl2_ranks(p, gens)
+        sigma = [modmat.decode(int(code), 2, p) for code in unrank(np.arange(1, p * p) * p)]
+        assert [M[0, 0] + M[0, 1] * p for M in sigma] == list(range(1, p * p))
 
-    def sigma(i):
-        c, d = divmod(i + 1, p)
-        rows = [[0, -pow(c, -1, p)], [c, d]] if c else [[pow(d, -1, p), 0], [0, d]]
-        return ModMatrix.from_rows(rows, p)
-
-    for g, row, weight in zip(gens, targets, weights):
-        assert sorted(row) == list(range(p * p - 1))
-        for i in range(p * p - 1):
-            x = round(np.angle(weight[i]) * p / (2 * math.pi)) % p
-            assert weight[i] == pytest.approx(np.exp(2j * math.pi * x / p), abs=1e-12)
-            u = ModMatrix.from_rows([[1, x], [0, 1]], p)
-            assert sigma(i) @ g == u @ sigma(int(row[i]))
+        for g, row, weight in zip(gens, targets, weights):
+            assert sorted(row) == list(range(p * p - 1))
+            for i in range(p * p - 1):
+                s = round(np.angle(weight[i]) * p / (2 * math.pi)) % p
+                assert weight[i] == pytest.approx(np.exp(2j * math.pi * s / p), abs=1e-12)
+                u = ModMatrix.from_rows([[1, 0], [s, 1]], p)
+                assert sigma[i] @ g == u @ sigma[int(row[i])], (spec, g, i)
 
 
 # lambda_2 of the dim2 graph by scipy's eigsh on the whole Cayley graph,
@@ -433,9 +441,13 @@ def test_gelfand_graev_phase_is_the_unitriangular_factor():
 _LAMBDA2_PINS = {13: 3.377088930783943, 53: 3.4934728930859484}
 
 
-@pytest.mark.parametrize("p", [5, 13, 53])
-def test_module_path_agrees_with_the_cayley_path(p):
-    gens = spec_generators(SPEC2, p)
+@pytest.mark.parametrize(
+    "spec, p",
+    [(SPEC2, 5), (SPEC2, 13), (SPEC2, 53), (SPEC23, 13), (SPEC23, 53)],
+    ids=["5", "13", "53", "2123-13", "2123-53"],
+)
+def test_module_path_agrees_with_the_cayley_path(spec, p):
+    gens = spec_generators(spec, p)
     rep = second_eigenvalue(list(gens), seed=0)
     assert (rep.order, rep.degree) == (p * (p * p - 1), 4)
     assert [(m.psi, m.vertices) for m in rep.modules] == [
@@ -453,7 +465,7 @@ def test_module_path_agrees_with_the_cayley_path(p):
     )
     assert (whole.psi, whole.vertices) == (None, p * (p * p - 1))
     assert rep.second_eigenvalue == pytest.approx(whole.top_eigenvalue, abs=1e-9)
-    if p in _LAMBDA2_PINS:
+    if spec == SPEC2 and p in _LAMBDA2_PINS:
         assert rep.second_eigenvalue == pytest.approx(_LAMBDA2_PINS[p], abs=1e-9)
 
 

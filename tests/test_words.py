@@ -34,6 +34,16 @@ from girthlab.words import (
 INV = {0: 1, 1: 0, 2: 3, 3: 2}
 
 
+def test_unit_band_is_the_reduced_magic_pair():
+    A, B = magic_pair(4, 1, 1, allow_small=True)
+    ones = {True: [(0, 1), (1, 2), (2, 3)], False: [(1, 0), (2, 1), (3, 2)]}
+    for upper, M in ((True, A), (False, B)):
+        band = words_mod._unit_band(4, 3, upper=upper)
+        assert band == modmat.reduce(M, 3)
+        rows = [[int(i == j or (i, j) in ones[upper]) for j in range(4)] for i in range(4)]
+        assert band == ModMatrix.from_rows(rows, 3)
+
+
 def brute_reduced_words(max_length):
     """Every reduced word over the four letters, grouped by length."""
     by_len = {1: [(lt,) for lt in range(4)]}
