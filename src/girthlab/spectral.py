@@ -10,9 +10,11 @@ gram_lambda_max, whose float is checked in exact arithmetic to lie above the
 top eigenvalue of the Gram matrix: each is an upper bound, not an estimate
 that may fall short of the true value.
 
-The second adjacency eigenvalue lambda_2 comes from two-pass Lanczos.  For
-the pair [[1, s], [0, 1]], [[1, 0], [t, 1]] mod an odd prime p (s, t != 0),
-which generates SL_2(F_p), it runs on the two Gelfand-Graev modules: the
+The second adjacency eigenvalue lambda_2 comes from two-pass Lanczos, whose
+first pass finds the top pair of its tridiagonal in O(j) time and memory,
+without a dense eigensolver (_top_ritz).  For the pair [[1, s], [0, 1]],
+[[1, 0], [t, 1]] mod an odd prime p (s, t != 0), in either order, which
+generates SL_2(F_p), it runs on the two Gelfand-Graev modules: the
 functions f on the group with f(u g) = psi(u) f(g) for the characters
 psi_e(u) = omega^(e u21), omega = exp(2 pi i / p), of the lower unitriangular
 group U-, with e = 1 and e the least quadratic non-residue.  Each is a
@@ -54,6 +56,7 @@ _CHECK_EVERY = 5  # Lanczos steps between convergence tests of pass 1
 _TOL = 1e-6  # pass 1 stops once Paige's residual estimate is at most this
 _MAX_ITER = 500_000  # Lanczos steps of pass 1 at most
 _BREAKDOWN = 1e-12  # beta below this times the degree: an invariant subspace
+_EPS = 2.0**-52  # the spacing of floats in [1, 2)
 
 
 @dataclass(frozen=True)
@@ -240,10 +243,108 @@ def _lanczos(targets: np.ndarray, weights: Optional[np.ndarray], q: np.ndarray, 
         q_prev, q = q, w
 
 
-def _top_ritz(alphas: Sequence[float], betas: Sequence[float]) -> np.ndarray:
-    """Eigenvector of the largest eigenvalue of the Lanczos tridiagonal."""
-    T = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
-    return np.linalg.eigh(T)[1][:, -1]
+def _newton_step(alphas: Sequence[float], betas: Sequence[float], x: float) -> Optional[float]:
+    """f(x) / f'(x) for f = det(x I - T), when x lies above the spectrum of
+    the tridiagonal T with diagonal alphas and off-diagonal betas[:-1], else
+    None.
+
+    The LDL^T pivots of x I - T are d_1 = x - alpha_1 and d_i = x - alpha_i -
+    beta_(i-1)^2 / d_(i-1).  They are all positive exactly when x I - T is
+    positive definite (Sylvester's law of inertia), and a pivot d_i <= 0
+    puts an eigenvalue of the leading i x i block, and so of T, at or above
+    x.  f is their product, so f'/f is the sum of d_i'/d_i, with d_1' = 1
+    and d_i' = 1 + beta_(i-1)^2 d_(i-1)' / d_(i-1)^2, all positive above the
+    spectrum.
+    """
+    d, slope, coupling, total = 1.0, 0.0, 0.0, 0.0
+    for alpha, beta in zip(alphas, betas):
+        slope = 1.0 + coupling * slope / (d * d)
+        d = x - alpha - coupling / d
+        if d <= 0.0:
+            return None
+        total += slope / d
+        coupling = beta * beta
+    return 1.0 / total
+
+
+def _top_ritz(
+    alphas: Sequence[float], betas: Sequence[float], x: float, step: float
+) -> Tuple[float, List[float]]:
+    """(theta, s): the top eigenvalue of the Lanczos tridiagonal T of
+    _newton_step and its unit eigenvector (_top_vector), in O(j) time and
+    memory.
+
+    From x, steps of step, 2 step, ... go up to the first point that the
+    LDL^T pivots certify above the spectrum.  Newton on det(x I - T) then
+    falls monotonically to theta.  Every iterate is certified above theta or
+    known to lie at or below it.  From one that rounding puts below theta,
+    steps of the rounding scale go up again.  The midpoint between the last
+    certified point and the last point known below theta (at first the
+    largest alpha, a Rayleigh quotient of T) replaces a Newton iterate at
+    or below that point, and one whose step is over 3/4 of the last step:
+    far above many eigenvalues, Newton creeps.  theta is the first
+    certified point whose Newton step is within rounding of it (Parlett,
+    The Symmetric Eigenvalue Problem, sections 7-8).  Every sum is a Python
+    float sum, so the result does not depend on the CPU count.
+    """
+    lo, hi, last = max(alphas), math.inf, math.inf
+    x = max(x, lo)
+    while True:
+        delta = _newton_step(alphas, betas, x)
+        if delta is None:
+            lo, x, step = x, min(x + step, 0.5 * (x + hi)), 2.0 * step
+        else:
+            hi, x, step = x, x - delta, _EPS * (abs(lo) + abs(x))
+            if delta <= step:
+                break
+            if x <= lo or delta > 0.75 * last:
+                x = 0.5 * (lo + hi)
+            last = delta
+        if not lo < x < hi:
+            break
+    return hi, _top_vector(alphas, betas, hi)
+
+
+def _top_vector(alphas: Sequence[float], betas: Sequence[float], theta: float) -> List[float]:
+    """The unit top eigenvector of T, for a theta that _newton_step
+    certified above T's spectrum and within rounding of its top.
+
+    The pivots of M = theta I - T from the top, d+_i, and from the bottom,
+    d-_i, give for each row r the vector u with u_r = 1 and M u = gamma_r e_r,
+    gamma_r = d+_r - beta_r^2 / d-_(r+1): upward u_i = beta_i u_(i+1) / d+_i,
+    downward u_i = beta_(i-1) u_(i-1) / d-_i.  The row with the least
+    |gamma_r| gives the smallest residual (a twisted factorization:
+    Dhillon and Parlett, 2004).  M is positive definite, so every pivot and
+    every component is positive, and nothing cancels.  A recurrence from one
+    end alone loses the vector when its component at the other end is
+    tiny.  The bottom pivots stop at the first that rounding makes <= 0:
+    the rows above it carry no more than rounding of the vector.
+    """
+    j = len(alphas)
+    top: List[float] = []
+    d, coupling = 1.0, 0.0
+    for alpha, beta in zip(alphas, betas):
+        d = theta - alpha - coupling / d
+        top.append(d)
+        coupling = beta * beta
+    bottom = [0.0] * j
+    r, best = j - 1, abs(top[-1])
+    d = theta - alphas[-1]
+    for i in range(j - 2, -1, -1):
+        if d <= 0.0:
+            break
+        bottom[i + 1] = d
+        coupling = betas[i] * betas[i] / d
+        if abs(top[i] - coupling) < best:
+            r, best = i, abs(top[i] - coupling)
+        d = theta - alphas[i] - coupling
+    u = [1.0] * j
+    for i in range(r - 1, -1, -1):
+        u[i] = betas[i] * u[i + 1] / top[i]
+    for i in range(r + 1, j):
+        u[i] = betas[i - 1] * u[i - 1] / bottom[i]
+    norm = math.hypot(*u)
+    return [c / norm for c in u]
 
 
 def _top_pair(
@@ -251,18 +352,24 @@ def _top_pair(
 ) -> Tuple[float, int, float]:
     """(rho, steps, residual) of two-pass Lanczos from the unit vector start:
     the Rayleigh quotient of the top Ritz vector y, the steps of pass 1, and
-    the true ||Ay - rho y||."""
+    the true ||Ay - rho y||.
+
+    Each test of pass 1 starts _top_ritz from the last test's theta, below
+    the new one by interlacing, and steps up by the last Paige estimate; the
+    first starts from the degree k, which bounds ||A||."""
     alphas: List[float] = []
     betas: List[float] = []
+    theta = estimate = float(len(targets))
     for _, alpha, beta in _lanczos(targets, weights, start, mean_free):
         alphas.append(alpha)
         betas.append(beta)
         steps = len(alphas)
-        if beta <= max(_TOL, _BREAKDOWN * len(targets)) or steps >= _MAX_ITER:
-            break
-        if steps % _CHECK_EVERY == 0 and beta * abs(_top_ritz(alphas, betas)[-1]) <= _TOL:
-            break
-    s = _top_ritz(alphas, betas)
+        stop = beta <= max(_TOL, _BREAKDOWN * len(targets)) or steps >= _MAX_ITER
+        if stop or steps % _CHECK_EVERY == 0:
+            theta, s = _top_ritz(alphas, betas, theta, estimate)
+            estimate = beta * abs(s[-1])
+            if stop or estimate <= _TOL:
+                break
 
     y = np.zeros_like(start)
     for coeff, (q, _, _) in zip(s, _lanczos(targets, weights, start, mean_free)):
@@ -277,8 +384,8 @@ def _top_pair(
 
 
 def _unitriangular_prime(generators: Sequence[ModMatrix]) -> Optional[int]:
-    """p when the generators are X = [[1, s], [0, 1]] and Y = [[1, 0], [t, 1]]
-    mod an odd prime p with s, t != 0, else None.
+    """p when the generators are X = [[1, s], [0, 1]] and Y = [[1, 0], [t, 1]],
+    in either order, mod an odd prime p with s, t != 0, else None.
 
     Then X^(1/s) = E12(1) and Y^(1/t) = E21(1), which generate SL_2(F_p):
     the group is certified without a BFS, and the Gelfand-Graev modules hold
@@ -292,6 +399,8 @@ def _unitriangular_prime(generators: Sequence[ModMatrix]) -> Optional[int]:
     p = X.m
     if X.n != 2 or Y.n != 2 or Y.m != p or p == 2 or not is_prime(p):
         return None
+    if X.entries[1][0]:
+        X, Y = Y, X
     (x11, s), (x21, x22) = X.entries
     (y11, y12), (t, y22) = Y.entries
     if (x11, x21, x22, y11, y12, y22) != (1, 0, 1, 1, 0, 1) or s == 0 or t == 0:
@@ -388,27 +497,31 @@ def second_eigenvalue(
     the generators produce.
 
     For X = [[1, s], [0, 1]], Y = [[1, 0], [t, 1]] mod an odd prime p with
-    s, t != 0 (the dim2 pair at every p not dividing l a b), the group is
-    SL_2(F_p), of order p (p^2 - 1), and Lanczos runs on its two
-    Gelfand-Graev modules of p^2 - 1 vertices each (_gelfand_graev): no
-    BFS, no neighbour map.  lambda_2 is the larger top eigenvalue of the
+    s, t != 0, in either order (the dim2 pair at every p not dividing
+    l a b), the group is SL_2(F_p), of order p (p^2 - 1), and Lanczos runs
+    on its two Gelfand-Graev modules of p^2 - 1 vertices each
+    (_gelfand_graev): no BFS, no neighbour map.  lambda_2 is the larger top eigenvalue of the
     two.  Any other generator set runs one BFS and Lanczos on the mean-free
     subspace of the whole Cayley graph.
 
-    Each run is two-pass Lanczos.  Pass 1 keeps only the tridiagonal T and
-    stops when Paige's estimate beta_j |s_j| of the top Ritz pair's residual
-    is at most _TOL (checked every few steps), when beta_j <= _TOL, which
-    bounds that estimate (beta_j ~ 0 means the Krylov space is invariant), or
-    after _MAX_ITER steps.  Pass 2 repeats the steps from the same start
-    vector to build the Ritz vector y, made unit (and mean-free on the
-    Cayley graph).  Its top eigenvalue is the Rayleigh quotient rho = y* A y,
-    its iterations the Lanczos steps of pass 1, and its residual the true
-    ||Ay - rho y||: [rho - residual, rho + residual] contains an eigenvalue
-    of A on that module (Parlett, The Symmetric Eigenvalue Problem, section
-    4.5).  The report's modules lists the runs; its second_eigenvalue,
-    iterations and residual are those of the run with the largest rho.  The
-    start vectors are drawn in turn from one generator seeded with seed,
-    which must be >= 0; the result is deterministic on any number of CPUs.
+    Each run is two-pass Lanczos.  Pass 1 keeps only the diagonal and the
+    off-diagonal of the tridiagonal T.  Every few steps it finds T's top
+    eigenvalue theta and unit eigenvector s in O(j) time and memory, by
+    Newton on det(x I - T) certified by its LDL^T pivots and a three-term
+    recurrence (_top_ritz), and it stops when Paige's estimate beta_j |s_j|
+    of the top Ritz pair's residual is at most _TOL, when beta_j <= _TOL,
+    which bounds that estimate (beta_j ~ 0 means the Krylov space is
+    invariant), or after _MAX_ITER steps.  Pass 2 repeats the steps from the
+    same start vector to build the Ritz vector y with the coefficients s,
+    made unit (and mean-free on the Cayley graph).  Its top eigenvalue is
+    the Rayleigh quotient rho = y* A y, its iterations the Lanczos steps of
+    pass 1, and its residual the true ||Ay - rho y||: [rho - residual,
+    rho + residual] contains an eigenvalue of A on that module (Parlett, The
+    Symmetric Eigenvalue Problem, section 4.5).  The report's modules lists
+    the runs; its second_eigenvalue, iterations and residual are those of
+    the run with the largest rho.  The start vectors are drawn in turn from
+    one generator seeded with seed, which must be >= 0; the result is
+    deterministic on any number of CPUs.
 
     The memory of either path is charged to memory_budget before it is
     allocated (_module_solves, _cayley_solve); BudgetExceededError carries

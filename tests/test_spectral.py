@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -484,11 +485,178 @@ def test_module_path_runs_no_bfs(monkeypatch):
         [ModMatrix.from_rows([[1, 2], [0, 1]], 9), ModMatrix.from_rows([[1, 0], [2, 1]], 9)],
         [ModMatrix.from_rows([[1, 1], [0, 1]], 2), ModMatrix.from_rows([[1, 0], [1, 1]], 2)],
         [ModMatrix.from_rows([[1, 2], [0, 1]], 5), ModMatrix.from_rows([[2, 1], [1, 1]], 5)],
-        [ModMatrix.from_rows([[1, 0], [2, 1]], 5), ModMatrix.from_rows([[1, 2], [0, 1]], 5)],
     ],
-    ids=["composite", "p=2", "not unitriangular", "swapped"],
+    ids=["composite", "p=2", "not unitriangular"],
 )
 def test_other_generator_sets_take_the_cayley_path(gens):
     rep = second_eigenvalue(gens)
     assert [(m.psi, m.vertices) for m in rep.modules] == [(None, rep.order)]
     assert rep.order == cayley.bfs(gens).order
+
+
+@pytest.mark.parametrize("p", [5, 53])
+def test_swapped_pair_takes_the_module_path(p, monkeypatch):
+    # [[1, 0], [t, 1]] before [[1, s], [0, 1]] generates the same SL_2(F_p),
+    # and the modules are built from the row action of any generators
+    Y, X = ModMatrix.from_rows([[1, 0], [2, 1]], p), ModMatrix.from_rows([[1, 2], [0, 1]], p)
+    whole = spectral._cayley_solve(
+        cayley.symmetrize([Y, X]), np.random.default_rng(0), cayley.DEFAULT_MEMORY_BUDGET
+    )
+    assert whole.vertices == p * (p * p - 1)
+
+    def bfs(*args, **kwargs):
+        raise AssertionError("the BFS ran")
+
+    monkeypatch.setattr(cayley, "bfs", bfs)
+    rep = second_eigenvalue([Y, X])
+    assert rep.order == p * (p * p - 1)
+    assert [(m.psi, m.vertices) for m in rep.modules] == [
+        (1, p * p - 1),
+        (spectral._least_nonresidue(p), p * p - 1),
+    ]
+    assert rep.second_eigenvalue == pytest.approx(whole.top_eigenvalue, abs=1e-9)
+    in_order = second_eigenvalue([X, Y])
+    assert rep.second_eigenvalue == pytest.approx(in_order.second_eigenvalue, abs=1e-9)
+
+
+def _tridiagonal(alphas, betas):
+    """The dense j x j Lanczos tridiagonal, for the eigh oracle only."""
+    return np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+
+
+def _assert_top_ritz(alphas, betas, theta, s, *, ghost=False):
+    """(theta, s) is T's top eigenpair: theta to 1e-13 relative, s unit and
+    equal to eigh's vector up to sign, or, when the top two eigenvalues
+    agree to rounding, an eigenvector to 1e-12."""
+    T = _tridiagonal(alphas, betas)
+    values, vectors = np.linalg.eigh(T)
+    assert theta == pytest.approx(values[-1], rel=1e-13, abs=1e-13)
+    s = np.array(s)
+    assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(T @ s - theta * s) <= 1e-12
+    if not ghost:
+        top = vectors[:, -1] * np.sign(vectors[:, -1] @ s)
+        assert np.abs(s - top).max() <= 1e-12
+
+
+def _random_tridiagonal(j, seed):
+    rng = np.random.default_rng(seed)
+    return list(rng.uniform(-1.0, 1.0, j)), list(rng.uniform(0.1, 1.5, j))
+
+
+@pytest.mark.parametrize("j", [1, 2, 5, 50, 300])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_top_ritz_matches_eigh_on_random_tridiagonals(j, seed):
+    # the top eigenvector of a random tridiagonal is localized: at j = 50
+    # and 300 some of its ends are below 1e-20, so a recurrence from one end
+    # alone would lose it.  Start from below the spectrum and from above it
+    alphas, betas = _random_tridiagonal(j, seed)
+    for x, step in ((-10.0, 1.0), (10.0, 1.0)):
+        _assert_top_ritz(alphas, betas, *spectral._top_ritz(alphas, betas, x, step))
+
+
+def test_top_ritz_far_above_many_eigenvalues(monkeypatch):
+    # from far above the 2,000 eigenvalues of a random tridiagonal, a
+    # Newton step is about the distance over j, and plain Newton took 870
+    # to 2,880 LDL^T passes here; the midpoints bound that
+    passes = []
+    newton_step = spectral._newton_step
+
+    def counted(alphas, betas, x):
+        passes.append(x)
+        return newton_step(alphas, betas, x)
+
+    monkeypatch.setattr(spectral, "_newton_step", counted)
+    alphas, betas = _random_tridiagonal(2000, 0)
+    top = np.linalg.eigvalsh(_tridiagonal(alphas, betas))[-1]
+    for x in (0.0, 10.0):
+        passes.clear()
+        theta, _ = spectral._top_ritz(alphas, betas, x, 1.0)
+        assert theta == pytest.approx(top, rel=1e-13)
+        assert len(passes) <= 200
+
+
+def test_top_ritz_across_a_tiny_beta():
+    # beta = 1e-10 splits T into two nearly invariant blocks, and the top
+    # eigenvector lies in one of them
+    for seed in range(4):
+        alphas, betas = _random_tridiagonal(40, seed)
+        betas[19] = 1e-10
+        _assert_top_ritz(alphas, betas, *spectral._top_ritz(alphas, betas, 0.0, 1.0))
+
+
+def test_top_ritz_on_a_lanczos_ghost_pair():
+    # Lanczos without reorthogonalization on diag(0, ..., 1, 2) copies the
+    # converged top eigenvalue 2: T's top two eigenvalues agree to 1e-14,
+    # and any unit vector of their plane is a top eigenvector to rounding
+    d = np.concatenate([np.linspace(0.0, 1.0, 59), [2.0]])
+    q, q_prev, beta = np.full(60, 60**-0.5), np.zeros(60), 0.0
+    alphas, betas = [], []
+    for _ in range(150):
+        w = d * q
+        alpha = float(q @ w)
+        w -= alpha * q + beta * q_prev
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    values = np.linalg.eigvalsh(_tridiagonal(alphas, betas))
+    assert values[-1] - values[-2] <= 1e-14
+    _assert_top_ritz(alphas, betas, *spectral._top_ritz(alphas, betas, 4.0, 4.0), ghost=True)
+
+
+def test_top_ritz_at_every_check_of_the_p53_modules():
+    # the alphas and betas of both modules at p = 53 from the seed-0 start
+    # vectors, chained as pass 1 chains them: each check starts from the
+    # last theta and steps up by the last Paige estimate
+    p = 53
+    gens = cayley.symmetrize(spec_generators(SPEC2, p))
+    rng = np.random.default_rng(0)
+    for e in (1, spectral._least_nonresidue(p)):
+        targets, weights = spectral._gelfand_graev(gens, p, e)
+        start = rng.standard_normal(2 * (p * p - 1)).view(np.complex128)
+        start /= math.sqrt(spectral._dot(start, start))
+        alphas, betas = [], []
+        theta = estimate = 4.0
+        for _, alpha, beta in spectral._lanczos(targets, weights, start, False):
+            alphas.append(alpha)
+            betas.append(beta)
+            if len(alphas) % 5 == 0:
+                theta, s = spectral._top_ritz(alphas, betas, theta, estimate)
+                _assert_top_ritz(alphas, betas, theta, s)
+                estimate = beta * abs(s[-1])
+                if len(alphas) == 125:
+                    break
+        assert estimate <= spectral._TOL
+
+
+def test_lanczos_holds_at_most_seven_module_vectors():
+    # one run of two-pass Lanczos on psi_1 at p = 53 (2,808 vertices): its
+    # tracemalloc peak on top of the module's targets, weights and start
+    # vector is at most the seven complex vectors that _module_solves
+    # charges.  No j x j matrix is built
+    p = 53
+    V = p * p - 1
+    gens = cayley.symmetrize(spec_generators(SPEC2, p))
+    targets, weights = spectral._gelfand_graev(gens, p, 1)
+    start = np.random.default_rng(0).standard_normal(2 * V).view(np.complex128)
+    start /= math.sqrt(spectral._dot(start, start))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        rho, steps, _ = spectral._top_pair(targets, weights, start, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == 120 and rho == pytest.approx(_LAMBDA2_PINS[53], abs=1e-9)
+    assert peak - held <= 7 * 16 * V
+
+
+def test_lanczos_runs_no_dense_eigensolver(monkeypatch):
+    def eigh(*args, **kwargs):
+        raise AssertionError("eigh ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigh)
+    for gens in (list(spec_generators(SPEC2, 13)), list(spec_generators(SPEC2, 9))):
+        assert second_eigenvalue(gens).residual <= 1e-6
