@@ -33,7 +33,10 @@ run with its `iterations` (Lanczos steps) and its `residual`, the true
 residual ||Ay - rho y|| of the unit Ritz vector y with Rayleigh quotient
 rho; the top-level ones are those of the run that gives lambda_2, so
 [rho - residual, rho + residual] contains an eigenvalue of A on that run's
-space.  Compare lambda_2 with the Ramanujan bound 2 sqrt(k - 1)
+space.  Each run starts from its own SplitMix64 counter stream keyed by the
+seed and the run's number (_start_vector), plain uint64 arithmetic that
+gives the same bits on every platform; numpy.random is never imported.
+Compare lambda_2 with the Ramanujan bound 2 sqrt(k - 1)
 (Lubotzky-Phillips-Sarnak, 1988), 2 sqrt 3 for the 4-regular graphs.
 """
 
@@ -53,10 +56,13 @@ from .params import GraphSpec
 
 _MAX_DIM = 8
 _CHECK_EVERY = 5  # Lanczos steps between convergence tests of pass 1
+_DENSE_CHECKS = 1_000  # past this step the tests of pass 1 space out geometrically
 _TOL = 1e-6  # pass 1 stops once Paige's residual estimate is at most this
 _MAX_ITER = 500_000  # Lanczos steps of pass 1 at most
 _BREAKDOWN = 1e-12  # beta below this times the degree: an invariant subspace
 _EPS = 2.0**-52  # the spacing of floats in [1, 2)
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2^64 over the golden ratio
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
 
 @dataclass(frozen=True)
@@ -275,10 +281,12 @@ def _top_ritz(
     memory.
 
     From x, steps of step, 2 step, ... go up to the first point that the
-    LDL^T pivots certify above the spectrum.  Newton on det(x I - T) then
-    falls monotonically to theta.  Every iterate is certified above theta or
-    known to lie at or below it.  From one that rounding puts below theta,
-    steps of the rounding scale go up again.  The midpoint between the last
+    LDL^T pivots certify above the spectrum; a step below the rounding
+    scale of x is raised to it, since x + step would round back to x.
+    Newton on det(x I - T) then falls monotonically to theta.  Every
+    iterate is certified above theta or known to lie at or below it.  From
+    one that rounding puts below theta, steps of the rounding scale go up
+    again.  The midpoint between the last
     certified point and the last point known below theta (at first the
     largest alpha, a Rayleigh quotient of T) replaces a Newton iterate at
     or below that point, and one whose step is over 3/4 of the last step:
@@ -289,6 +297,7 @@ def _top_ritz(
     """
     lo, hi, last = max(alphas), math.inf, math.inf
     x = max(x, lo)
+    step = max(step, _EPS * (abs(lo) + abs(x)))
     while True:
         delta = _newton_step(alphas, betas, x)
         if delta is None:
@@ -354,22 +363,29 @@ def _top_pair(
     the Rayleigh quotient of the top Ritz vector y, the steps of pass 1, and
     the true ||Ay - rho y||.
 
-    Each test of pass 1 starts _top_ritz from the last test's theta, below
+    Pass 1 tests every _CHECK_EVERY steps up to step _DENSE_CHECKS, then at
+    the multiple of _CHECK_EVERY at or above 1.1 j after a test at step j,
+    so that the tests' O(j) work sums to O(j) on a run that does not
+    converge.  Each test starts _top_ritz from the last test's theta, below
     the new one by interlacing, and steps up by the last Paige estimate; the
     first starts from the degree k, which bounds ||A||."""
     alphas: List[float] = []
     betas: List[float] = []
     theta = estimate = float(len(targets))
+    check = _CHECK_EVERY
     for _, alpha, beta in _lanczos(targets, weights, start, mean_free):
         alphas.append(alpha)
         betas.append(beta)
         steps = len(alphas)
         stop = beta <= max(_TOL, _BREAKDOWN * len(targets)) or steps >= _MAX_ITER
-        if stop or steps % _CHECK_EVERY == 0:
+        if stop or steps == check:
             theta, s = _top_ritz(alphas, betas, theta, estimate)
             estimate = beta * abs(s[-1])
             if stop or estimate <= _TOL:
                 break
+            check = steps + _CHECK_EVERY
+            if steps >= _DENSE_CHECKS:
+                check = -(-11 * steps // (10 * _CHECK_EVERY)) * _CHECK_EVERY
 
     y = np.zeros_like(start)
     for coeff, (q, _, _) in zip(s, _lanczos(targets, weights, start, mean_free)):
@@ -438,25 +454,72 @@ def _gelfand_graev(gens: Sequence[ModMatrix], p: int, e: int) -> Tuple[np.ndarra
     return targets, roots[shift]
 
 
-def _module_solve(gens: Sequence[ModMatrix], p: int, e: int, rng) -> ModuleSolve:
-    """Lanczos on the module psi_e, from a complex start vector of rng.
-    Neither module holds the trivial representation, so no mean is
-    subtracted."""
+def _mix(z: np.ndarray, scratch: np.ndarray) -> None:
+    """SplitMix64's finalizer in place on the uint64 array z, a bijection of
+    the 64-bit words (Steele, Lea and Flood, OOPSLA 2014); numpy wraps the
+    array products mod 2^64.  scratch is a uint64 array of z's shape."""
+    for shift, factor in zip((30, 27), _MIX):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= factor
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+
+
+def _start_vector(seed: int, draw: int, count: int) -> np.ndarray:
+    """count float64 values in [-1, 1), those of Lanczos run draw from seed:
+    value i is (z >> 11) 2^-52 - 1 for z the finalizer (_mix) of key +
+    (i + 1) gamma mod 2^64, a counter-based stream (Salmon et al., SC 2011).
+
+    The key folds the seed's 64-bit limbs, from the lowest, each xored in
+    and mixed, then adds draw gamma and mixes again: a bijection of the seed
+    below 2^64 for each draw, and a larger seed is not reduced mod 2^64.
+    Only integer operations and exact conversions are used, so the values
+    are the same on every platform.  Two uint64 arrays of count words are
+    held while the stream is built, and the values reuse the second one.
+    """
+    key, scratch = np.zeros(1, np.uint64), np.empty(1, np.uint64)
+    while True:
+        key ^= np.uint64(seed & (2**64 - 1))
+        _mix(key, scratch)
+        seed >>= 64
+        if not seed:
+            break
+    key += np.uint64(draw * _GAMMA % 2**64)
+    _mix(key, scratch)
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += key
+    scratch = np.empty_like(z)
+    _mix(z, scratch)
+    z >>= np.uint64(11)
+    values = scratch.view(np.float64)
+    np.multiply(z, _EPS, out=values)
+    values -= 1.0
+    return values
+
+
+def _module_solve(gens: Sequence[ModMatrix], p: int, e: int, seed: int, draw: int) -> ModuleSolve:
+    """Lanczos on the module psi_e, from the complex start vector of
+    _start_vector(seed, draw), real and imaginary parts in turn.  Neither
+    module holds the trivial representation, so no mean is subtracted."""
     targets, weights = _gelfand_graev(gens, p, e)
-    start = rng.standard_normal(2 * (p * p - 1)).view(np.complex128)
+    start = _start_vector(seed, draw, 2 * (p * p - 1)).view(np.complex128)
     start /= math.sqrt(_dot(start, start))
     return ModuleSolve(e, p * p - 1, *_top_pair(targets, weights, start, False))
 
 
 def _module_solves(
-    gens: Sequence[ModMatrix], p: int, rng, memory_budget: int
+    gens: Sequence[ModMatrix], p: int, seed: int, memory_budget: int
 ) -> List[ModuleSolve]:
-    """Lanczos on psi_1, then on psi_eps for the least non-residue eps.
+    """Lanczos on psi_1 (draw 1), then on psi_eps for the least non-residue
+    eps (draw 2).
 
     One module is held at a time: its targets and weights, 24 k bytes a
     vertex, and at most seven complex128 Lanczos vectors.  That is charged
     first, with fourteen 8-byte vectors that also cover the build's scratch
-    (cayley._sl2_rows's shift table and its temporaries);
+    (cayley._sl2_rows's shift table and its temporaries) and the start
+    vector's two uint64 arrays, which exist before any Lanczos vector;
     over memory_budget it raises BudgetExceededError at depth 0.
     """
     V = p * p - 1
@@ -465,23 +528,27 @@ def _module_solves(
         raise BudgetExceededError(
             0, 0, f"the two Gelfand-Graev modules of {V} vertices need {charge} bytes"
         )
-    return [_module_solve(gens, p, e, rng) for e in (1, _least_nonresidue(p))]
+    return [
+        _module_solve(gens, p, e, seed, draw)
+        for draw, e in enumerate((1, _least_nonresidue(p)), start=1)
+    ]
 
 
-def _cayley_solve(gens: Sequence[ModMatrix], rng, memory_budget: int) -> ModuleSolve:
-    """Lanczos on the mean-free subspace of the Cayley graph, from a
-    mean-free start vector of rng.
+def _cayley_solve(gens: Sequence[ModMatrix], seed: int, memory_budget: int) -> ModuleSolve:
+    """Lanczos on the mean-free subspace of the Cayley graph, from
+    _start_vector(seed, 1) with its mean subtracted.
 
     Memory is charged to memory_budget by the BFS and by the neighbour map
     (cayley.neighbour_map), which raise BudgetExceededError when it does not
     fit.  Lanczos then holds the map and at most seven float64 vectors of the
-    order, which the map's charge covers.
+    order, which the map's charge covers, as it covers the start vector's
+    two uint64 arrays before them.
     """
     res = cayley.bfs(gens, collect=True, memory_budget=memory_budget)
     nbr = cayley.neighbour_map(gens, res, memory_budget=memory_budget)
     order = nbr.shape[1]
     del res  # the codes are not needed past the map
-    start = rng.standard_normal(order)
+    start = _start_vector(seed, 1, order)
     start -= start.mean()
     start /= math.sqrt(_dot(start, start))
     return ModuleSolve(None, order, *_top_pair(nbr, None, start, True))
@@ -519,9 +586,11 @@ def second_eigenvalue(
     rho + residual] contains an eigenvalue of A on that module (Parlett, The
     Symmetric Eigenvalue Problem, section 4.5).  The report's modules lists
     the runs; its second_eigenvalue, iterations and residual are those of
-    the run with the largest rho.  The start vectors are drawn in turn from
-    one generator seeded with seed, which must be >= 0; the result is
-    deterministic on any number of CPUs.
+    the run with the largest rho.  Run i, in report order, starts from
+    _start_vector(seed, i), a SplitMix64 stream keyed by seed and i; seed
+    must be >= 0.  The stream uses no libm call, so the start vectors are
+    the same on every platform, and the result is the same on any number
+    of CPUs.
 
     The memory of either path is charged to memory_budget before it is
     allocated (_module_solves, _cayley_solve); BudgetExceededError carries
@@ -533,13 +602,12 @@ def second_eigenvalue(
     for g in gens:
         if g.is_identity():
             raise DegenerateSpecError("identity generator; adjacency undefined")
-    rng = np.random.default_rng(seed)
     p = _unitriangular_prime(generators)
     if p is None:
-        solves = [_cayley_solve(gens, rng, memory_budget)]
+        solves = [_cayley_solve(gens, seed, memory_budget)]
         order = solves[0].vertices
     else:
-        solves = _module_solves(gens, p, rng, memory_budget)
+        solves = _module_solves(gens, p, seed, memory_budget)
         order = p * (p * p - 1)
     best = max(solves, key=lambda solve: solve.top_eigenvalue)
     k, rho = len(gens), best.top_eigenvalue

@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -193,6 +195,32 @@ def test_seed_is_a_spectral_option_only(capsys):
     code, out, _ = run_capture(capsys, ["spectral", *spec, "--p", "5", "--seed", "3"])
     assert code == EXIT_OK
     assert json.loads(out)["seed"] == 3
+
+
+def test_no_command_loads_numpy_random():
+    # the spectral start vectors come from a SplitMix64 stream on uint64
+    # arrays, so no command imports numpy.random: spectral on the module
+    # path (p = 13) and on the Cayley path (the composite 9), dg-table,
+    # verify freeness and girth, in one fresh interpreter
+    code = (
+        "import sys\n"
+        "from girthlab import cli\n"
+        "spec = ['--n', '2', '--l', '1', '--a', '2', '--b', '2']\n"
+        "for argv in (\n"
+        "    ['spectral', *spec, '--p', '13', '--seed', '1'],\n"
+        "    ['spectral', *spec, '--p', '9'],\n"
+        "    ['dg-table', *spec, '--primes', '3..13'],\n"
+        "    ['verify', 'freeness', *spec, '--max-length', '6'],\n"
+        "    ['girth', *spec, '--p', '13'],\n"
+        "):\n"
+        "    assert cli.run(argv) == 0, argv\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count('"second_eigenvalue"') == 2
 
 
 def test_spectral_negative_seed_exits_one_without_a_traceback(capsys):

@@ -1,6 +1,7 @@
 """Spectral layer: Gram norms, characteristic polynomials, girth bounds,
 second eigenvalues."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -461,9 +462,7 @@ def test_module_path_agrees_with_the_cayley_path(spec, p):
         best.iterations,
         best.residual,
     )
-    whole = spectral._cayley_solve(
-        cayley.symmetrize(gens), np.random.default_rng(0), cayley.DEFAULT_MEMORY_BUDGET
-    )
+    whole = spectral._cayley_solve(cayley.symmetrize(gens), 0, cayley.DEFAULT_MEMORY_BUDGET)
     assert (whole.psi, whole.vertices) == (None, p * (p * p - 1))
     assert rep.second_eigenvalue == pytest.approx(whole.top_eigenvalue, abs=1e-9)
     if spec == SPEC2 and p in _LAMBDA2_PINS:
@@ -499,9 +498,7 @@ def test_swapped_pair_takes_the_module_path(p, monkeypatch):
     # [[1, 0], [t, 1]] before [[1, s], [0, 1]] generates the same SL_2(F_p),
     # and the modules are built from the row action of any generators
     Y, X = ModMatrix.from_rows([[1, 0], [2, 1]], p), ModMatrix.from_rows([[1, 2], [0, 1]], p)
-    whole = spectral._cayley_solve(
-        cayley.symmetrize([Y, X]), np.random.default_rng(0), cayley.DEFAULT_MEMORY_BUDGET
-    )
+    whole = spectral._cayley_solve(cayley.symmetrize([Y, X]), 0, cayley.DEFAULT_MEMORY_BUDGET)
     assert whole.vertices == p * (p * p - 1)
 
     def bfs(*args, **kwargs):
@@ -576,6 +573,16 @@ def test_top_ritz_far_above_many_eigenvalues(monkeypatch):
         assert len(passes) <= 200
 
 
+def test_top_ritz_with_a_step_below_rounding():
+    # a run that does not converge passes Paige estimates far below the
+    # spacing of floats at theta: x + step would round back to x, and the
+    # climb from below theta (here from the largest alpha) to a certified
+    # point would stop with theta infinite
+    alphas, betas = _random_tridiagonal(300, 0)
+    for step in (1e-300, 0.0):
+        _assert_top_ritz(alphas, betas, *spectral._top_ritz(alphas, betas, -10.0, step))
+
+
 def test_top_ritz_across_a_tiny_beta():
     # beta = 1e-10 splits T into two nearly invariant blocks, and the top
     # eigenvector lies in one of them
@@ -611,10 +618,9 @@ def test_top_ritz_at_every_check_of_the_p53_modules():
     # last theta and steps up by the last Paige estimate
     p = 53
     gens = cayley.symmetrize(spec_generators(SPEC2, p))
-    rng = np.random.default_rng(0)
-    for e in (1, spectral._least_nonresidue(p)):
+    for draw, e in enumerate((1, spectral._least_nonresidue(p)), start=1):
         targets, weights = spectral._gelfand_graev(gens, p, e)
-        start = rng.standard_normal(2 * (p * p - 1)).view(np.complex128)
+        start = spectral._start_vector(0, draw, 2 * (p * p - 1)).view(np.complex128)
         start /= math.sqrt(spectral._dot(start, start))
         alphas, betas = [], []
         theta = estimate = 4.0
@@ -660,3 +666,78 @@ def test_lanczos_runs_no_dense_eigensolver(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", eigh)
     for gens in (list(spec_generators(SPEC2, 13)), list(spec_generators(SPEC2, 9))):
         assert second_eigenvalue(gens).residual <= 1e-6
+
+
+def test_start_vector_is_a_pinned_splitmix64_stream():
+    # the bytes of run 1 at seed 0 over 5,616 values, the same on every
+    # platform and numpy version; each value is a multiple of 2^-52 in
+    # [-1, 1).  A seed past 2^64 is folded, not reduced mod 2^64
+    v = spectral._start_vector(0, 1, 5616)
+    assert hashlib.sha256(v.tobytes()).hexdigest() == (
+        "1b723a3d01bf5cf9c0a403117519b6f93291b84d076406b01f60677a063cea52"
+    )
+    assert v.dtype == np.float64 and -1.0 <= v.min() and v.max() < 1.0
+    assert np.all(np.ldexp(v + 1.0, 52) % 1.0 == 0.0)
+    assert not np.array_equal(spectral._start_vector(1, 1, 64), spectral._start_vector(2**64 + 1, 1, 64))
+    assert not np.array_equal(spectral._start_vector(1, 1, 64), spectral._start_vector(1, 2, 64))
+
+
+def _splitmix64(z):
+    """SplitMix64's finalizer on a Python int below 2^64, the reference for
+    spectral._mix."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def test_start_vector_matches_a_python_int_reference():
+    # the finalizer gives SplitMix64's published first outputs from the
+    # state 1234567, and each stream is the loop of _start_vector's
+    # docstring on Python ints, which do not wrap
+    gamma = spectral._GAMMA
+    assert [_splitmix64((1234567 + i * gamma) % 2**64) for i in (1, 2, 3)] == [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+    ]
+    for seed, draw in ((0, 1), (1, 2), (2**64 - 1, 1), (2**64 + 1, 1), (3**100, 2)):
+        key, rest = 0, seed
+        while True:
+            key = _splitmix64(key ^ rest % 2**64)
+            rest >>= 64
+            if not rest:
+                break
+        key = _splitmix64((key + draw * gamma) % 2**64)
+        want = [
+            (_splitmix64((key + (i + 1) * gamma) % 2**64) >> 11) * 2.0**-52 - 1.0
+            for i in range(100)
+        ]
+        assert spectral._start_vector(seed, draw, 100).tolist() == want, (seed, draw)
+
+
+def test_pass_one_spaces_its_checks_past_step_1000(monkeypatch):
+    # with _TOL 0 pass 1 never converges and runs to _MAX_ITER: a test every
+    # 5 steps to step 1,000, then about 10% further each time, is 232
+    # _top_ritz calls to step 20,000, where one every 5 steps would be 4,000
+    p = 53
+    gens = cayley.symmetrize(spec_generators(SPEC2, p))
+    targets, weights = spectral._gelfand_graev(gens, p, 1)
+    start = spectral._start_vector(0, 1, 2 * (p * p - 1)).view(np.complex128)
+    start /= math.sqrt(spectral._dot(start, start))
+    monkeypatch.setattr(spectral, "_TOL", 0.0)
+    monkeypatch.setattr(spectral, "_MAX_ITER", 20_000)
+    top_ritz, calls = spectral._top_ritz, []
+
+    def counted(alphas, betas, x, step):
+        calls.append(len(alphas))
+        if len(calls) > 400:
+            raise AssertionError(f"{len(calls)} checks by step {len(alphas)}")
+        return top_ritz(alphas, betas, x, step)
+
+    monkeypatch.setattr(spectral, "_top_ritz", counted)
+    rho, steps, _ = spectral._top_pair(targets, weights, start, False)
+    assert steps == 20_000 and calls[-1] == 20_000
+    assert calls[:200] == list(range(5, 1_001, 5))
+    assert len(calls) <= 250
+    assert all(c % 5 == 0 for c in calls)
+    assert rho == pytest.approx(_LAMBDA2_PINS[53], abs=1e-6)
