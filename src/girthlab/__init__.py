@@ -12,10 +12,8 @@ from .exactmat import (
     ShapeError,
     Word,
     binom_general,
-    entry_growth_bound,
     eval_word,
     magic_pair,
-    matrix_power,
     power_closed_form,
 )
 from .modmat import (
@@ -24,7 +22,6 @@ from .modmat import (
     decode,
     encode,
     group_order_sl,
-    inverse,
     is_prime,
     reduce,
 )
@@ -87,14 +84,11 @@ __all__ = [
     "RecipeError",
     "magic_pair",
     "power_closed_form",
-    "matrix_power",
     "eval_word",
-    "entry_growth_bound",
     "binom_general",
     "reduce",
     "encode",
     "decode",
-    "inverse",
     "group_order_sl",
     "is_prime",
     "validate",

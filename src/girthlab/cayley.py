@@ -214,7 +214,7 @@ def symmetrize(generators: Sequence[ModMatrix]) -> List[ModMatrix]:
     out: List[ModMatrix] = []
     seen = set()
     for g in generators:
-        for h in (g, modmat.inverse(g)):
+        for h in (g, g.inverse()):
             key = h.entries
             if key not in seen:
                 seen.add(key)
@@ -506,7 +506,7 @@ def _classes(n: int, m: int) -> np.ndarray:
     return cls.reshape(-1)
 
 
-def _sln_ranks(n: int, m: int, gens: Sequence[ModMatrix], cls: Optional[np.ndarray] = None):
+def _sln_ranks(n: int, m: int, gens: Sequence[ModMatrix], cls: np.ndarray):
     """Right multiplication on the ranks of SL_n(F_m) for n >= 3, and the
     unrank map.
 
@@ -529,7 +529,7 @@ def _sln_ranks(n: int, m: int, gens: Sequence[ModMatrix], cls: Optional[np.ndarr
     step_g[cls[top] m^(n-1) + s], as _top_action's tables hold the tops
     times m^(n-1): three gathers and a few divisions, over a table m times
     smaller than one indexed by codes.  Both tables are built from vectors
-    of small integers, cls by _classes unless the caller passes it;
+    of small integers, cls by _classes in the caller;
     _table_index counts their bytes.  Returns (act, unrank) with
     _sl2_ranks's contract.
     """
@@ -547,14 +547,12 @@ def _sln_ranks(n: int, m: int, gens: Sequence[ModMatrix], cls: Optional[np.ndarr
         at_j = (1 - sum(c * e for c, e in zip(C, r))) * inv[np.choose(j, C)] % m
         return [np.where(j == x, at_j, e) for x, e in enumerate(r)]
 
-    if cls is None:
-        cls = _classes(n, m)
     c, s = np.divmod(np.arange(m**n * lows, dtype=np.int32), lows)
     C = _digits(c, n, m)
     r = lift(C, _digits(s, n - 1, m))
     step = np.empty((len(c), k), dtype=np.int64)
     for col, g in zip(step.T, gens):
-        ge, gi = g.entries, modmat.inverse(g).entries
+        ge, gi = g.entries, g.inverse().entries
         rg = [sum(e * ge[x][y] for x, e in enumerate(r)) % m for y in range(n)]
         j = _pivot([sum(e * gi[y][x] for x, e in enumerate(C)) % m for y in range(n)])
         col[:] = sum(np.where(j > z, rg[z], rg[z + 1]) * m**z for z in range(n - 1))

@@ -9,8 +9,8 @@ Each exact algorithm exists once, in _Square, which ExactMatrix and
 modmat.ModMatrix share: the product, the adjugate inverse and the
 square-and-multiply power.  Only the ring differs: an integer matrix is
 invertible when its determinant is +-1, a matrix mod m when its determinant
-is a unit mod m.  So matrix_power and eval_word take either kind, and a
-word evaluated at a pair mod m equals the reduction of its value over Z.
+is a unit mod m.  So eval_word takes either kind, and a word evaluated at
+a pair mod m equals the reduction of its value over Z.
 generator_pair builds the pair (X, Y) = (A^l, B^l) that every claim is
 about.
 """
@@ -220,8 +220,8 @@ class Word:
 
     Stored in syllable form: ``(("X", 2), ("Y", -3))`` means X^2 Y^-3.
     Adjacent syllables always carry distinct letters and no exponent is zero,
-    so a power like X^(10^6) costs one syllable, which is what keeps long
-    powers cheap in the girth machinery.
+    so a power like X^(10^6) costs one syllable, and eval_word takes one
+    square-and-multiply per syllable.
     """
 
     syllables: Tuple[Tuple[str, int], ...] = ()
@@ -274,7 +274,16 @@ class Word:
 
 
 def magic_pair(n: int, a: int, b: int, *, allow_small: bool = False) -> Tuple[ExactMatrix, ExactMatrix]:
-    """The unitriangular generator pair: A with superdiagonal a, B with subdiagonal b.
+    """The unitriangular generator pair: A with superdiagonal a, B with
+    subdiagonal b.  It is generator_pair at l = 1, with allow_small as there."""
+    return generator_pair(n, 1, a, b, allow_small=allow_small)
+
+
+def generator_pair(
+    n: int, l: int, a: int, b: int, *, allow_small: bool = False
+) -> Tuple[ExactMatrix, ExactMatrix]:
+    """The generators (X, Y) = (A^l, B^l) of the magic pair (A, B), in
+    closed form (_band_power).
 
     The freeness guarantees assume a, b >= 2, so smaller values are rejected
     unless allow_small is set (the non-freeness scans deliberately probe
@@ -288,16 +297,7 @@ def magic_pair(n: int, a: int, b: int, *, allow_small: bool = False) -> Tuple[Ex
             f"band values must be >= {floor}, got a={a}, b={b}"
             + ("" if allow_small else " (freeness statements assume a,b >= 2)")
         )
-    return _band_power(n, "upper", a, 1), _band_power(n, "lower", b, 1)
-
-
-def generator_pair(
-    n: int, l: int, a: int, b: int, *, allow_small: bool = False
-) -> Tuple[ExactMatrix, ExactMatrix]:
-    """The generators (X, Y) = (A^l, B^l) of the magic pair (magic_pair), in
-    closed form; allow_small as for magic_pair."""
-    A, B = magic_pair(n, a, b, allow_small=allow_small)
-    return power_closed_form(A, l), power_closed_form(B, l)
+    return _band_power(n, "upper", a, l), _band_power(n, "lower", b, l)
 
 
 def power_closed_form(M: ExactMatrix, k: int) -> ExactMatrix:
@@ -309,14 +309,6 @@ def power_closed_form(M: ExactMatrix, k: int) -> ExactMatrix:
     return _band_power(M.n, *profile, k)
 
 
-def matrix_power(M, k: int):
-    """M^k for any invertible matrix, integer or mod m; closed form when M is
-    a magic integer matrix."""
-    if isinstance(M, ExactMatrix) and M.magic_profile() is not None:
-        return power_closed_form(M, k)
-    return M.pow(k)
-
-
 def eval_word(w: Word, X, Y):
     """Evaluate a reduced word at the pair (X, Y): two integer matrices, or
     two matrices mod the same m (modmat.ModMatrix)."""
@@ -325,26 +317,5 @@ def eval_word(w: Word, X, Y):
     gens = {"X": X, "Y": Y}
     result = X.pow(0)  # the identity, of X's kind
     for letter, exp in w.syllables:
-        result = result @ matrix_power(gens[letter], exp)
+        result = result @ gens[letter].pow(exp)
     return result
-
-
-def entry_growth_bound(w: Word, a: int, b: int) -> Tuple[int, int]:
-    """(actual, bound) for the top-left entry of an alternating 2x2 word.
-
-    The word must be a full alternation X^{l_1} Y^{m_1} ... X^{l_k} Y^{m_k};
-    the bound is M^(2k) (ab+1)^k with M the largest |exponent|.  The contract
-    actual <= bound is what turns a mod-p collision into a length lower bound.
-    """
-    syl = w.syllables
-    if not syl or len(syl) % 2 != 0:
-        raise ParameterError("word must consist of full X,Y syllable pairs")
-    for idx, (letter, _) in enumerate(syl):
-        if letter != ("X" if idx % 2 == 0 else "Y"):
-            raise ParameterError("word must alternate X, Y, X, Y, ...")
-    k = len(syl) // 2
-    big_m = max(abs(e) for _, e in syl)
-    A, B = magic_pair(2, a, b)
-    actual = abs(eval_word(w, A, B)[0, 0])
-    bound = big_m ** (2 * k) * (a * b + 1) ** k
-    return actual, bound

@@ -118,11 +118,6 @@ def group_order_sl(n: int, p: int) -> int:
     return order
 
 
-def inverse(M: ModMatrix) -> ModMatrix:
-    """Inverse mod m via the adjugate; requires gcd(det, m) = 1."""
-    return M.inverse()
-
-
 def encode(M: ModMatrix) -> int:
     """Row-major little-endian base-m packing of the entries."""
     code = 0

@@ -166,15 +166,6 @@ def gram_char_poly(M: ExactMatrix) -> tuple:
     return tuple(sign * c for c in coeffs)
 
 
-def largest_real_root(coeffs: Sequence[int]) -> float:
-    """Largest real root of a polynomial given by high-to-low coefficients."""
-    roots = np.roots([float(c) for c in coeffs])
-    real = roots[np.abs(roots.imag) < 1e-8 * (1 + np.abs(roots.real))].real
-    if len(real) == 0:
-        raise ArithmeticError("polynomial has no real root")
-    return float(real.max())
-
-
 def bound_formula(gamma: float, p: int) -> float:
     """2 log_gamma(p/2) - 1, the collision-number girth lower bound."""
     if gamma <= 1.0:

@@ -311,7 +311,7 @@ def identity_word_length_mod_p(
     stay below p, so int64 holds every partial sum while n (p - 1)^2 < 2^63.
     """
     X, Y = cayley.spec_generators(spec, p)
-    mats = [X.entries, modmat.inverse(X).entries, Y.entries, modmat.inverse(Y).entries]
+    mats = [X.entries, X.inverse().entries, Y.entries, Y.inverse().entries]
     exact = spec.n * (p - 1) ** 2 < 1 << 63
     gens = np.array(mats, dtype=np.int64 if exact else object)
     for length in range(1, max_length + 1):

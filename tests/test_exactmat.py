@@ -10,10 +10,9 @@ from girthlab.exactmat import (
     ShapeError,
     Word,
     binom_general,
-    entry_growth_bound,
     eval_word,
+    generator_pair,
     magic_pair,
-    matrix_power,
     power_closed_form,
 )
 
@@ -57,6 +56,13 @@ def test_magic_pair_rejects_bad_parameters():
         magic_pair(3, 1, 2)
     with pytest.raises(ParameterError):
         magic_pair(3, 2, 0)
+    # generator_pair makes the same checks, whatever l
+    with pytest.raises(ParameterError, match="dimension must be >= 2, got 1"):
+        generator_pair(1, 4, 2, 2)
+    with pytest.raises(ParameterError, match=r"band values must be >= 2, got a=1, b=2 \(freeness"):
+        generator_pair(3, 4, 1, 2)
+    with pytest.raises(ParameterError, match=r"band values must be >= 1, got a=2, b=0$"):
+        generator_pair(3, 0, 2, 0, allow_small=True)
     # the non-freeness probes are allowed through explicitly
     A, B = magic_pair(2, 1, 1, allow_small=True)
     assert A.entries == ((1, 1), (0, 1))
@@ -90,6 +96,15 @@ def test_power_closed_form_matches_naive_everywhere():
             for k in range(-12, 13):
                 assert power_closed_form(A, k).entries == naive_power(A, k).entries
             assert power_closed_form(B, -5).entries == naive_power(B, -5).entries
+
+
+def test_generator_pair_is_the_closed_form_power_of_the_magic_pair():
+    for n in range(2, 6):
+        for a, b, small in ((2, 3, False), (5, 2, False), (1, 1, True), (1, 4, True), (3, 2, True)):
+            A, B = magic_pair(n, a, b, allow_small=small)
+            for l in (0, 1, 4, 10):
+                X, Y = generator_pair(n, l, a, b, allow_small=small)
+                assert (X, Y) == (power_closed_form(A, l), power_closed_form(B, l))
 
 
 def test_power_additivity():
@@ -148,6 +163,24 @@ def test_eval_word_examples():
     assert prod.entries[0][0] == 641
 
 
+def test_eval_word_matches_the_closed_form_at_long_powers():
+    # one square-and-multiply per syllable equals the closed form
+    for n in (2, 3, 5):
+        A, B = magic_pair(n, 3, 2)
+        assert eval_word(Word.of([("X", 10**6)]), A, B) == power_closed_form(A, 10**6)
+        assert eval_word(Word.of([("Y", -(10**6))]), A, B) == power_closed_form(B, -(10**6))
+    A, B = magic_pair(3, 4, 2)
+    X, Y = generator_pair(3, 4, 4, 2)
+    w = Word.of([("X", 3), ("Y", -2), ("X", -5), ("Y", 7)])
+    expected = (
+        power_closed_form(A, 12)
+        @ power_closed_form(B, -8)
+        @ power_closed_form(A, -20)
+        @ power_closed_form(B, 28)
+    )
+    assert eval_word(w, X, Y) == expected
+
+
 def test_eval_word_dimension_mismatch():
     A2, _ = magic_pair(2, 2, 2)
     A3, _ = magic_pair(3, 2, 2)
@@ -168,37 +201,12 @@ def test_eval_word_determinant_one():
             assert eval_word(Word.of(pairs), A, B).det() == 1
 
 
-def test_entry_growth_bound_examples():
-    assert entry_growth_bound(Word.of([("X", 2), ("Y", 3)]), 2, 2) == (25, 45)
-    assert entry_growth_bound(Word.of([("X", 1), ("Y", 1)]), 2, 2) == (5, 5)
-    assert entry_growth_bound(Word.of([("X", -1), ("Y", -1)]), 2, 2) == (5, 5)
-
-
-def test_entry_growth_bound_requires_alternation():
-    with pytest.raises(ParameterError):
-        entry_growth_bound(Word.of([("Y", 1), ("X", 1)]), 2, 2)
-    with pytest.raises(ParameterError):
-        entry_growth_bound(Word.of([("X", 1)]), 2, 2)
-
-
-def test_entry_growth_bound_random_words():
-    rng = random.Random(7)
-    for _ in range(10_000):
-        a = rng.randint(2, 5)
-        b = rng.randint(2, 5)
-        k = rng.randint(1, 6)
-        pairs = []
-        for i in range(k):
-            pairs.append(("X", rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])))
-            pairs.append(("Y", rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])))
-        actual, bound = entry_growth_bound(Word.of(pairs), a, b)
-        assert actual <= bound
-
-
-def test_matrix_power_generic_fallback():
+def test_square_pow_matches_the_naive_product():
+    # a matrix that is not magic: _Square.pow's square-and-multiply and its
+    # negative powers through the adjugate inverse
     M = ExactMatrix.from_rows([[2, 1], [1, 1]])
-    assert matrix_power(M, 3).entries == naive_power(M, 3).entries
-    assert (matrix_power(M, -2) @ matrix_power(M, 2)).is_identity()
+    assert M.pow(3).entries == naive_power(M, 3).entries
+    assert (M.pow(-2) @ M.pow(2)).is_identity()
 
 
 def test_inverse_roundtrip():

@@ -13,7 +13,6 @@ from girthlab.modmat import (
     decode,
     encode,
     group_order_sl,
-    inverse,
     is_prime,
     reduce,
 )
@@ -77,9 +76,9 @@ def test_group_order_rejects_composite():
 
 def test_inverse_examples():
     ident = ModMatrix.identity(3, 7)
-    assert inverse(ident).is_identity()
+    assert ident.inverse().is_identity()
     M = ModMatrix.from_rows([[1, 2], [0, 1]], 5)
-    assert inverse(M).entries == ((1, 3), (0, 1))
+    assert M.inverse().entries == ((1, 3), (0, 1))
 
 
 def test_inverse_random_unitriangular_products():
@@ -89,14 +88,14 @@ def test_inverse_random_unitriangular_products():
         W = reduce(power_closed_form(A, rng.randint(1, 5)), 7) @ reduce(
             power_closed_form(B, rng.randint(1, 5)), 7
         )
-        assert (W @ inverse(W)).is_identity()
+        assert (W @ W.inverse()).is_identity()
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(NonInvertibleError):
-        inverse(ModMatrix.from_rows([[1, 1], [1, 1]], 5))
+        ModMatrix.from_rows([[1, 1], [1, 1]], 5).inverse()
     with pytest.raises(NonInvertibleError):
-        inverse(ModMatrix.from_rows([[2, 0], [0, 1]], 4))
+        ModMatrix.from_rows([[2, 0], [0, 1]], 4).inverse()
 
 
 def test_encode_decode_roundtrip():
@@ -141,7 +140,7 @@ def test_integer_and_modular_matrices_share_inverse_and_power():
 
     E = ExactMatrix.from_rows([[2, 1], [1, 1]])
     assert (E.pow(-3) @ E.pow(3)).is_identity()
-    assert reduce(E.pow(-3), 7) == reduce(E, 7).pow(-3) == inverse(reduce(E, 7)).pow(3)
+    assert reduce(E.pow(-3), 7) == reduce(E, 7).pow(-3) == reduce(E, 7).inverse().pow(3)
     assert E.transpose() == E and E.transpose()[0, 1] == 1
     assert ExactMatrix.from_rows([[-1]]).inverse() == ExactMatrix.from_rows([[-1]])
     assert ModMatrix.from_rows([[3]], 7).inverse() == ModMatrix.from_rows([[5]], 7)
