@@ -79,15 +79,38 @@ budget:
 - _Levels: frontier search (Korf et al., "Frontier Search", J. ACM 52(5),
   2005), which keeps only the sorted codes of levels d - 1 and d while it
   builds d + 1, so a girth-only ball search costs memory in proportion to
-  the ball, not to the code space.  The chunks of a level only gather their
-  targets; when the level closes, its targets are sorted once and a mask
-  marks the first occurrence of each code.  Then the sorted levels d - 1 and
-  d, which hold far fewer codes than the k |L_d| targets, probe the targets:
-  each hit clears its code's mask, and what the mask keeps is level d + 1,
-  copied once.  The probe of level d also answers hits.  Both stores
-  return the same levels, each sorted by its index.  Not charged to the
-  memory budget: the sort's temporaries, the mask and the probe positions
-  of levels d - 1 and d.
+  the ball, not to the code space.  It keeps one code per orbit of Sigma, a
+  group of automorphisms that permute the generators (_symmetries), as
+  Rokicki, Kociemba, Davidson and Dethridge reduced the Rubik's cube search
+  by its symmetries ("The diameter of the Rubik's cube group is twenty",
+  SIAM J. Discrete Math. 27(2), 2013).  Each map fixes the identity and
+  carries edges to edges, so each sphere is a union of orbits: of order 4
+  for the dim2 pairs (tau, conjugation by diag(1, -1), inverts both
+  generators, and sigma(M) = D M^(-T) D^(-1) with D = diag((b/a)^i) sends X
+  to Y^(-1) and Y to X^(-1)), of order 2 for the n = 3 pairs (sigma alone).
+  The stored code is the least in its orbit (_Orbits.canon), and the orbit
+  of a neighbour of M is the orbit of a neighbour of the stored code, so the
+  targets of the stored codes, each replaced by its orbit's least code,
+  stand for the targets of every element.  Levels and targets then take a
+  quarter of the bytes at n = 2 and half at n = 3.  The level sizes count
+  elements: each code stands for |Sigma| / |Stab| of them, and the few
+  stabilized orbits (the identity, diagonal matrices, for n = 2 the
+  [[x, y], [z, x]] with z = +-(b/a) y) are found as canon meets them, so
+  advance returns the sum of the orbit sizes.  A collected search, whose neighbour map and DOT export need
+  every code, and a generator set with no verified map take the trivial
+  group.  The chunks of a level only gather their targets, canonicalized in
+  place after each chunk's act; when the level closes, its targets are
+  sorted once and a mask marks the first occurrence of each code.  Then the
+  sorted levels d - 1 and d, which hold far fewer codes than the k |L_d|
+  targets, probe the targets: each hit clears its code's mask, and what the
+  mask keeps is level d + 1, copied once.  The probe of level d also
+  answers hits: an edge inside level d maps to an edge from a stored code
+  into level d.  The table's levels, each code replaced by its orbit's least
+  and deduplicated, are the frontier's; both stores sort each level by its
+  index.  Charged to the memory budget: the codes of levels d - 1 and d,
+  the targets and the mask, and the largest of act's and canon's block
+  scratch and a probe; not charged: the sort's temporaries and level d + 1
+  as it is copied out of the targets.
   Generators act by decode, product and encode (_product_action), the one
   kernel on element codes, which needs no table of m^n rows.  It reduces
   each product entry e as e - (e // m) m, since numpy's int64 % is about
@@ -124,6 +147,7 @@ import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -154,6 +178,7 @@ def _default_memory_budget() -> int:
 DEFAULT_MEMORY_BUDGET = _default_memory_budget()  # bytes, read once at import
 _CHUNK = 1 << 19  # frontier search's elements per chunk
 _ACT_BLOCK = 1 << 15  # codes that _product_action decodes at once: its scratch stays in cache
+_ORBIT_BLOCK = 1 << 13  # codes that _Orbits.canon maps at once: its dozen vectors stay in cache
 _BLOCK_BYTES = 1 << 18  # a row-block table of _top_action stays in cache
 _TARGET_BYTES = 1 << 19  # a chunk of the table's int64 targets stays in cache
 _SCAN_BYTES = 1 << 18  # table bytes that scan reads at once
@@ -296,6 +321,21 @@ def _top_action(n: int, m: int, gens: Sequence[ModMatrix]):
     return act
 
 
+def _digit_arrays(codes: np.ndarray, n: int, m: int) -> List[np.ndarray]:
+    """The n^2 base-m digits of every code, entry (r, c) at n r + c, by
+    n^2 - 1 floor divisions: a code lies below m^(n^2), so the last quotient
+    is the last digit."""
+    digits = []
+    for _ in range(n * n - 1):
+        q = codes // m  # faster than np.divmod, as in _top_action
+        d = q * m
+        np.subtract(codes, d, out=d)
+        digits.append(d)
+        codes = q
+    digits.append(codes)
+    return digits
+
+
 def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
     """Right multiplication by every generator by decode, product and encode.
 
@@ -304,8 +344,7 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
     nothing up front at any modulus, and a frontier of 10^5 codes takes
     milliseconds.  The codes are taken in blocks of _ACT_BLOCK, whose arrays
     stay in cache.  A block is decoded into n^2 contiguous digit arrays, one
-    per entry, by n^2 - 1 floor divisions: a code lies below m^(n^2), so the
-    last quotient is the last digit.  Entry (r, x) of M g is sum_c digit(r,
+    per entry (_digit_arrays).  Entry (r, x) of M g is sum_c digit(r,
     c) g[c, x] mod m, and it is added, times its place weight m^(n r + x),
     into the output column of g; zero terms are skipped, and an entry that
     is a lone digit needs no reduction.  Any other entry e is reduced as e -
@@ -347,14 +386,7 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
         return out.T
 
     def block(rest, out, e, t) -> None:
-        digits = []  # digits[n r + c]: entry (r, c) of every code
-        for _ in range(n * n - 1):
-            q = rest // m  # faster than np.divmod, as in _top_action
-            d = q * m
-            np.subtract(rest, d, out=d)
-            digits.append(d)
-            rest = q
-        digits.append(rest)  # a code lies below m^(n^2): the last quotient is a digit
+        digits = _digit_arrays(rest, n, m)
         for col, plan in zip(out, plans):
             if not plan:  # the zero matrix
                 col.fill(0)
@@ -382,6 +414,217 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
                     np.add(col, t, out=col)
 
     return act
+
+
+# A map of _symmetries, (W, cof): entry (i, j) of the image of M is
+# W[i][j] src[i][j] mod m, where src is M, or with cof its cofactor matrix
+Symmetry = Tuple[Tuple[Tuple[int, ...], ...], bool]
+
+
+def _symmetries(gens: Sequence[ModMatrix]) -> List[Symmetry]:
+    """Automorphisms of the group that permute the symmetrized generator set
+    gens, other than the identity.
+
+    An automorphism phi with phi(gens) = gens fixes the identity and maps
+    each edge {M, M g} onto {phi(M), phi(M) phi(g)}, so it is an automorphism
+    of the Cayley graph that keeps the distance from the identity, and every
+    sphere is a union of orbits of the group Sigma these maps make; frontier
+    search keeps one code per orbit (_Orbits).  The candidates:
+
+    - tau, conjugation by E = diag((-1)^i): W = ((-1)^(i+j));
+    - when every generator has determinant 1 and n is 2 or 3 (the kernel
+      forms cofactors from 2 x 2 minors at most), sigma(M) = D M^(-T) D^(-1)
+      with D = diag(beta^i): W = (beta^(i-j)) on the cofactor matrix, which
+      is M^(-T) for det M = 1.  sigma scales entry (i, j) by beta^(i-j), so
+      one adjacent off-diagonal entry of cof(gens[0]) that is a unit fixes
+      the beta that sends gens[0] onto a given s in gens; the first s whose
+      sigma passes gives the beta;
+    - their product tau sigma.
+
+    A candidate passes only if it maps gens exactly onto gens, checked on
+    ModMatrix.  tau and sigma are commuting involutions, so those that pass
+    and the identity form a group.  One map is returned per permutation of
+    gens that they induce, other than the identity: maps that induce the
+    same permutation agree on the group gens generate.  For the dim2 pair
+    X = [[1, la], [0, 1]], Y = [[1, 0], [lb, 1]], tau inverts both, and sigma
+    with beta = b / a sends X to Y^(-1) and Y to X^(-1): |Sigma| = 4.
+    """
+    n, m = gens[0].n, gens[0].m
+    sign = tuple(tuple((-1) ** (i + j) % m for j in range(n)) for i in range(n))
+    index = {g.entries: at for at, g in enumerate(gens)}
+    unimodular = n in (2, 3) and all(g.det() == 1 for g in gens)
+    sources = {False: [g.entries for g in gens]}
+    if unimodular:
+        sources[True] = [g.inverse().transpose().entries for g in gens]
+
+    def permutation(sym: Symmetry) -> Optional[Tuple[int, ...]]:
+        # the entries of each image, reduced mod m as ModMatrix keeps them
+        W, cof = sym
+        perm = tuple(
+            index.get(tuple(tuple(w * x % m for w, x in zip(*rows)) for rows in zip(W, src)), -1)
+            for src in sources[cof]
+        )
+        return perm if sorted(perm) == list(range(len(gens))) else None
+
+    candidates = [(sign, False)]
+    if unimodular:
+        cof = sources[True][0]
+        spots = [(i, j) for i in range(n) for j in (i - 1, i + 1) if 0 <= j < n]
+        spot = next(((i, j) for i, j in spots if gcd(cof[i][j], m) == 1), None)
+        for s in gens if spot else ():
+            i, j = spot
+            if gcd(s.entries[i][j], m) != 1:
+                continue
+            scale = s.entries[i][j] * pow(cof[i][j], -1, m) % m  # beta^(i - j)
+            beta = scale if i > j else pow(scale, -1, m)
+            W = tuple(tuple(pow(beta, x - y, m) for y in range(n)) for x in range(n))
+            if permutation((W, True)):
+                tau_W = tuple(tuple(w * e % m for w, e in zip(*rows)) for rows in zip(W, sign))
+                candidates += [(W, True), (tau_W, True)]
+                break
+    maps, seen = [], {tuple(range(len(gens)))}
+    for sym in candidates:
+        perm = permutation(sym)
+        if perm is not None and perm not in seen:
+            seen.add(perm)
+            maps.append(sym)
+    return maps
+
+
+class _Orbits:
+    """The orbits of Sigma, the maps of _symmetries and the identity, on
+    element codes: frontier search keeps one code per orbit, the least.
+
+    A map's image of a code is computed from the code's n^2 digit arrays
+    (_digit_arrays), as _product_action computes a product: its entry (i, j)
+    is a digit of M, or for n = 3 a 2 x 2 minor of M (the cofactor matrix up
+    to sign), times the map's multiplier, reduced as e - (e // m) m, and
+    added times its place weight m^(n i + j).  An entry that is a lone digit
+    needs no reduction; for n = 2 a cofactor is a lone digit up to sign.  A
+    scaled entry shared by several maps is computed once: for the dim2 pair
+    with a = b, tau and one of sigma and tau sigma both read -b and -c.
+    canon works in blocks of _ORBIT_BLOCK codes, with scratch vectors of the
+    block's length that stay in cache: up to 14 vectors at n = 2, against
+    _product_action's 6, so the block is a quarter of _ACT_BLOCK (with
+    _ACT_BLOCK itself the girth_ball searches took 20-35% longer).  int64
+    is exact: every partial sum of a code stays below m^(n^2) <= 2^63, and
+    every scaled entry below m^3 in size.
+    """
+
+    def __init__(self, n: int, m: int, maps: Sequence[Symmetry]):
+        self.n, self.m, self.size = n, m, 1 + len(maps)
+        rows = {}  # (source, multiplier) of each scaled entry: its scratch row
+        self.plans = []  # per map: (place weight, scaled?, digit or scaled row)
+        for W, cof in maps:
+            plan = []
+            for i, j in itertools.product(range(n), repeat=2):
+                w, src = W[i][j], n * i + j
+                if cof:
+                    # cofactor (i, j) is (-1)^(i+j) times minor (i, j): for
+                    # n = 2 the digit opposite (i, j), for n = 3 source n^2
+                    # + n i + j, a minor formed in the block
+                    w = w * (-1) ** (i + j) % m
+                    src = n * (1 - i) + 1 - j if n == 2 else n * n + src
+                if w == 1 and src < n * n:
+                    plan.append((m ** (n * i + j), False, src))
+                else:
+                    plan.append((m ** (n * i + j), True, rows.setdefault((src, w), len(rows))))
+            self.plans.append(plan)
+        self.scaled = list(rows)
+        self.minors = any(src >= n * n for src, _ in self.scaled)
+
+    def scratch(self, block: int) -> int:
+        """Bytes that canon holds for a block of that many codes: the digit
+        arrays and one quotient, the minors, the scaled entries, the image,
+        the least image and a scratch vector, and two masks."""
+        vectors = self.n**2 + 1 + self.n**2 * self.minors + len(self.scaled) + 3
+        return (8 * vectors + 2) * block if self.plans else 0
+
+    def _images(self, part: np.ndarray, rows: np.ndarray, img: np.ndarray, t: np.ndarray):
+        """Yield, for each map in turn, the codes of the images of part in
+        img; rows holds the scaled entries, the minors after them."""
+        n, m = self.n, self.m
+        digits = _digit_arrays(part, n, m)
+        sources = list(digits)
+        if self.minors:
+            for i, j in itertools.product(range(n), repeat=2):
+                (r1, r2), (c1, c2) = ([x for x in range(n) if x != y] for y in (i, j))
+                minor = rows[len(self.scaled) + n * i + j]
+                np.multiply(digits[n * r1 + c1], digits[n * r2 + c2], out=minor)
+                np.multiply(digits[n * r1 + c2], digits[n * r2 + c1], out=t)
+                np.subtract(minor, t, out=minor)
+                sources.append(minor)
+        for e, (src, w) in zip(rows, self.scaled):
+            np.multiply(sources[src], w, out=e)
+            np.floor_divide(e, m, out=t)  # e - (e // m) m, not e % m
+            np.multiply(t, m, out=t)
+            np.subtract(e, t, out=e)
+        for plan in self.plans:
+            for at, (weight, scaled, src) in enumerate(plan):
+                entry = rows[src] if scaled else digits[src]
+                if at == 0:
+                    np.multiply(entry, weight, out=img)
+                else:
+                    np.multiply(entry, weight, out=t)
+                    np.add(img, t, out=img)
+            yield img
+
+    def _buffers(self, block: int):
+        rows = np.empty((len(self.scaled) + self.n**2 * self.minors, block), dtype=np.int64)
+        return rows, np.empty(block, dtype=np.int64), np.empty(block, dtype=np.int64)
+
+    def canon(self, codes: np.ndarray) -> List[np.ndarray]:
+        """Replace every code in place by the least code of its orbit.
+        Returns, in pieces, the canonical codes of the orbits met whose
+        codes have a nontrivial stabilizer: fewer than |Sigma| elements."""
+        if not self.plans or not len(codes):
+            return []
+        block = min(len(codes), _ORBIT_BLOCK)
+        rows, img, t = self._buffers(block)
+        least = np.empty(block, dtype=np.int64)
+        same = np.empty(block, dtype=bool)
+        stabilized = []
+        for s in range(0, len(codes), block):
+            part = codes[s : s + block]
+            size = len(part)
+            low, eq = least[:size], same[:size]
+            np.copyto(low, part)
+            fixed = None
+            for image in self._images(part, rows[:, :size], img[:size], t[:size]):
+                np.equal(image, part, out=eq)
+                if eq.any():
+                    fixed = eq.copy() if fixed is None else fixed | eq
+                np.minimum(low, image, out=low)
+            np.copyto(part, low)
+            if fixed is not None:
+                stabilized.append(low[fixed])
+        return stabilized
+
+    def count(self, level: np.ndarray, stabilized: List[np.ndarray]) -> int:
+        """Elements in the orbits of the sorted canonical codes level: |Sigma|
+        per code, less the stabilized orbits' shortfall.  stabilized (from
+        canon) holds the canonical codes of every stabilized orbit in level,
+        and maybe others."""
+        total = self.size * len(level)
+        if stabilized and len(level):
+            # sorted and deduplicated by hand: np.unique imports numpy.ma,
+            # which costs the first call about 20 ms
+            fixed = np.sort(np.concatenate(stabilized))
+            fixed = fixed[np.append(True, fixed[1:] != fixed[:-1])]
+            at = np.minimum(level.searchsorted(fixed), len(level) - 1)
+            fixed = fixed[level[at] == fixed]
+            total -= int((self.size - self.orbit_sizes(fixed)).sum())
+        return total
+
+    def orbit_sizes(self, codes: np.ndarray) -> np.ndarray:
+        """|Sigma| / |Stab(M)| for every code: its distinct images."""
+        images = np.empty((self.size, len(codes)), dtype=np.int64)
+        images[0] = codes
+        buffers = self._buffers(len(codes))
+        for row, image in zip(images[1:], self._images(codes, *buffers)):
+            row[:] = image
+        images.sort(axis=0)
+        return 1 + (images[1:] != images[:-1]).sum(axis=0)
 
 
 def _sl2_rows(m: int, gens: Sequence[ModMatrix]):
@@ -766,7 +1009,7 @@ class _Table:
             del kept
         return new
 
-    def advance(self, order: int) -> None:
+    def advance(self, order: int) -> int:
         # cur is dropped before scan or close builds level d + 1, so level d
         # is freed there unless _bfs keeps it while the girth is open.  A
         # level of _SPLIT elements or more leaves spare charge for the
@@ -779,6 +1022,7 @@ class _Table:
             halves = _halves(self._act_and_visit, width, width >= _SPLIT)
             self.cur = None
             self.cur = self.close(halves)
+        return len(self.cur)
 
     def close(self, halves: List[List[np.ndarray]]) -> np.ndarray:
         # level d + 1 in sorted order: row i of M g is row_i(M) g, so the
@@ -830,42 +1074,56 @@ class _Table:
 
 
 class _Levels:
-    """Visited set of the sorted codes of levels d - 1 and d (frontier search)."""
+    """Visited set of the sorted codes of levels d - 1 and d (frontier
+    search), one code per orbit of Sigma (_Orbits): the least.  A collected
+    search keeps every code, for the neighbour map and DOT export, and takes
+    the trivial group."""
 
     def __init__(self, gens: List[ModMatrix], collect: bool):
         n, m = gens[0].n, gens[0].m
-        self.k = len(gens)
+        self.k, self.n = len(gens), n
         self.act = _product_action(n, m, gens)
+        self.orbits = _Orbits(n, m, [] if collect else _symmetries(gens))
         self.prev = np.empty(0, dtype=np.int64)
         self.cur = np.array([modmat.encode(ModMatrix.identity(n, m))], dtype=np.int64)
         self.levels = [self.cur] if collect else None
 
     def charge(self, width: int, order: int) -> int:
-        # live while level d + 1 is built: the codes of levels d - 1 and d
-        # (of every level when collecting), the k targets of 8 bytes
-        # gathered per element of level d, and a term of k int64 per element
-        # of one chunk.  act writes its targets into the gathered ones, so
-        # that term now covers act's scratch: the n^2 digit arrays and two
-        # scratch vectors of one block, 8 (n^2 + 2) bytes per element of
-        # min(width, _ACT_BLOCK).  It does so once level d holds (n^2 + 2) /
-        # k blocks; below that, at most 2.9 MB of scratch at n = 3 is not
-        # charged.  Not charged, in close: the sort temporaries, the
-        # one-byte mask over the targets and the probe positions of levels
-        # d - 1 and d
+        # live while level d + 1 is built from the width codes of level d:
+        # the codes of levels d - 1 and d (of every level when collecting),
+        # and per code of level d its k gathered 8-byte targets and their
+        # bytes of close's mask of first occurrences.  Beside them, one at a
+        # time: act's scratch, the n^2 digit arrays, a quotient and two
+        # vectors of one block of min(width, _ACT_BLOCK) codes; canon's, on
+        # a block of min(k width, _ORBIT_BLOCK) targets (_Orbits.scratch); and
+        # a probe of level d - 1 or d, 17 bytes per code: its positions
+        # among the targets, the codes read there and the match mask.  Not
+        # charged: the sort's temporaries and level d + 1 as close copies it
+        # out of the targets
         kept = order if self.levels is not None else len(self.prev) + width
-        return 8 * kept + width + 8 * self.k * (min(width, _CHUNK) + width)
+        scratch = max(
+            8 * (self.n**2 + 3) * min(width, _ACT_BLOCK),
+            self.orbits.scratch(min(self.k * width, _ORBIT_BLOCK)),
+            17 * max(len(self.prev), width),
+        )
+        return 8 * kept + 9 * self.k * width + scratch
 
-    def advance(self, order: int) -> None:
+    def advance(self, order: int) -> int:
         # only gather the targets, a chunk at a time: close sorts and probes
         # the whole level once.  Each chunk's act writes its (k, L) block
-        # straight into the level's one target array, where close reads it,
-        # so no chunk's block is copied again
+        # straight into the level's one target array, where canon replaces
+        # each target by its orbit's code and close reads it, so no chunk's
+        # block is copied again
         k, width = self.k, len(self.cur)
         joined = np.empty(k * width, dtype=np.int64)
+        stabilized = []
         for s in range(0, width, _CHUNK):
             part = self.cur[s : s + _CHUNK]
-            self.act(part, out=joined[k * s : k * (s + len(part))].reshape(k, len(part)))
+            block = joined[k * s : k * (s + len(part))]
+            self.act(part, out=block.reshape(k, len(part)))
+            stabilized += self.orbits.canon(block)
         self.close(joined)
+        return self.orbits.count(self.cur, stabilized)
 
     def close(self, joined: np.ndarray) -> None:
         # one sort of level d's targets, in place; the codes of levels d - 1
@@ -915,18 +1173,21 @@ def _bfs(
     (_table_index) says, or over a _Levels store when index is None.
 
     A store indexes elements in its own way (_Table by SL_n rank, _Levels by
-    code) and provides five members: cur, level d as an array of indices
-    sorted by index, the identity alone at construction; charge(width,
-    order), the bytes live while the next level is built from a level of
-    width elements, with order elements reached so far; advance(order),
-    which replaces cur with level d + 1 and drops its own reference to level
-    d before it builds the next level, so that level d is freed unless the
-    loop keeps it; hits(level d), called after advance, which says whether a
-    target of level d lies in level d; and codes(), the sorted element
-    codes.  How a level is built is the store's own choice: the table alone
-    builds a level bottom-up near the end of a sweep and splits a wide level
-    between two threads, and neither changes a level, so the results do not
-    depend on the CPU count.  A level whose charge exceeds the budget is
+    the code of each orbit of Sigma) and provides five members: cur, level d
+    as an array of indices sorted by index, the identity alone at
+    construction; charge(width, order), the bytes live while the next level
+    is built from a level of width indices, with order elements reached so
+    far; advance(order), which replaces cur with level d + 1, drops its own
+    reference to level d before it builds the next level, so that level d is
+    freed unless the loop keeps it, and returns the number of elements of
+    level d + 1 (for _Levels, the sum of its orbits' sizes); hits(level d),
+    called after advance, which says whether a target of level d lies in
+    level d; and codes(), the sorted element codes.  The level sizes, the
+    order and the collision rule count elements, not indices.  How a level
+    is built is the store's own choice: the table alone builds a level
+    bottom-up near the end of a sweep and splits a wide level between two
+    threads, and neither changes a level, so the results do not depend on
+    the CPU count.  A level whose charge exceeds the budget is
     never built; peak_bytes is the largest charge.
 
     The collision rule lives here, on the level sizes alone.  While the
@@ -954,9 +1215,9 @@ def _bfs(
         # level d is needed after advance only while the girth is tracked:
         # otherwise the store frees it before it builds the next level
         level = store.cur if want_girth and girth is None else None
-        store.advance(order)
-        new = len(store.cur)
-        if level is not None and k * width - new - (width if d else 0) > 0:
+        new = store.advance(order)
+        size = sizes[-1]
+        if level is not None and k * size - new - (size if d else 0) > 0:
             girth = 2 * d + 1 if store.hits(level) else 2 * d + 2
             if girth_only:
                 return BfsResult(order, None, girth, k, max(sizes), peak, None, tuple(sizes))
@@ -1002,7 +1263,11 @@ def bfs(
     want_girth, identity generators are rejected (a loop is not a cycle of
     the simple graph); without it they are simply absorbed.  The girth comes
     from _bfs's collision rule on the level sizes, over either visited set,
-    and is checked against the sphere sizes (_check_sphere_sizes).
+    and is checked against the sphere sizes (_check_sphere_sizes).  Frontier
+    search stores one code per orbit of the automorphisms that permute the
+    generators (_symmetries), unless collect asks for every code; order,
+    sphere_sizes and max_frontier count elements either way, and only
+    peak_bytes, the charge of the codes kept, reflects the orbits.
     girth_only stops at the first cycle, so it needs want_girth.  Element
     codes must fit in 63 bits: a larger code space raises
     BudgetExceededError at depth 0.

@@ -177,11 +177,18 @@ def girth_lower_bound(spec: GraphSpec, p: int) -> GirthBound:
     """Spectral girth lower bound for the generator pair of a spec at p.
 
     The reported integer bound is max(3, ceil(raw)): girth is an integer and
-    a simple graph never has girth below 3, so both roundings are sound.
+    a simple graph never has girth below 3, so both roundings are sound.  At
+    l = 0 both generators are the identity, whose norm 1 gives no bound:
+    DegenerateSpecError, as spec_generators raises for the girth.
     """
     if p < 3:
         raise ParameterError(f"bound needs p >= 3, got {p}")
     X, Y = generator_pair(spec.n, spec.l, spec.a, spec.b, allow_small=True)
+    if X.is_identity() or Y.is_identity():
+        raise DegenerateSpecError(
+            f"A^l or B^l is the identity at l={spec.l}; the girth bound needs both "
+            "generators of norm > 1"
+        )
     lam, beta = gram_lambda_max(X), gram_lambda_max(Y)
     gamma = max(math.sqrt(lam), math.sqrt(beta))
     raw = bound_formula(gamma, p)

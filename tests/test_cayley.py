@@ -236,6 +236,7 @@ class _SetStore:
     def advance(self, order):
         self.cur = sorted(self._targets(self.cur) - self._seen)
         self._seen.update(self.cur)
+        return len(self.cur)
 
     def hits(self, level):
         return not self._targets(level).isdisjoint(level)
@@ -291,13 +292,17 @@ def test_dense_and_sparse_paths_agree():
         assert (res.order, res.girth, res.diameter) == (ref.order, ref.girth, ref.diameter)
     # the girth-only early return: both stores stop at the same level, inside
     # the reference ball; the table's charge starts from its 7^3 ranks and
-    # the 16 * 4 * 7^2 bytes of the rank action's tables, frontier search's
-    # from the codes of levels 1 and 2 and the targets of level 2
+    # the 16 * 4 * 7^2 bytes of the rank action's tables.  Frontier search
+    # keeps one code per orbit of its four maps: levels 1 and 2 hold 1 and
+    # 3 codes, 9 bytes per target of level 2 (a code and a mask byte), and
+    # canon's block of its 12 targets, of 10 vectors (4 digit arrays and a
+    # quotient, -b and -c, the image, its least and a scratch vector) and
+    # two masks
     dense = _engine(gens, table=True, girth_only=True, **kw)
     sparse = _engine(gens, table=False, girth_only=True, **kw)
     for res, peak in (
         (dense, 7**3 + 16 * 4 * 7**2 + 9 * 12 + 8 * 4 * 12),
-        (sparse, 8 * (4 + 12) + 12 + 8 * 4 * (12 + 12)),
+        (sparse, 8 * (1 + 3) + 9 * 4 * 3 + (8 * 10 + 2) * 12),
     ):
         assert (res.order, res.girth, res.sphere_sizes) == (
             dense.order,
@@ -675,11 +680,13 @@ def test_bottom_up_at_every_level_matches_the_reference(monkeypatch, want_girth)
         return (table.cls[tops] != 0).all()
 
     def spy(self, order, advance=cayley._Table.advance):
-        advance(self, order)
+        size = advance(self, order)
         nxt = self.cur
         assert (np.diff(nxt) > 0).all() and nxt.dtype == np.int32
         assert used(self, nxt)
+        assert size == len(nxt)
         scans.append(len(nxt))
+        return size
 
     def init(self, gens, index, init=cayley._Table.__init__):
         init(self, gens, index)
@@ -931,13 +938,14 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
         answers = probed[store] = []
 
         def spy(self, order, advance=store.advance, calls=calls, table=store is cayley._Table):
-            advance(self, order)
+            size = advance(self, order)
             nxt = self.cur
             assert (np.diff(nxt) > 0).all()  # sorted by index
             # the table's levels hold 4-byte indices: m^3 and m^8 ranks stay
             # below 2^31; frontier search keeps int64 codes
             assert nxt.dtype == (np.int32 if table else np.int64)
-            calls.append(np.sort(self.unrank(nxt)) if table else nxt)
+            calls.append((np.sort(self.unrank(nxt)) if table else nxt, size))
+            return size
 
         def spy_hits(self, level, hits=store.hits, answers=answers):
             answers.append(hits(self, level))
@@ -952,7 +960,7 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
     # the table takes its last levels bottom-up, the empty one past the
     # diameter included
     assert len(ups) == len(table) and 0 < sum(ups) < len(ups)
-    assert ups[-1] and len(table[-1]) == 0
+    assert ups[-1] and len(table[-1][0]) == 0
     # both stores track the same levels: one probe, at the level where the
     # count finds the first cycle, with the same answer
     girth = girths[cayley._Table]
@@ -963,9 +971,17 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
     last = (girth - 1) // 2 if want_girth else 0
     tracked = 0
     prev = np.array([modmat.encode(ModMatrix.identity(n, m))])
-    # the d-th call of advance builds level d
-    for d, (codes, frontier_codes) in enumerate(zip(table, frontier), 1):
-        assert np.array_equal(codes, frontier_codes)
+    # the d-th call of advance builds level d.  Frontier search keeps the
+    # least code of each orbit of the generator-permuting automorphisms:
+    # the table's level, each code replaced by its orbit's least, and the
+    # element counts that both stores return agree
+    orbits = cayley._Orbits(n, m, cayley._symmetries(gens))
+    assert orbits.size == (4 if n == 2 else 2)
+    for d, ((codes, size), (frontier_codes, frontier_size)) in enumerate(zip(table, frontier), 1):
+        least = codes.copy()
+        orbits.canon(least)
+        assert np.array_equal(np.unique(least), frontier_codes)
+        assert size == frontier_size == len(codes)
         assert (np.diff(codes) > 0).all()
         if d <= last:
             tracked += 1
@@ -974,6 +990,134 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
             assert (in_prev.sum(axis=1) == 1).all()
         prev = codes
     assert (tracked > 0) == want_girth
+
+
+def _apply_symmetry(M, sym):
+    """A map of cayley._symmetries applied to one matrix: W times M entrywise,
+    or with cof times M^(-T), the cofactor matrix of M of determinant 1."""
+    W, cof = sym
+    src = M.inverse().transpose() if cof else M
+    return ModMatrix.from_rows(
+        [[w * x for w, x in zip(wr, xr)] for wr, xr in zip(W, src.entries)], M.m
+    )
+
+
+@pytest.mark.parametrize(
+    "spec,m,size",
+    [
+        ((2, 1, 2, 2), 35, 4),
+        ((2, 1, 2, 2), 1009, 4),
+        ((2, 1, 2, 3), 1009, 4),
+        ((3, 4, 4, 2), 127, 2),
+        ((3, 4, 2, 4), 7, 2),
+    ],
+)
+def test_symmetries_of_the_paper_pairs(spec, m, size):
+    # every sphere is a union of orbits of Sigma: for n = 2 tau, conjugation
+    # by diag(1, -1), inverts X and Y, and sigma(M) = D M^(-T) D^(-1) sends
+    # X to Y^(-1) and Y to X^(-1); for n = 3 only sigma.  Each kept map
+    # permutes the symmetrized pair, also mod the composite 35, and the
+    # kept maps with the identity are closed under composition
+    X, Y = spec_generators(validate(*spec), m)
+    gens = symmetrize([X, Y])
+    maps = cayley._symmetries(gens)
+    assert 1 + len(maps) == size
+    entries = {g.entries for g in gens}
+    images = [{g.entries: _apply_symmetry(g, sym).entries for g in gens} for sym in maps]
+    assert all(set(image.values()) == entries for image in images)
+    swaps = {X.entries: Y.inverse().entries, Y.entries: X.inverse().entries}
+    assert any(all(image[g] == h for g, h in swaps.items()) for image in images)
+    if size == 4:
+        inverts = {X.entries: X.inverse().entries, Y.entries: Y.inverse().entries}
+        assert any(all(image[g] == h for g, h in inverts.items()) for image in images)
+        for one, two in itertools.combinations(images, 2):
+            both = {g: two[one[g]] for g in one}
+            assert both in images and both != one and both != two
+
+
+def test_generic_generator_sets_have_no_symmetry():
+    # a random pair of determinant 1 mod 11, and a set with a generator of
+    # determinant 3, which leaves sigma out: Sigma is trivial and frontier
+    # search keeps every code
+    gens = symmetrize(_random_sl(2, 11, 2, np.random.default_rng(1)))
+    assert cayley._symmetries(gens) == []
+    det3 = [ModMatrix.from_rows([[1, 1], [1, 2]], 7), ModMatrix.from_rows([[3, 1], [0, 1]], 7)]
+    assert [g.det() for g in det3] == [1, 3]
+    assert cayley._symmetries(symmetrize(det3)) == []
+    assert cayley._Levels(symmetrize(det3), collect=False).orbits.size == 1
+
+
+@pytest.mark.parametrize(
+    "spec,m", [((2, 1, 2, 2), 35), ((2, 1, 2, 3), 1009), ((3, 4, 4, 2), 127), ((3, 4, 2, 4), 7)]
+)
+def test_orbit_codes_are_the_least_images(spec, m):
+    # _Orbits forms each image from the digits (for n = 3 from the 2 x 2
+    # minors): on random words and on stabilized elements (the identity, a
+    # diagonal matrix, which tau fixes, and for n = 2 [[a, b], [c, a]],
+    # which the map with W[1][0] = +-beta fixes when c = -W[1][0] b), canon
+    # writes the least code of each orbit and returns the stabilized ones,
+    # and orbit_sizes counts the distinct images
+    gens = symmetrize(spec_generators(validate(*spec), m))
+    n = gens[0].n
+    maps = cayley._symmetries(gens)
+    orbits = cayley._Orbits(n, m, maps)
+    rng = np.random.default_rng(4)
+    elems = [ModMatrix.identity(n, m), ModMatrix.from_rows(np.diag([2] * (n - 1) + [pow(2, 1 - n, m)]), m)]
+    for _ in range(60):  # words of 30 random generators
+        elems.append(elems[0])
+        for j in rng.integers(0, len(gens), size=30):
+            elems[-1] = elems[-1] @ gens[j]
+    for W, cof in maps if n == 2 else ():
+        if cof:  # [[a, b], [c, a]] with c = -W[1][0] b is fixed by this map
+            a, b, c = next(
+                (a, b, -W[1][0] * b % m)
+                for b in range(1, m)
+                for a in range(m)
+                if (a * a + W[1][0] * b * b) % m == 1
+            )
+            elems.append(ModMatrix.from_rows([[a, b], [c, a]], m))
+    codes = np.array([modmat.encode(M) for M in elems], dtype=np.int64)
+    images = [{modmat.encode(M), *(modmat.encode(_apply_symmetry(M, sym)) for sym in maps)} for M in elems]
+    least = codes.copy()
+    stabilized = orbits.canon(least)
+    assert least.tolist() == [min(orbit) for orbit in images]
+    sizes = orbits.orbit_sizes(codes)
+    assert sizes.tolist() == [len(orbit) for orbit in images]
+    fixed = {min(orbit) for orbit in images if len(orbit) < orbits.size}
+    assert len(fixed) >= (4 if n == 2 else 1)
+    assert set(np.concatenate(stabilized).tolist()) == fixed
+    # a level of these orbits' codes holds the elements of every orbit
+    level = np.unique(least)
+    assert orbits.count(level, stabilized) == len(set().union(*images))
+
+
+def _orbit_cases():
+    primes = [p for p in range(3, 62) if modmat.is_prime(p)]
+    cases = [((2, 1, 2, 2), p) for p in primes + [35]]
+    cases += [((2, 1, 2, 3), p) for p in primes if 5 <= p <= 31]
+    return cases + [((3, 4, 2, 4), 3), ((3, 4, 2, 4), 5)]
+
+
+@pytest.mark.parametrize("spec,m", _orbit_cases())
+def test_orbit_store_counts_what_every_code_counts(monkeypatch, spec, m):
+    # frontier search with one code per orbit of Sigma, the same search with
+    # an empty map list (every code kept) and, where the elements are
+    # ranked, the table: full sweeps and girth-only searches give the same
+    # order, girth, diameter, widest level and sphere sizes.  Small moduli
+    # reach stabilized elements, which an orbit counted as |Sigma| would
+    # miscount
+    gens = symmetrize(spec_generators(validate(*spec), m))
+    assert cayley._symmetries(gens)
+    kw = dict(want_girth=True, collect=False, memory_budget=1 << 30)
+    for girth_only in (False, True):
+        runs = [_engine(gens, table=False, girth_only=girth_only, **kw)]
+        with monkeypatch.context() as mp:
+            mp.setattr(cayley, "_symmetries", lambda gens: [])
+            runs.append(_engine(gens, table=False, girth_only=girth_only, **kw))
+        if cayley._table_index(gens) is not None:
+            runs.append(_engine(gens, table=True, girth_only=girth_only, **kw))
+        got = {(r.order, r.girth, r.diameter, r.max_frontier, r.sphere_sizes) for r in runs}
+        assert len(got) == 1, got
 
 
 def _close_levels(prev, cur, targets, d):
@@ -1091,24 +1235,27 @@ def test_code_space_over_63_bits_raises_at_depth_zero(gen):
     assert (exc.value.depth_reached, exc.value.order_so_far) == (0, 1)
 
 
-def test_frontier_budget_is_charged_before_each_level():
+def test_frontier_budget_is_charged_before_each_level(monkeypatch):
     # bfs() takes the rank table whenever the budget holds its 3 * 61^3
     # bytes, and frontier search peaks far above that, so no budget gives a
-    # full frontier sweep of SL_2(F_61): the store is forced here
+    # full frontier sweep of SL_2(F_61): the store is forced here, with an
+    # empty map list, so that it keeps one code per element
+    monkeypatch.setattr(cayley, "_symmetries", lambda gens: [])
     gens = symmetrize(spec_generators(SPEC2, 61))
     kw = dict(table=False, want_girth=True, girth_only=False, collect=False)
     budget = 1 << 30
     res = _engine(gens, memory_budget=budget, **kw)
     assert (res.order, res.girth, res.diameter) == (226_920, 16, 15)
     assert res.peak_bytes <= budget
-    # before building level d + 1: codes of levels d - 1 and d, one chunk's
-    # targets, and the k gathered 8-byte targets per element of level d
+    # before building level d + 1: codes of levels d - 1 and d, the k
+    # gathered 8-byte targets per element of level d and their bytes of
+    # close's mask, and the larger of act's scratch (the 4 digit arrays, a
+    # quotient and two vectors of a block) and a probe of level d - 1 or d
     k, sizes = res.degree, res.sphere_sizes
     charges = [
-        8 * (sizes[d - 1] if d else 0)
-        + 9 * sizes[d]
-        + 8 * k * min(sizes[d], cayley._CHUNK)
-        + 8 * k * sizes[d]
+        8 * ((sizes[d - 1] if d else 0) + sizes[d])
+        + 9 * k * sizes[d]
+        + max(8 * 7 * min(sizes[d], cayley._ACT_BLOCK), 17 * max(sizes[d - 1] if d else 0, sizes[d]))
         for d in range(len(sizes))
     ]
     assert res.peak_bytes == max(charges)
@@ -1130,26 +1277,37 @@ def test_sphere_size_check_rejects_a_wrong_level():
 def test_sphere_size_check_catches_a_level_with_a_stray_element(monkeypatch):
     # the collision rule fires only when a level has too few new elements:
     # a store that puts one stray element into level 2 passes it silently,
-    # and the sphere sizes catch it.  diag(2, 505) is far from the identity
-    # mod 1,009, so its ball stays apart and the search still closes at 22
+    # and the sphere sizes catch it.  With an empty map list frontier search
+    # keeps every code, and diag(2, 505) is far from the identity mod 1,009,
+    # so its ball stays apart and the search still closes at 22.  With the
+    # four maps, a stray code stands for its orbit: the least code of
+    # [[2, 7], [0, 505]] adds four elements, whose balls put an edge inside
+    # level 10, so the rule reads 21 there
     p = 1009
-    stray = modmat.encode(ModMatrix.from_rows([[2, 0], [0, 505]], p))
-    real = cayley._Levels.close
-    calls = []
-
-    def close(self, joined):
-        real(self, joined)
-        calls.append(len(self.cur))
-        if len(calls) == 2:  # level 2
-            self.cur = np.sort(np.append(self.cur, stray))
-
-    monkeypatch.setattr(cayley._Levels, "close", close)
     gens = symmetrize(spec_generators(SPEC2, p))
-    with pytest.raises(AssertionError) as exc:
-        cayley.bfs(gens, want_girth=True, girth_only=True)
-    assert str(exc.value) == (
-        "sphere of radius 2 has 13 elements, but girth 22 at degree 4 requires 12"
-    )
+    real = cayley._Levels.close
+    for rows, maps, want in (
+        ([[2, 0], [0, 505]], [], "has 13 elements, but girth 22 at degree 4 requires 12"),
+        ([[2, 7], [0, 505]], None, "has 16 elements, but girth 21 at degree 4 requires 12"),
+    ):
+        stray = np.array([modmat.encode(ModMatrix.from_rows(rows, p))])
+        calls = []
+
+        def close(self, joined, stray=stray, calls=calls):
+            real(self, joined)
+            calls.append(len(self.cur))
+            if len(calls) == 2:  # level 2
+                assert self.orbits.orbit_sizes(stray).tolist() == [self.orbits.size]
+                self.orbits.canon(stray)
+                self.cur = np.sort(np.append(self.cur, stray))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(cayley._Levels, "close", close)
+            if maps is not None:
+                mp.setattr(cayley, "_symmetries", lambda gens, maps=maps: maps)
+            with pytest.raises(AssertionError) as exc:
+                cayley.bfs(gens, want_girth=True, girth_only=True)
+        assert str(exc.value) == "sphere of radius 2 " + want
 
 
 def _export_dot_reference(generators):
@@ -1456,24 +1614,40 @@ def test_index_map_follows_the_generators():
     assert cayley._table_index([ModMatrix.from_rows([[3]], 7)]) is None  # n = 1
 
 
-def test_unranked_full_sweeps_take_frontier_search():
+def test_unranked_full_sweeps_take_frontier_search(monkeypatch):
     # a composite modulus, a generator of determinant 3 and n = 1 leave the
     # elements unranked, so even a full sweep at the default budget takes
-    # frontier search: for (2, 1, 2, 2) mod 35 its peak over levels d of
-    # 8 (|L_(d-1)| + |L_d|) + |L_d| + 8 * 4 (min(|L_d|, 2^19) + |L_d|)
+    # frontier search.  For (2, 1, 2, 2) mod 35 it keeps one code per orbit
+    # of its four maps, and its peak is the largest over levels d, of P_d
+    # codes of level d - 1 and C_d of level d, of
+    # 8 (P_d + C_d) + 9 * 4 C_d + max(8 * 7 min(C_d, 2^15),
+    # (8 * 10 + 2) min(4 C_d, 2^13), 17 max(P_d, C_d)):
+    # the codes, the targets and close's mask, and the largest of act's
+    # scratch, canon's (10 vectors and two masks per target of a block) and
+    # a probe of level d - 1 or d
     shear = [[1, 1], [0, 1]]
     assert cayley._table_index(symmetrize([ModMatrix.from_rows(shear, 35)])) is None
     det3 = [ModMatrix.from_rows(shear, 7), ModMatrix.from_rows([[3, 0], [0, 1]], 7)]
     assert cayley._table_index(symmetrize(det3)) is None
     assert cayley._table_index(symmetrize([ModMatrix.from_rows([[3]], 7)])) is None
+    widths = []  # (P_d, C_d) for each level d, as charge reads them
+    charge = cayley._Levels.charge
+
+    def spy(self, width, order):
+        widths.append((len(self.prev), width))
+        return charge(self, width, order)
+
+    monkeypatch.setattr(cayley._Levels, "charge", spy)
     res = cayley.bfs(spec_generators(SPEC2, 35), want_girth=True)
-    assert (res.order, res.girth, res.diameter, res.peak_bytes) == (40_320, 12, 13, 1_021_586)
-    sizes = res.sphere_sizes
+    assert (res.order, res.girth, res.diameter, res.peak_bytes) == (40_320, 12, 13, 835_600)
+    assert len(widths) == len(res.sphere_sizes)
+    # a quarter of the elements, and a little more: the stabilized orbits
+    assert 4 * sum(c for _, c in widths) - res.order in range(1, 200)
     assert res.peak_bytes == max(
-        8 * ((sizes[d - 1] if d else 0) + sizes[d])
-        + sizes[d]
-        + 8 * 4 * (min(sizes[d], cayley._CHUNK) + sizes[d])
-        for d in range(len(sizes))
+        8 * (p + c)
+        + 9 * 4 * c
+        + max(8 * 7 * min(c, 2**15), (8 * 10 + 2) * min(4 * c, 2**13), 17 * max(p, c))
+        for p, c in widths
     )
 
 

@@ -337,6 +337,18 @@ def test_identity_power_names_l(capsys):
     assert "l=0" in err and "a,b = 0" not in err
 
 
+def test_bound_at_l_zero_is_a_parameter_error(capsys):
+    # l = 0 makes both generators the identity, of norm 1, which bounds no
+    # girth: an error line and EXIT_PARAM, as girth --l 0 gives, not a
+    # traceback from the bound formula
+    code, out, err = run_capture(
+        capsys, ["bound", "--n", "2", "--l", "0", "--a", "2", "--b", "2", "--p", "13"]
+    )
+    assert code == EXIT_PARAM
+    assert out == ""
+    assert err.startswith("error: ") and "l=0" in err and "Traceback" not in err
+
+
 def test_verify_generation_asserted_prime(capsys):
     code, out, _ = run_capture(
         capsys,
