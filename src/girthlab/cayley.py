@@ -108,24 +108,27 @@ budget:
   into level d.  The table's levels, each code replaced by its orbit's least
   and deduplicated, are the frontier's; both stores sort each level by its
   index.  Charged to the memory budget: the codes of levels d - 1 and d,
-  the targets and the mask, and the largest of act's and canon's block
-  scratch and a probe; not charged: the sort's temporaries and level d + 1
-  as it is copied out of the targets.
-  Generators act by decode, product and encode (_product_action), the one
-  kernel on element codes, which needs no table of m^n rows.  It reduces
-  each product entry e as e - (e // m) m, since numpy's int64 % is about
-  4.5 times slower than a floor division by a scalar, and it works in
-  place, in blocks of _ACT_BLOCK codes whose digit arrays and two scratch
-  vectors stay in cache.  advance allocates the level's gathered targets
-  once, and each chunk's act writes its block of them where close sorts
-  them, so no chunk's targets are copied again.  Its chunks stay at 2^19
-  elements: they touch no table, the gathered targets of the whole level
-  are kept until close anyway, and the kernel's blocks, not the chunks,
-  keep its arrays in cache.  Its codes
-  stay int64, because they pass 2^31 at n = 2 for m > 215, and close keeps
-  its boolean mask indexing, because np.compress there builds an 8-byte
-  index for every kept element and raised the ball search's peak RSS
-  without making it faster.
+  the targets and the mask, and the largest of act's block scratch,
+  canon's (the kernel's vectors and the images of one block) and a probe;
+  not charged: the sort's temporaries and level d + 1 as it is copied out
+  of the targets.
+  The generators and the maps of Sigma act through one kernel on element
+  codes, decode, sum and encode (_code_action), which needs no table of m^n
+  rows: _product_action gives it each generator's product plan, and
+  _Orbits each map's plan, whose entries are digits or, for n = 3, 2 x 2
+  minors, times a unit.  It reduces each entry e as e - (e // m) m, since
+  numpy's int64 % is about 4.5 times slower than a floor division by a
+  scalar, and it works in place, in blocks of _ACT_BLOCK codes whose digit
+  arrays and two scratch vectors stay in cache.  advance allocates the
+  level's gathered targets once, and each chunk's act writes its block of
+  them where close sorts them, so no chunk's targets are copied again.  Its
+  chunks stay at 2^19 elements: they touch no table, the gathered targets
+  of the whole level are kept until close anyway, and the kernel's blocks,
+  not the chunks, keep its arrays in cache.  Its codes stay int64, because
+  they pass 2^31 at n = 2 for m > 215, and close keeps its boolean mask
+  indexing, because np.compress there builds an 8-byte index for every
+  kept element and raised the ball search's peak RSS without making it
+  faster.
 
 Codes are int64 in both, so the code space m^(n^2) must fit in 63 bits.
 
@@ -248,8 +251,24 @@ def symmetrize(generators: Sequence[ModMatrix]) -> List[ModMatrix]:
 
 
 def _digits(x: np.ndarray, count: int, m: int) -> List[np.ndarray]:
-    """The lowest count base-m digits of every entry of x, lowest first."""
-    return [x // m**i % m for i in range(count)]
+    """The count base-m digits of every entry of x, lowest first, by count - 1
+    floor divisions: every entry lies below m^count, so the last quotient is
+    the last digit (x itself when count is 1)."""
+    digits = []
+    for _ in range(count - 1):
+        q = x // m  # faster than np.divmod, as in _top_action
+        d = q * m
+        np.subtract(x, d, out=d)
+        digits.append(d)
+        x = q
+    digits.append(x)
+    return digits
+
+
+def _inverses(m: int) -> np.ndarray:
+    """The inverse mod the prime m of every residue, 0 at 0: an int64 table of
+    m entries."""
+    return np.array([0] + [pow(x, -1, m) for x in range(1, m)], dtype=np.int64)
 
 
 def _row_blocks(n: int, m: int, k: int) -> List[int]:
@@ -321,63 +340,48 @@ def _top_action(n: int, m: int, gens: Sequence[ModMatrix]):
     return act
 
 
-def _digit_arrays(codes: np.ndarray, n: int, m: int) -> List[np.ndarray]:
-    """The n^2 base-m digits of every code, entry (r, c) at n r + c, by
-    n^2 - 1 floor divisions: a code lies below m^(n^2), so the last quotient
-    is the last digit."""
-    digits = []
-    for _ in range(n * n - 1):
-        q = codes // m  # faster than np.divmod, as in _top_action
-        d = q * m
-        np.subtract(codes, d, out=d)
-        digits.append(d)
-        codes = q
-    digits.append(codes)
-    return digits
+def _code_action(n: int, m: int, plans):
+    """Maps on element codes by decode, sum and encode: the one kernel on
+    element codes.  It serves right multiplication by the generators
+    (_product_action), for frontier search and neighbour_map, and the orbit
+    maps of frontier search (_Orbits).
 
-
-def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
-    """Right multiplication by every generator by decode, product and encode.
-
-    The one kernel on element codes, shared by frontier search and
-    neighbour_map: it builds no table over the m^n row codes, so it costs
-    nothing up front at any modulus, and a frontier of 10^5 codes takes
-    milliseconds.  The codes are taken in blocks of _ACT_BLOCK, whose arrays
-    stay in cache.  A block is decoded into n^2 contiguous digit arrays, one
-    per entry (_digit_arrays).  Entry (r, x) of M g is sum_c digit(r,
-    c) g[c, x] mod m, and it is added, times its place weight m^(n r + x),
-    into the output column of g; zero terms are skipped, and an entry that
-    is a lone digit needs no reduction.  Any other entry e is reduced as e -
-    (e // m) m, in two scratch vectors of the block's length that every
-    entry and generator reuses: numpy's int64 % is about 4.5 times slower
-    than a floor division by a scalar.  Every operation writes into an
-    existing 1-D array of the block's length.  Returns act(codes, out=None)
-    -> int64 array of shape (len(codes), len(gens)) whose column j holds the
-    codes of M g_j, as a transposed view of a (len(gens), len(codes)) block:
-    out when it is given (frontier search passes a block of its level's
-    gathered targets), which is filled whole, and a new block otherwise.
-    Exact in int64 because every partial sum of a code stays below m^(n^2)
-    <= 2^63 and every product entry below n m^2, which bfs() also keeps
-    below 2^63.
+    plans holds, for each map, its output entries as (place weight
+    m^(n r + x), terms): entry (r, x) of the image of M is sum w src mod m
+    over the terms (src, w) of the entry, and a source is either digit
+    n r + c, entry (r, c) of M, or for n = 3 source n^2 + n i + j, the 2 x 2
+    minor (i, j) of M: the determinant of M without row i and column j.  An
+    entry with no terms is 0 and is left out of its plan.  The kernel builds
+    no table over the m^n row codes, so it costs nothing up front at any
+    modulus, and a frontier of 10^5 codes takes milliseconds.  The codes are
+    taken in blocks of _ACT_BLOCK, whose arrays stay in cache.  A block is
+    decoded into n^2 contiguous digit arrays, one per entry (_digits), and
+    its nine minors are formed when a plan reads one.  Each entry is added,
+    times its place weight, into the output row of its map; a lone digit
+    with coefficient 1 is already reduced, and any other entry e, a lone
+    minor too, is reduced as e - (e // m) m, in two scratch vectors of the
+    block's length that every entry and map reuses: numpy's int64 % is about
+    4.5 times slower than a floor division by a scalar.  Every operation
+    writes into an existing 1-D array of the block's length.  Returns
+    act(codes, out=None) -> int64 array of shape (len(codes), len(plans))
+    whose column j holds the images of the codes under map j, as a
+    transposed view of a (len(plans), len(codes)) block: out when it is given
+    (frontier search passes a block of its level's gathered targets, canon
+    its images), which is filled whole, and a new block otherwise.  act.vectors
+    counts the block-long vectors that act holds at once: the digit arrays
+    and a quotient, the minors, and the two scratch vectors.  Exact in int64
+    while the code space m^(n^2) and n m^2 are at most 2^63, as bfs()
+    requires: every partial sum of a code stays below m^(n^2), every product
+    entry below n m^2 and every scaled minor below m^3 in size.
     """
-    k = len(gens)
-    # entry (r, x) of M g as its place weight m^(n r + x) and its nonzero
-    # terms (index n r + c of the digit, g[c, x]); a zero entry adds nothing
-    plans = [
-        [
-            (m ** (n * r + x), terms)
-            for r in range(n)
-            for x in range(n)
-            if (terms := [(n * r + c, g.entries[c][x]) for c in range(n) if g.entries[c][x]])
-        ]
-        for g in gens
-    ]
+    k = len(plans)
+    minors = any(src >= n * n for plan in plans for _, terms in plan for src, _ in terms)
 
     def act(codes, out=None) -> np.ndarray:
         codes = np.asarray(codes, dtype=np.int64)
         if out is None:
             out = np.empty((k, len(codes)), dtype=np.int64)
-        # two scratch vectors, shared by every block, entry and generator
+        # two scratch vectors, shared by every block, entry and map
         e, t = (np.empty(min(len(codes), _ACT_BLOCK), dtype=np.int64) for _ in range(2))
         for s in range(0, len(codes), _ACT_BLOCK):
             part = codes[s : s + _ACT_BLOCK]
@@ -385,27 +389,33 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
             block(part, out[:, s : s + size], e[:size], t[:size])
         return out.T
 
-    def block(rest, out, e, t) -> None:
-        digits = _digit_arrays(rest, n, m)
+    def block(part, out, e, t) -> None:
+        sources = _digits(part, n * n, m)
+        for i, j in itertools.product(range(n), repeat=2) if minors else ():
+            (r1, r2), (c1, c2) = ([x for x in range(n) if x != y] for y in (i, j))
+            minor = sources[n * r1 + c1] * sources[n * r2 + c2]
+            np.multiply(sources[n * r1 + c2], sources[n * r2 + c1], out=t)
+            np.subtract(minor, t, out=minor)
+            sources.append(minor)
         for col, plan in zip(out, plans):
             if not plan:  # the zero matrix
                 col.fill(0)
             for at, (weight, ((i, w), *more)) in enumerate(plan):
-                entry = digits[i]
-                if more or w != 1:  # a lone digit is already reduced
+                entry = sources[i]
+                if more or w != 1 or i >= n * n:  # a lone digit is already reduced
                     entry = e
-                    np.multiply(digits[i], w, out=e)
+                    np.multiply(sources[i], w, out=e)
                     for i, w in more:
                         if w == 1:
-                            np.add(e, digits[i], out=e)
+                            np.add(e, sources[i], out=e)
                         else:
-                            np.multiply(digits[i], w, out=t)
+                            np.multiply(sources[i], w, out=t)
                             np.add(e, t, out=e)
                     # e - (e // m) m, not e % m
                     np.floor_divide(e, m, out=t)
                     np.multiply(t, m, out=t)
                     np.subtract(e, t, out=e)
-                if at == 0:  # the first entry fills the column: no zero fill
+                if at == 0:  # the first entry fills the row: no zero fill
                     np.multiply(entry, weight, out=col)
                 elif weight == 1:
                     np.add(col, entry, out=col)
@@ -413,7 +423,27 @@ def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
                     np.multiply(entry, weight, out=t)
                     np.add(col, t, out=col)
 
+    act.vectors = n * n + 3 + 9 * minors
     return act
+
+
+def _product_action(n: int, m: int, gens: Sequence[ModMatrix]):
+    """Right multiplication by every generator: _code_action with one plan
+    per generator g, whose entry (r, x) of M g is sum_c digit(r, c) g[c, x]
+    with its zero terms skipped.  act(codes)[:, j] holds the codes of M g_j."""
+    return _code_action(
+        n,
+        m,
+        [
+            [
+                (m ** (n * r + x), terms)
+                for r in range(n)
+                for x in range(n)
+                if (terms := [(n * r + c, g.entries[c][x]) for c in range(n) if g.entries[c][x]])
+            ]
+            for g in gens
+        ],
+    )
 
 
 # A map of _symmetries, (W, cof): entry (i, j) of the image of M is
@@ -495,109 +525,59 @@ class _Orbits:
     """The orbits of Sigma, the maps of _symmetries and the identity, on
     element codes: frontier search keeps one code per orbit, the least.
 
-    A map's image of a code is computed from the code's n^2 digit arrays
-    (_digit_arrays), as _product_action computes a product: its entry (i, j)
-    is a digit of M, or for n = 3 a 2 x 2 minor of M (the cofactor matrix up
-    to sign), times the map's multiplier, reduced as e - (e // m) m, and
-    added times its place weight m^(n i + j).  An entry that is a lone digit
-    needs no reduction; for n = 2 a cofactor is a lone digit up to sign.  A
-    scaled entry shared by several maps is computed once: for the dim2 pair
-    with a = b, tau and one of sigma and tau sigma both read -b and -c.
-    canon works in blocks of _ORBIT_BLOCK codes, with scratch vectors of the
-    block's length that stay in cache: up to 14 vectors at n = 2, against
-    _product_action's 6, so the block is a quarter of _ACT_BLOCK (with
-    _ACT_BLOCK itself the girth_ball searches took 20-35% longer).  int64
-    is exact: every partial sum of a code stays below m^(n^2) <= 2^63, and
-    every scaled entry below m^3 in size.
+    Each map is a plan of _code_action, built once: its entry (i, j) is
+    W[i][j] times entry (i, j) of M, or of the cofactor matrix of M, which is
+    (-1)^(i+j) times minor (i, j): for n = 2 the digit opposite (i, j), for
+    n = 3 a 2 x 2 minor that the kernel forms.  canon and orbit_sizes run
+    the kernel into one (|Sigma| - 1)-row image array.  canon works in
+    blocks of _ORBIT_BLOCK codes, a quarter of _ACT_BLOCK, so that the
+    kernel's vectors and the images stay in cache: with _ACT_BLOCK itself
+    the girth_ball searches took 20-35% longer.
     """
 
     def __init__(self, n: int, m: int, maps: Sequence[Symmetry]):
-        self.n, self.m, self.size = n, m, 1 + len(maps)
-        rows = {}  # (source, multiplier) of each scaled entry: its scratch row
-        self.plans = []  # per map: (place weight, scaled?, digit or scaled row)
+        self.size = 1 + len(maps)
+        plans = []
         for W, cof in maps:
             plan = []
             for i, j in itertools.product(range(n), repeat=2):
                 w, src = W[i][j], n * i + j
                 if cof:
-                    # cofactor (i, j) is (-1)^(i+j) times minor (i, j): for
-                    # n = 2 the digit opposite (i, j), for n = 3 source n^2
-                    # + n i + j, a minor formed in the block
                     w = w * (-1) ** (i + j) % m
                     src = n * (1 - i) + 1 - j if n == 2 else n * n + src
-                if w == 1 and src < n * n:
-                    plan.append((m ** (n * i + j), False, src))
-                else:
-                    plan.append((m ** (n * i + j), True, rows.setdefault((src, w), len(rows))))
-            self.plans.append(plan)
-        self.scaled = list(rows)
-        self.minors = any(src >= n * n for src, _ in self.scaled)
+                plan.append((m ** (n * i + j), [(src, w)]))
+            plans.append(plan)
+        self.act = _code_action(n, m, plans)
 
     def scratch(self, block: int) -> int:
-        """Bytes that canon holds for a block of that many codes: the digit
-        arrays and one quotient, the minors, the scaled entries, the image,
-        the least image and a scratch vector, and two masks."""
-        vectors = self.n**2 + 1 + self.n**2 * self.minors + len(self.scaled) + 3
-        return (8 * vectors + 2) * block if self.plans else 0
-
-    def _images(self, part: np.ndarray, rows: np.ndarray, img: np.ndarray, t: np.ndarray):
-        """Yield, for each map in turn, the codes of the images of part in
-        img; rows holds the scaled entries, the minors after them."""
-        n, m = self.n, self.m
-        digits = _digit_arrays(part, n, m)
-        sources = list(digits)
-        if self.minors:
-            for i, j in itertools.product(range(n), repeat=2):
-                (r1, r2), (c1, c2) = ([x for x in range(n) if x != y] for y in (i, j))
-                minor = rows[len(self.scaled) + n * i + j]
-                np.multiply(digits[n * r1 + c1], digits[n * r2 + c2], out=minor)
-                np.multiply(digits[n * r1 + c2], digits[n * r2 + c1], out=t)
-                np.subtract(minor, t, out=minor)
-                sources.append(minor)
-        for e, (src, w) in zip(rows, self.scaled):
-            np.multiply(sources[src], w, out=e)
-            np.floor_divide(e, m, out=t)  # e - (e // m) m, not e % m
-            np.multiply(t, m, out=t)
-            np.subtract(e, t, out=e)
-        for plan in self.plans:
-            for at, (weight, scaled, src) in enumerate(plan):
-                entry = rows[src] if scaled else digits[src]
-                if at == 0:
-                    np.multiply(entry, weight, out=img)
-                else:
-                    np.multiply(entry, weight, out=t)
-                    np.add(img, t, out=img)
-            yield img
-
-    def _buffers(self, block: int):
-        rows = np.empty((len(self.scaled) + self.n**2 * self.minors, block), dtype=np.int64)
-        return rows, np.empty(block, dtype=np.int64), np.empty(block, dtype=np.int64)
+        """Bytes that canon holds for a block of that many codes: the kernel's
+        vectors, the |Sigma| - 1 images and two masks."""
+        return (8 * (self.act.vectors + self.size - 1) + 2) * block if self.size > 1 else 0
 
     def canon(self, codes: np.ndarray) -> List[np.ndarray]:
         """Replace every code in place by the least code of its orbit.
         Returns, in pieces, the canonical codes of the orbits met whose
         codes have a nontrivial stabilizer: fewer than |Sigma| elements."""
-        if not self.plans or not len(codes):
+        if self.size == 1 or not len(codes):
             return []
         block = min(len(codes), _ORBIT_BLOCK)
-        rows, img, t = self._buffers(block)
-        least = np.empty(block, dtype=np.int64)
+        images = np.empty((self.size - 1, block), dtype=np.int64)
         same = np.empty(block, dtype=bool)
         stabilized = []
         for s in range(0, len(codes), block):
             part = codes[s : s + block]
             size = len(part)
-            low, eq = least[:size], same[:size]
-            np.copyto(low, part)
+            rows, eq = images[:, :size], same[:size]
+            self.act(part, out=rows)
             fixed = None
-            for image in self._images(part, rows[:, :size], img[:size], t[:size]):
+            for image in rows:
                 np.equal(image, part, out=eq)
                 if eq.any():
                     fixed = eq.copy() if fixed is None else fixed | eq
-                np.minimum(low, image, out=low)
-            np.copyto(part, low)
+            for image in rows:
+                np.minimum(part, image, out=part)
             if fixed is not None:
-                stabilized.append(low[fixed])
+                stabilized.append(part[fixed])
         return stabilized
 
     def count(self, level: np.ndarray, stabilized: List[np.ndarray]) -> int:
@@ -620,9 +600,7 @@ class _Orbits:
         """|Sigma| / |Stab(M)| for every code: its distinct images."""
         images = np.empty((self.size, len(codes)), dtype=np.int64)
         images[0] = codes
-        buffers = self._buffers(len(codes))
-        for row, image in zip(images[1:], self._images(codes, *buffers)):
-            row[:] = image
+        self.act(codes, out=images[1:])
         images.sort(axis=0)
         return 1 + (images[1:] != images[:-1]).sum(axis=0)
 
@@ -645,7 +623,7 @@ def _sl2_rows(m: int, gens: Sequence[ModMatrix]):
     """
     r0 = np.arange(m * m, dtype=np.int64)
     a, b = r0 % m, r0 // m
-    inv = np.array([0] + [pow(x, -1, m) for x in range(1, m)], dtype=np.int64)
+    inv = _inverses(m)
     lead = b != 0
     x0, y0 = np.where(lead, -inv[b], 0) % m, np.where(lead, 0, inv[a])  # v0(r0)
     rows, shift = (np.empty((len(gens), m * m), dtype=np.int64) for _ in range(2))
@@ -777,7 +755,7 @@ def _sln_ranks(n: int, m: int, gens: Sequence[ModMatrix], cls: np.ndarray):
     _sl2_ranks's contract.
     """
     k, top_size, lows = len(gens), m ** (n * (n - 1)), m ** (n - 1)
-    inv = np.array([0] + [pow(x, -1, m) for x in range(1, m)], dtype=np.int64)
+    inv = _inverses(m)
 
     def lift(C: List[np.ndarray], s: List[np.ndarray]) -> List[np.ndarray]:
         # the last row, entrywise: s around the pivot j, and at j the entry

@@ -1047,16 +1047,23 @@ def test_generic_generator_sets_have_no_symmetry():
     assert cayley._Levels(symmetrize(det3), collect=False).orbits.size == 1
 
 
+@pytest.mark.parametrize("blocks", [None, (7, 16)])
 @pytest.mark.parametrize(
     "spec,m", [((2, 1, 2, 2), 35), ((2, 1, 2, 3), 1009), ((3, 4, 4, 2), 127), ((3, 4, 2, 4), 7)]
 )
-def test_orbit_codes_are_the_least_images(spec, m):
-    # _Orbits forms each image from the digits (for n = 3 from the 2 x 2
-    # minors): on random words and on stabilized elements (the identity, a
-    # diagonal matrix, which tau fixes, and for n = 2 [[a, b], [c, a]],
-    # which the map with W[1][0] = +-beta fixes when c = -W[1][0] b), canon
-    # writes the least code of each orbit and returns the stabilized ones,
-    # and orbit_sizes counts the distinct images
+def test_orbit_codes_are_the_least_images(spec, m, blocks, monkeypatch):
+    # _Orbits runs each map through the kernel on codes, which forms the
+    # image from the digits (for n = 3 from the 2 x 2 minors): on random
+    # words and on stabilized elements (the identity, a diagonal matrix,
+    # which tau fixes, and for n = 2 [[a, b], [c, a]], which the map with
+    # W[1][0] = +-beta fixes when c = -W[1][0] b), canon writes the least
+    # code of each orbit and returns the stabilized ones, and orbit_sizes
+    # counts the distinct images.  At the default block sizes every call is
+    # one kernel block; with kernel blocks of 7 codes and canon blocks of
+    # 16, each canon block spans three kernel blocks, the last one ragged
+    if blocks:
+        monkeypatch.setattr(cayley, "_ACT_BLOCK", blocks[0])
+        monkeypatch.setattr(cayley, "_ORBIT_BLOCK", blocks[1])
     gens = symmetrize(spec_generators(validate(*spec), m))
     n = gens[0].n
     maps = cayley._symmetries(gens)
