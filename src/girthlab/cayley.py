@@ -109,9 +109,9 @@ budget:
   and deduplicated, are the frontier's; both stores sort each level by its
   index.  Charged to the memory budget: the codes of levels d - 1 and d,
   the targets and the mask, and the largest of act's block scratch,
-  canon's (the kernel's vectors and the images of one block) and a probe;
-  not charged: the sort's temporaries and level d + 1 as it is copied out
-  of the targets.
+  canon's (the kernel's vectors and the images of one block), a probe and
+  level d + 1 as it is copied out of the targets; not charged: the sort's
+  temporaries.
   The generators and the maps of Sigma act through one kernel on element
   codes, decode, sum and encode (_code_action), which needs no table of m^n
   rows: _product_action gives it each generator's product plan, and
@@ -1073,16 +1073,19 @@ class _Levels:
         # bytes of close's mask of first occurrences.  Beside them, one at a
         # time: act's scratch, the n^2 digit arrays, a quotient and two
         # vectors of one block of min(width, _ACT_BLOCK) codes; canon's, on
-        # a block of min(k width, _ORBIT_BLOCK) targets (_Orbits.scratch); and
+        # a block of min(k width, _ORBIT_BLOCK) targets (_Orbits.scratch);
         # a probe of level d - 1 or d, 17 bytes per code: its positions
-        # among the targets, the codes read there and the match mask.  Not
-        # charged: the sort's temporaries and level d + 1 as close copies it
-        # out of the targets
+        # among the targets, the codes read there and the match mask; and
+        # level d + 1 as close copies it out of the targets, 8 bytes per
+        # code it can hold: k per code of level d at d = 0, and k - 1 past
+        # it, as each stored code of level d has a target in level d - 1.
+        # Not charged: the sort's temporaries
         kept = order if self.levels is not None else len(self.prev) + width
         scratch = max(
             8 * (self.n**2 + 3) * min(width, _ACT_BLOCK),
             self.orbits.scratch(min(self.k * width, _ORBIT_BLOCK)),
             17 * max(len(self.prev), width),
+            8 * (self.k - 1 if len(self.prev) else self.k) * width,
         )
         return 8 * kept + 9 * self.k * width + scratch
 

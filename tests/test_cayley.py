@@ -295,14 +295,15 @@ def test_dense_and_sparse_paths_agree():
     # the 16 * 4 * 7^2 bytes of the rank action's tables.  Frontier search
     # keeps one code per orbit of its four maps: levels 1 and 2 hold 1 and
     # 3 codes, 9 bytes per target of level 2 (a code and a mask byte), and
-    # canon's block of its 12 targets, of 10 vectors (4 digit arrays and a
-    # quotient, -b and -c, the image, its least and a scratch vector) and
-    # two masks
+    # canon's block of its 12 targets, of 10 vectors (the kernel's 4 digit
+    # arrays, a quotient and two scratch vectors, and the 3 maps' images)
+    # and two masks, or level 3's copy out of the targets, at most
+    # 8 (4 - 1) bytes per code of level 2
     dense = _engine(gens, table=True, girth_only=True, **kw)
     sparse = _engine(gens, table=False, girth_only=True, **kw)
     for res, peak in (
         (dense, 7**3 + 16 * 4 * 7**2 + 9 * 12 + 8 * 4 * 12),
-        (sparse, 8 * (1 + 3) + 9 * 4 * 3 + (8 * 10 + 2) * 12),
+        (sparse, 8 * (1 + 3) + 9 * 4 * 3 + max((8 * 10 + 2) * 12, 8 * (4 - 1) * 3)),
     ):
         assert (res.order, res.girth, res.sphere_sizes) == (
             dense.order,
@@ -1256,13 +1257,19 @@ def test_frontier_budget_is_charged_before_each_level(monkeypatch):
     assert res.peak_bytes <= budget
     # before building level d + 1: codes of levels d - 1 and d, the k
     # gathered 8-byte targets per element of level d and their bytes of
-    # close's mask, and the larger of act's scratch (the 4 digit arrays, a
-    # quotient and two vectors of a block) and a probe of level d - 1 or d
+    # close's mask, and the largest of act's scratch (the 4 digit arrays, a
+    # quotient and two vectors of a block), a probe of level d - 1 or d and
+    # level d + 1's copy out of the targets (8 k bytes per element of level
+    # 0, 8 (k - 1) past it)
     k, sizes = res.degree, res.sphere_sizes
     charges = [
         8 * ((sizes[d - 1] if d else 0) + sizes[d])
         + 9 * k * sizes[d]
-        + max(8 * 7 * min(sizes[d], cayley._ACT_BLOCK), 17 * max(sizes[d - 1] if d else 0, sizes[d]))
+        + max(
+            8 * 7 * min(sizes[d], cayley._ACT_BLOCK),
+            17 * max(sizes[d - 1] if d else 0, sizes[d]),
+            8 * (k - 1 if d else k) * sizes[d],
+        )
         for d in range(len(sizes))
     ]
     assert res.peak_bytes == max(charges)
@@ -1628,10 +1635,11 @@ def test_unranked_full_sweeps_take_frontier_search(monkeypatch):
     # of its four maps, and its peak is the largest over levels d, of P_d
     # codes of level d - 1 and C_d of level d, of
     # 8 (P_d + C_d) + 9 * 4 C_d + max(8 * 7 min(C_d, 2^15),
-    # (8 * 10 + 2) min(4 C_d, 2^13), 17 max(P_d, C_d)):
+    # (8 * 10 + 2) min(4 C_d, 2^13), 17 max(P_d, C_d), 8 (4 - [P_d > 0]) C_d):
     # the codes, the targets and close's mask, and the largest of act's
-    # scratch, canon's (10 vectors and two masks per target of a block) and
-    # a probe of level d - 1 or d
+    # scratch, canon's (the kernel's 7 vectors, 3 images and two masks per
+    # target of a block), a probe of level d - 1 or d and level d + 1's
+    # copy out of the targets
     shear = [[1, 1], [0, 1]]
     assert cayley._table_index(symmetrize([ModMatrix.from_rows(shear, 35)])) is None
     det3 = [ModMatrix.from_rows(shear, 7), ModMatrix.from_rows([[3, 0], [0, 1]], 7)]
@@ -1653,7 +1661,12 @@ def test_unranked_full_sweeps_take_frontier_search(monkeypatch):
     assert res.peak_bytes == max(
         8 * (p + c)
         + 9 * 4 * c
-        + max(8 * 7 * min(c, 2**15), (8 * 10 + 2) * min(4 * c, 2**13), 17 * max(p, c))
+        + max(
+            8 * 7 * min(c, 2**15),
+            (8 * 10 + 2) * min(4 * c, 2**13),
+            17 * max(p, c),
+            8 * (4 - (p > 0)) * c,
+        )
         for p, c in widths
     )
 
