@@ -1048,27 +1048,20 @@ def test_generic_generator_sets_have_no_symmetry():
     assert cayley._Levels(symmetrize(det3), collect=False).orbits.size == 1
 
 
-@pytest.mark.parametrize("blocks", [None, (7, 16)])
 @pytest.mark.parametrize(
     "spec,m", [((2, 1, 2, 2), 35), ((2, 1, 2, 3), 1009), ((3, 4, 4, 2), 127), ((3, 4, 2, 4), 7)]
 )
-def test_orbit_codes_are_the_least_images(spec, m, blocks, monkeypatch):
+def test_orbit_codes_are_the_least_images(spec, m, monkeypatch):
     # _Orbits runs each map through the kernel on codes, which forms the
     # image from the digits (for n = 3 from the 2 x 2 minors): on random
     # words and on stabilized elements (the identity, a diagonal matrix,
     # which tau fixes, and for n = 2 [[a, b], [c, a]], which the map with
     # W[1][0] = +-beta fixes when c = -W[1][0] b), canon writes the least
     # code of each orbit and returns the stabilized ones, and orbit_sizes
-    # counts the distinct images.  At the default block sizes every call is
-    # one kernel block; with kernel blocks of 7 codes and canon blocks of
-    # 16, each canon block spans three kernel blocks, the last one ragged
-    if blocks:
-        monkeypatch.setattr(cayley, "_ACT_BLOCK", blocks[0])
-        monkeypatch.setattr(cayley, "_ORBIT_BLOCK", blocks[1])
+    # counts the distinct images
     gens = symmetrize(spec_generators(validate(*spec), m))
     n = gens[0].n
     maps = cayley._symmetries(gens)
-    orbits = cayley._Orbits(n, m, maps)
     rng = np.random.default_rng(4)
     elems = [ModMatrix.identity(n, m), ModMatrix.from_rows(np.diag([2] * (n - 1) + [pow(2, 1 - n, m)]), m)]
     for _ in range(60):  # words of 30 random generators
@@ -1086,17 +1079,25 @@ def test_orbit_codes_are_the_least_images(spec, m, blocks, monkeypatch):
             elems.append(ModMatrix.from_rows([[a, b], [c, a]], m))
     codes = np.array([modmat.encode(M) for M in elems], dtype=np.int64)
     images = [{modmat.encode(M), *(modmat.encode(_apply_symmetry(M, sym)) for sym in maps)} for M in elems]
-    least = codes.copy()
-    stabilized = orbits.canon(least)
-    assert least.tolist() == [min(orbit) for orbit in images]
-    sizes = orbits.orbit_sizes(codes)
-    assert sizes.tolist() == [len(orbit) for orbit in images]
-    fixed = {min(orbit) for orbit in images if len(orbit) < orbits.size}
+    fixed = {min(orbit) for orbit in images if len(orbit) < len(maps) + 1}
     assert len(fixed) >= (4 if n == 2 else 1)
-    assert set(np.concatenate(stabilized).tolist()) == fixed
-    # a level of these orbits' codes holds the elements of every orbit
-    level = np.unique(least)
-    assert orbits.count(level, stabilized) == len(set().union(*images))
+    # at the default block sizes every call is one kernel block; with kernel
+    # blocks of 7 codes and canon blocks of 16, each canon block spans three
+    # kernel blocks, the last one ragged
+    for act_block, orbit_block in ((cayley._ACT_BLOCK, cayley._ORBIT_BLOCK), (7, 16)):
+        with monkeypatch.context() as mp:
+            mp.setattr(cayley, "_ACT_BLOCK", act_block)
+            mp.setattr(cayley, "_ORBIT_BLOCK", orbit_block)
+            orbits = cayley._Orbits(n, m, maps)
+            least = codes.copy()
+            stabilized = orbits.canon(least)
+            assert least.tolist() == [min(orbit) for orbit in images]
+            sizes = orbits.orbit_sizes(codes)
+            assert sizes.tolist() == [len(orbit) for orbit in images]
+            assert set(np.concatenate(stabilized).tolist()) == fixed
+            # a level of these orbits' codes holds the elements of every orbit
+            level = np.unique(least)
+            assert orbits.count(level, stabilized) == len(set().union(*images))
 
 
 def _orbit_cases():
