@@ -61,21 +61,30 @@ budget:
   them only once all are found, as a marked one would pull in its
   neighbours of level d + 2.  bottom_up takes scan when fewer used indices
   are unvisited than level d holds, so fewer elements are acted on:
-  SL_4(F_3) scans levels 16 to 19.  The unused ranks read visited until
-  codes(): their targets are unused too (dependent top rows stay dependent
-  under g), so scan would never keep them, but it would act on them (2.2 M
-  of the 14.3 M ranks of SL_4(F_3)).  Once nothing is left unvisited, the
-  last scan returns the empty level without reading the table.
+  SL_4(F_3) scans levels 16 to 19.  The rule is also checked while level
+  d + 1 is built top-down, on the indices kept so far: once it picks scan
+  for the step after, and _bfs does not need level d + 1 for hits, the
+  level's indices are dropped as they are found, never concatenated or
+  sorted, and its size is read from the marks.  So the widest level of
+  SL_4(F_3), level 15, which scan never reads, is never built.  The unused
+  ranks read visited until codes(): their targets are unused too
+  (dependent top rows stay dependent under g), so scan would never keep
+  them, but it would act on them (2.2 M of the 14.3 M ranks of SL_4(F_3)).
+  Once nothing is left unvisited, the last scan returns the empty level
+  without reading the table.
   A level of _SPLIT (2^20) elements or more is split in two halves, the
   upper one on a worker thread when the process may run on two CPUs
   (_halves): numpy releases the GIL in the gathers, compresses and
   scatters.  Top-down, each half acts on and visits its half of level d;
   two threads may both keep an index that each read unvisited before the
-  other marked it, and close drops the repeats after its sort.  scan gives
-  each half of its blocks to one thread, which only reads the table until
-  both join, so its level stays sorted and unrepeated.  On one CPU the
-  whole level runs in the calling thread, as a narrower level does, and no
-  output depends on the CPU count.
+  other marked it, and close drops the repeats after its sort.  The count
+  that drops a level which only scan follows adds both halves' kept
+  indices, repeats included, so on two threads the switch to scan can come
+  one level early; the levels stay the same.  scan gives each half of its
+  blocks to one thread, which only reads the table until both join, so its
+  level stays sorted and unrepeated.  On one CPU the whole level runs in
+  the calling thread, as a narrower level does, and no output depends on
+  the CPU count.
 - _Levels: frontier search (Korf et al., "Frontier Search", J. ACM 52(5),
   2005), which keeps only the sorted codes of levels d - 1 and d while it
   builds d + 1, so a girth-only ball search costs memory in proportion to
@@ -866,7 +875,8 @@ class _Table:
     The index is the rank in SL_n(F_m) (m^3 bytes for n = 2, m^(n^2-1) for
     n >= 3); unrank maps indices back to codes.  advance builds level d + 1
     top-down, by acting on level d and visiting the targets, or bottom-up by
-    scan, as bottom_up decides.  The table holds no depth:
+    scan, as bottom_up decides; a level that only scan follows is not built,
+    and cur is None, unless _bfs keeps it for hits.  The table holds no depth:
     _bfs's collision rule needs only the level sizes, hits acts on level d
     once more, at the one level where the rule finds a cycle, and scan
     needs only to know which indices are visited.  The unused ranks, those
@@ -901,6 +911,7 @@ class _Table:
         self._mark_unused(True)
         self.dtype = _index_dtype(size)
         self.cur = np.array([root], dtype=self.dtype)
+        self.width = 1
 
     def _mark_unused(self, value: bool) -> None:
         # the ranks of every top whose cofactor vector is 0: the table holds
@@ -915,7 +926,12 @@ class _Table:
         # level d + 1's pieces as _act_and_visit keeps them and their
         # concatenation in close, _top_action's tables, each within
         # _BLOCK_BYTES, and the temporaries that build _sln_ranks's tables
-        # before the first level.
+        # before the first level.  A level that only scan follows, unless
+        # _bfs keeps it, holds its pieces only until they are more than half
+        # of the used indices unvisited before it, and is never
+        # concatenated: at the SL_4(F_3) closure's widest level the peak
+        # RSS then grows by about 0.85 times peak_bytes, against 0.99 when
+        # that level was built.
         # A level built by scan fits this charge: scan runs when fewer than
         # width used indices are unvisited, and holds its kept indices (4
         # bytes) and one block's unvisited ones (8, and up to 1 MiB more for
@@ -966,8 +982,14 @@ class _Table:
         # acted on a chunk at a time and visited one generator column at a
         # time: right multiplication by a fixed generator is injective, so a
         # column holds no duplicate, and the targets visited by an earlier
-        # column or chunk are dropped
+        # column or chunk are dropped.  Unless advance keeps level d + 1,
+        # both halves drop their pieces, and keep none, as soon as the
+        # indices they kept make bottom_up pick scan for the step after it:
+        # scan reads only the marks.  Each half counts in its own cell of
+        # counts, so no count is lost between the threads
         new = []
+        count = [0]
+        self.counts.append(count)
         for s in range(start, stop, self.chunk):
             # a chunk's targets stay allocated while the next chunk's are
             # built: freed at once, they let malloc trim the heap and fault
@@ -980,27 +1002,45 @@ class _Table:
                 # scatter through the int64 targets, which index faster than
                 # int32 ones; only the kept level is narrowed
                 self.seen[kept] = True
-                new.append(kept.astype(self.dtype, copy=False))
+                if not self.dropped:
+                    new.append(kept.astype(self.dtype, copy=False))
+                    count[0] += len(kept)
+                    width = sum(c[0] for c in self.counts)
+                    if not self.keep and self.bottom_up(width, self.order + width):
+                        self.dropped = True
+                if self.dropped:
+                    new.clear()
             # the last column's int64 kept targets, freed before the next
             # chunk's act: alive there, they raised the SL_4(F_3) closure's
             # peak RSS by about 0.3 MB
             del kept
         return new
 
-    def advance(self, order: int) -> int:
+    def advance(self, order: int, keep: bool) -> int:
         # cur is dropped before scan or close builds level d + 1, so level d
         # is freed there unless _bfs keeps it while the girth is open.  A
         # level of _SPLIT elements or more leaves spare charge for the
-        # worker's bytes
-        width = len(self.cur)
-        if self.bottom_up(width, order):
+        # worker's bytes.  A level that _act_and_visit dropped leaves cur
+        # None, and its size is read from the marks.  On one thread its
+        # count is exact, so a level is dropped exactly when bottom_up
+        # picks scan after it
+        width = self.width
+        if self.cur is None or self.bottom_up(width, order):
             self.cur = None
             self.cur = self.scan(width, order)
+            self.width = len(self.cur)
+            return self.width
+        self.keep, self.order, self.counts, self.dropped = keep, order, [], False
+        halves = _halves(self._act_and_visit, width, width >= _SPLIT)
+        self.cur = None
+        if self.dropped:
+            del halves
+            # the used indices that were unvisited, less those that still are
+            self.width = self.used - order - (len(self.seen) - int(np.count_nonzero(self.seen)))
         else:
-            halves = _halves(self._act_and_visit, width, width >= _SPLIT)
-            self.cur = None
             self.cur = self.close(halves)
-        return len(self.cur)
+            self.width = len(self.cur)
+        return self.width
 
     def close(self, halves: List[List[np.ndarray]]) -> np.ndarray:
         # level d + 1 in sorted order: row i of M g is row_i(M) g, so the
@@ -1066,6 +1106,10 @@ class _Levels:
         self.cur = np.array([modmat.encode(ModMatrix.identity(n, m))], dtype=np.int64)
         self.levels = [self.cur] if collect else None
 
+    @property
+    def width(self) -> int:
+        return len(self.cur)
+
     def charge(self, width: int, order: int) -> int:
         # live while level d + 1 is built from the width codes of level d:
         # the codes of levels d - 1 and d (of every level when collecting),
@@ -1089,12 +1133,13 @@ class _Levels:
         )
         return 8 * kept + 9 * self.k * width + scratch
 
-    def advance(self, order: int) -> int:
+    def advance(self, order: int, keep: bool) -> int:
         # only gather the targets, a chunk at a time: close sorts and probes
         # the whole level once.  Each chunk's act writes its (k, L) block
         # straight into the level's one target array, where canon replaces
         # each target by its orbit's code and close reads it, so no chunk's
-        # block is copied again
+        # block is copied again.  keep is not read: every level is kept as
+        # cur, since the next one is built from its codes
         k, width = self.k, len(self.cur)
         joined = np.empty(k * width, dtype=np.int64)
         stabilized = []
@@ -1154,22 +1199,27 @@ def _bfs(
     (_table_index) says, or over a _Levels store when index is None.
 
     A store indexes elements in its own way (_Table by SL_n rank, _Levels by
-    the code of each orbit of Sigma) and provides five members: cur, level d
-    as an array of indices sorted by index, the identity alone at
-    construction; charge(width, order), the bytes live while the next level
-    is built from a level of width indices, with order elements reached so
-    far; advance(order), which replaces cur with level d + 1, drops its own
-    reference to level d before it builds the next level, so that level d is
-    freed unless the loop keeps it, and returns the number of elements of
-    level d + 1 (for _Levels, the sum of its orbits' sizes); hits(level d),
-    called after advance, which says whether a target of level d lies in
-    level d; and codes(), the sorted element codes.  The level sizes, the
-    order and the collision rule count elements, not indices.  How a level
-    is built is the store's own choice: the table alone builds a level
-    bottom-up near the end of a sweep and splits a wide level between two
-    threads, and neither changes a level, so the results do not depend on
-    the CPU count.  A level whose charge exceeds the budget is
-    never built; peak_bytes is the largest charge.
+    the code of each orbit of Sigma) and provides six members: width, the
+    number of indices of level d, 1 at construction; cur, level d as an
+    array of indices sorted by index, the identity alone at construction,
+    which the loop reads only while the girth is tracked; charge(width,
+    order), the bytes live while the next level is built from a level of
+    width indices, with order elements reached so far; advance(order,
+    keep), which replaces width and cur with those of level d + 1, drops
+    its own reference to level d before it builds the next level, so that
+    level d is freed unless the loop keeps it, and returns the number of
+    elements of level d + 1 (for _Levels, the sum of its orbits' sizes);
+    keep says whether the loop reads level d + 1 as cur, and without it
+    cur may be None (the table's level that only its bottom-up scan
+    follows is never gathered); hits(level d), called after advance,
+    which says whether a target of level d lies in level d; and codes(),
+    the sorted element codes.  The level sizes, the order and the
+    collision rule count elements, not indices.  How a level is built is
+    the store's own choice: the table alone builds a level bottom-up near
+    the end of a sweep and splits a wide level between two threads, and
+    neither changes a level, so the results do not depend on the CPU
+    count.  A level whose charge exceeds the budget is never built;
+    peak_bytes is the largest charge.
 
     The collision rule lives here, on the level sizes alone.  While the
     girth is tracked at level d, an element of level d has one neighbour in
@@ -1188,15 +1238,17 @@ def _bfs(
     d = 0
     girth: Optional[int] = None
     while True:
-        width = len(store.cur)
+        width = store.width
         charge = store.charge(width, order)
         if charge > memory_budget:
             raise BudgetExceededError(d, order)
         peak = max(peak, charge)
         # level d is needed after advance only while the girth is tracked:
-        # otherwise the store frees it before it builds the next level
+        # otherwise the store frees it before it builds the next level.
+        # While it is tracked, level d + 1 may be needed for the next hits
+        # too, so the store keeps it as cur
         level = store.cur if want_girth and girth is None else None
-        new = store.advance(order)
+        new = store.advance(order, level is not None)
         size = sizes[-1]
         if level is not None and k * size - new - (size if d else 0) > 0:
             girth = 2 * d + 1 if store.hits(level) else 2 * d + 2

@@ -315,7 +315,15 @@ def eval_word(w: Word, X, Y):
     if X.n != Y.n:
         raise ShapeError(f"dimension mismatch: {X.n} vs {Y.n}")
     gens = {"X": X, "Y": Y}
+    # each generator is inverted once, at its first negative syllable: an
+    # inverse is an adjugate of n^2 minors
+    inverses = {}
     result = X.pow(0)  # the identity, of X's kind
     for letter, exp in w.syllables:
-        result = result @ gens[letter].pow(exp)
+        if exp < 0:
+            if letter not in inverses:
+                inverses[letter] = gens[letter].inverse()
+            result = result @ inverses[letter].pow(-exp)
+        else:
+            result = result @ gens[letter].pow(exp)
     return result

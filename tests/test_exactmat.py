@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from girthlab import modmat
 from girthlab.exactmat import (
     ExactMatrix,
     ParameterError,
@@ -13,6 +14,7 @@ from girthlab.exactmat import (
     eval_word,
     generator_pair,
     magic_pair,
+    _Square,
     power_closed_form,
 )
 
@@ -179,6 +181,42 @@ def test_eval_word_matches_the_closed_form_at_long_powers():
         @ power_closed_form(B, 28)
     )
     assert eval_word(w, X, Y) == expected
+
+
+def test_eval_word_inverts_each_generator_once(monkeypatch):
+    # random words over Z and mod 101: eval_word equals the product of each
+    # syllable's own pow, which inverts its matrix at every negative
+    # syllable, and it inverts X and Y once each at most, only when a
+    # syllable of the letter is negative
+    rng = random.Random(2025)
+    A, B = magic_pair(3, 3, 2)
+    calls = []
+    inverse = _Square.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    for X, Y in ((A, B), (modmat.reduce(A, 101), modmat.reduce(B, 101))):
+        gens = {"X": X, "Y": Y}
+        for _ in range(40):
+            pairs = []
+            letter = rng.choice(["X", "Y"])
+            for _ in range(rng.randint(1, 8)):
+                pairs.append((letter, rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])))
+                letter = "Y" if letter == "X" else "X"
+            w = Word.of(pairs)
+            expected = X.pow(0)
+            for letter, exp in w.syllables:
+                expected = expected @ gens[letter].pow(exp)
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(_Square, "inverse", counted)
+                got = eval_word(w, X, Y)
+            assert got == expected
+            inverted = ["X" if M is X else "Y" for M in calls]
+            negative = {letter for letter, exp in w.syllables if exp < 0}
+            assert sorted(inverted) == sorted(negative)
 
 
 def test_eval_word_dimension_mismatch():
