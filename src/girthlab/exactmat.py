@@ -320,10 +320,10 @@ def eval_word(w: Word, X, Y):
     inverses = {}
     result = X.pow(0)  # the identity, of X's kind
     for letter, exp in w.syllables:
+        g = gens[letter]
         if exp < 0:
             if letter not in inverses:
-                inverses[letter] = gens[letter].inverse()
-            result = result @ inverses[letter].pow(-exp)
-        else:
-            result = result @ gens[letter].pow(exp)
+                inverses[letter] = g.inverse()
+            g, exp = inverses[letter], -exp
+        result = result @ g.pow(exp)
     return result

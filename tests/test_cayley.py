@@ -853,8 +853,10 @@ def test_one_cpu_runs_each_level_whole_here(monkeypatch):
 
 
 # the SL_4(F_3) unit-band closure's sphere sizes, pinned in CI too
-UNIT_BAND_SIZES = (1, 4, 12, 36, 108, 320, 944, 2784, 8208, 23937, 69009, 196716, 544172, 1404468)
-UNIT_BAND_SIZES += (3054596, 4316098, 2329788, 178914, 445)
+UNIT_BAND_SIZES = (
+    1, 4, 12, 36, 108, 320, 944, 2784, 8208, 23937, 69009, 196716, 544172,
+    1404468, 3054596, 4316098, 2329788, 178914, 445,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -906,7 +908,6 @@ def test_a_level_that_only_scan_follows_is_never_built(monkeypatch, want_girth, 
         steps.append(dict(keep=keep, scan=False, close=False))
         size = real(self, order, keep)
         steps[-1]["built"] = self.cur is not None
-        assert steps[-1]["built"] or steps[-1]["close"] is False
         return size
 
     monkeypatch.setattr(cayley._Table, "advance", advance)
