@@ -12,18 +12,20 @@ cycle closes at level d exactly when the k |L_d| targets outnumber the
 is odd when a target of level d lies in level d, which each store answers
 at that one level (hits).
 
-One deterministic level loop (_bfs) does the sweep: the level sizes, the
-memory budget and the collision rule.  Each visited set builds its own next
-level, vectorized and a chunk at a time.  A girth-only search always takes
-frontier search, whose ball is far smaller than the group; a full sweep
-takes the table whenever its elements are ranked (_table_index) and 3
-bytes per index of the table, and the rank action's tables, fit the
-budget:
+One deterministic level loop (_bfs) does the sweep over the visited set
+that bfs() builds for it: the level sizes, the memory budget and the
+collision rule.  It holds no level: each visited set builds its own next
+level, vectorized and a chunk at a time, and keeps what its hits reads
+while the girth is tracked.  A girth-only search always takes frontier
+search, whose ball is far smaller than the group; a full sweep takes the
+table whenever its elements are ranked (_table_index) and 3 bytes per
+index of the table, and the rank action's tables, fit the budget:
 
 - _Table: one visited byte per index.  Since the rule reads level sizes, the
-  table keeps no depth.  It answers hits by clearing level d for a moment
-  and acting on it once more: once d closes, levels d - 1 to d + 1 are
-  visited, so a target reads unvisited only if it lies in level d.  The
+  table keeps no depth.  While the girth is tracked it keeps level d beside
+  level d + 1, and answers hits by clearing level d for a moment and acting
+  on it once more: once d closes, levels d - 1 to d + 1 are visited, so a
+  target reads unvisited only if it lies in level d.  The
   index is the element's rank in SL_n(F_m), so the table serves n >= 2, a
   prime m and generators of determinant 1; every other full sweep (a
   composite modulus, a generator of determinant != 1, or n = 1) takes
@@ -63,15 +65,15 @@ budget:
   are unvisited than level d holds, so fewer elements are acted on:
   SL_4(F_3) scans levels 16 to 19.  The rule is also checked while level
   d + 1 is built top-down, on the indices kept so far: once it picks scan
-  for the step after, and _bfs does not need level d + 1 for hits, the
-  level's indices are dropped as they are found, never concatenated or
-  sorted, and its size is read from the marks.  So the widest level of
-  SL_4(F_3), level 15, which scan never reads, is never built.  The unused
-  ranks read visited until codes(): their targets are unused too
-  (dependent top rows stay dependent under g), so scan would never keep
-  them, but it would act on them (2.2 M of the 14.3 M ranks of SL_4(F_3)).
-  Once nothing is left unvisited, the last scan returns the empty level
-  without reading the table.
+  for the step after, and hits may not read level d + 1 (the girth is no
+  longer tracked), the level's indices are dropped as they are found, never
+  concatenated or sorted, and its size is read from the marks.  So the
+  widest level of SL_4(F_3), level 15, which scan never reads, is never
+  built.  The unused ranks read visited until codes(): their targets are
+  unused too (dependent top rows stay dependent under g), so scan would
+  never keep them, but it would act on them (2.2 M of the 14.3 M ranks of
+  SL_4(F_3)).  Once nothing is left unvisited, the last scan returns the
+  empty level without reading the table.
   A level of _SPLIT (2^20) elements or more is split in two halves, the
   upper one on a worker thread when the process may run on two CPUs
   (_halves): numpy releases the GIL in the gathers, compresses and
@@ -426,8 +428,6 @@ def _code_action(n: int, m: int, plans):
                     np.subtract(e, t, out=e)
                 if at == 0:  # the first entry fills the row: no zero fill
                     np.multiply(entry, weight, out=col)
-                elif weight == 1:
-                    np.add(col, entry, out=col)
                 else:
                     np.multiply(entry, weight, out=t)
                     np.add(col, t, out=col)
@@ -870,21 +870,22 @@ def _halves(work, stop: int, split: bool) -> List[list]:
 
 class _Table:
     """Visited set over a whole index space: one byte per index, set once the
-    index is reached, and level d as cur.
+    index is reached, level d as cur and its width elements.
 
     The index is the rank in SL_n(F_m) (m^3 bytes for n = 2, m^(n^2-1) for
     n >= 3); unrank maps indices back to codes.  advance builds level d + 1
     top-down, by acting on level d and visiting the targets, or bottom-up by
     scan, as bottom_up decides; a level that only scan follows is not built,
-    and cur is None, unless _bfs keeps it for hits.  The table holds no depth:
-    _bfs's collision rule needs only the level sizes, hits acts on level d
-    once more, at the one level where the rule finds a cycle, and scan
-    needs only to know which indices are visited.  The unused ranks, those
-    of a top whose class (cls) is 0, read visited until codes() clears them.
-    A level of _SPLIT elements or more is expanded in two halves (_halves):
-    top-down, two threads mark the shared table, so an index can be kept
-    twice, and close drops the repeats; scan only reads the table until
-    both halves join.
+    and cur is None, unless hits may read it.  While the girth is tracked,
+    advance keeps level d as prev and builds level d + 1 in full, as the
+    next hits may read it.  The table holds no depth: _bfs's collision rule
+    needs only the level sizes, hits acts on level d once more, at the one
+    level where the rule finds a cycle, and scan needs only to know which
+    indices are visited.  The unused ranks, those of a top whose class
+    (cls) is 0, read visited until codes() clears them.  A level of _SPLIT
+    elements or more is expanded in two halves (_halves): top-down, two
+    threads mark the shared table, so an index can be kept twice, and close
+    drops the repeats; scan only reads the table until both halves join.
     """
 
     def __init__(self, gens: List[ModMatrix], index: Tuple[int, int]):
@@ -912,13 +913,14 @@ class _Table:
         self.dtype = _index_dtype(size)
         self.cur = np.array([root], dtype=self.dtype)
         self.width = 1
+        self.prev = None  # level d for hits, while the girth is tracked
 
     def _mark_unused(self, value: bool) -> None:
         # the ranks of every top whose cofactor vector is 0: the table holds
         # one row of ranks per top
         self.seen.reshape(len(self.cls), -1)[self.cls == 0] = value
 
-    def charge(self, width: int, order: int) -> int:
+    def charge(self, order: int) -> int:
         # the table, the rank action's tables (_sl2_ranks's shift tables, or
         # _sln_ranks's class and step tables), 9 bytes per element of level
         # d (its index of 4 bytes, or 8 past an index space of 2^31; the rest
@@ -927,8 +929,8 @@ class _Table:
         # concatenation in close, _top_action's tables, each within
         # _BLOCK_BYTES, and the temporaries that build _sln_ranks's tables
         # before the first level.  A level that only scan follows, unless
-        # _bfs keeps it, holds its pieces only until they are more than half
-        # of the used indices unvisited before it, and is never
+        # hits may read it, holds its pieces only until they are more than
+        # half of the used indices unvisited before it, and is never
         # concatenated: at the SL_4(F_3) closure's widest level the peak
         # RSS then grows by about 0.85 times peak_bytes, against 0.99 when
         # that level was built.
@@ -937,12 +939,13 @@ class _Table:
         # bytes) and one block's unvisited ones (8, and up to 1 MiB more for
         # the block's kept ones), then the level beside its pieces: below 8
         # of the 9 bytes per element of level d, which advance frees first
-        # unless _bfs keeps it while the girth is open.  Past 2^31 indices
-        # the kept ones take 8.
+        # unless it keeps it for hits while the girth is open.  Past 2^31
+        # indices the kept ones take 8.
         # A level is split (_SPLIT) only when 5 bytes per element, its spare
         # beside its index, cover the worker's live bytes: one chunk's act
         # and visit temporaries (1.8 MB at degree 4) and, in scan, one
         # block's inverted bytes and unvisited indices (up to 2.25 MiB)
+        width = self.width
         return len(self.seen) + self.tables + 9 * width + 8 * self.k * min(width, self.chunk)
 
     def bottom_up(self, width: int, order: int) -> bool:
@@ -977,19 +980,20 @@ class _Table:
         self.seen[nxt] = True
         return nxt
 
-    def _act_and_visit(self, start: int, stop: int) -> List[np.ndarray]:
+    def _act_and_visit(self, start: int, stop: int, track: bool, order: int, counts: list) -> list:
         # the pieces of level d + 1 among the targets of cur[start:stop],
         # acted on a chunk at a time and visited one generator column at a
         # time: right multiplication by a fixed generator is injective, so a
         # column holds no duplicate, and the targets visited by an earlier
-        # column or chunk are dropped.  Unless advance keeps level d + 1,
+        # column or chunk are dropped.  Unless the girth is tracked (track),
         # both halves drop their pieces, and keep none, as soon as the
-        # indices they kept make bottom_up pick scan for the step after it:
-        # scan reads only the marks.  Each half counts in its own cell of
-        # counts, so no count is lost between the threads
+        # indices they kept make bottom_up pick scan for the step after it
+        # (_dropped): scan reads only the marks.  Each half counts in its
+        # own cell of counts, which advance passes for this step only, so no
+        # count is lost between the threads
         new = []
         count = [0]
-        self.counts.append(count)
+        counts.append(count)
         for s in range(start, stop, self.chunk):
             # a chunk's targets stay allocated while the next chunk's are
             # built: freed at once, they let malloc trim the heap and fault
@@ -1002,38 +1006,49 @@ class _Table:
                 # scatter through the int64 targets, which index faster than
                 # int32 ones; only the kept level is narrowed
                 self.seen[kept] = True
-                if not self.dropped:
-                    new.append(kept.astype(self.dtype, copy=False))
-                    count[0] += len(kept)
-                    width = sum(c[0] for c in self.counts)
-                    if not self.keep and self.bottom_up(width, self.order + width):
-                        self.dropped = True
-                if self.dropped:
+                count[0] += len(kept)
+                if self._dropped(track, order, counts):
                     new.clear()
+                else:
+                    new.append(kept.astype(self.dtype, copy=False))
             # the last column's int64 kept targets, freed before the next
             # chunk's act: alive there, they raised the SL_4(F_3) closure's
             # peak RSS by about 0.3 MB
             del kept
         return new
 
-    def advance(self, order: int, keep: bool) -> int:
-        # cur is dropped before scan or close builds level d + 1, so level d
-        # is freed there unless _bfs keeps it while the girth is open.  A
+    def _dropped(self, track: bool, order: int, counts: List[List[int]]) -> bool:
+        # whether level d + 1 is dropped: the girth is not tracked, and the
+        # indices that both halves kept so far, repeats included, make
+        # bottom_up pick scan for the step after it.  The count only grows,
+        # so once a level is dropped it stays dropped
+        width = sum(c[0] for c in counts)
+        return not track and self.bottom_up(width, order + width)
+
+    def advance(self, order: int, track: bool) -> int:
+        # while the girth is tracked, level d stays as prev for hits and
+        # level d + 1 is built in full.  Otherwise cur is dropped before
+        # scan or close builds level d + 1, so level d is freed there.  A
         # level of _SPLIT elements or more leaves spare charge for the
         # worker's bytes.  A level that _act_and_visit dropped leaves cur
         # None, and its size is read from the marks.  On one thread its
         # count is exact, so a level is dropped exactly when bottom_up
         # picks scan after it
+        self.prev = self.cur if track else None
         width = self.width
         if self.cur is None or self.bottom_up(width, order):
             self.cur = None
             self.cur = self.scan(width, order)
             self.width = len(self.cur)
             return self.width
-        self.keep, self.order, self.counts, self.dropped = keep, order, [], False
-        halves = _halves(self._act_and_visit, width, width >= _SPLIT)
+        counts = []  # the per-half counts of this step
+
+        def work(start: int, stop: int) -> List[np.ndarray]:
+            return self._act_and_visit(start, stop, track, order, counts)
+
+        halves = _halves(work, width, width >= _SPLIT)
         self.cur = None
-        if self.dropped:
+        if self._dropped(track, order, counts):
             del halves
             # the used indices that were unvisited, less those that still are
             self.width = self.used - order - (len(self.seen) - int(np.count_nonzero(self.seen)))
@@ -1068,16 +1083,16 @@ class _Table:
             start = r + 1
         return nxt[:kept]
 
-    def hits(self, level: np.ndarray) -> bool:
-        # every target of level d lies in levels d - 1, d or d + 1, all
-        # visited once d closes: with level d cleared for a moment, the
+    def hits(self) -> bool:
+        # every target of level d (prev) lies in levels d - 1, d or d + 1,
+        # all visited once d closes: with level d cleared for a moment, the
         # targets that read unvisited are those in level d
-        self.seen[level] = False
+        self.seen[self.prev] = False
         hit = any(
-            not self.seen[self.act(level[s : s + self.chunk])].all()
-            for s in range(0, len(level), self.chunk)
+            not self.seen[self.act(self.prev[s : s + self.chunk])].all()
+            for s in range(0, len(self.prev), self.chunk)
         )
-        self.seen[level] = True
+        self.seen[self.prev] = True
         return hit
 
     def codes(self) -> np.ndarray:
@@ -1106,11 +1121,7 @@ class _Levels:
         self.cur = np.array([modmat.encode(ModMatrix.identity(n, m))], dtype=np.int64)
         self.levels = [self.cur] if collect else None
 
-    @property
-    def width(self) -> int:
-        return len(self.cur)
-
-    def charge(self, width: int, order: int) -> int:
+    def charge(self, order: int) -> int:
         # live while level d + 1 is built from the width codes of level d:
         # the codes of levels d - 1 and d (of every level when collecting),
         # and per code of level d its k gathered 8-byte targets and their
@@ -1124,6 +1135,7 @@ class _Levels:
         # code it can hold: k per code of level d at d = 0, and k - 1 past
         # it, as each stored code of level d has a target in level d - 1.
         # Not charged: the sort's temporaries
+        width = len(self.cur)
         kept = order if self.levels is not None else len(self.prev) + width
         scratch = max(
             8 * (self.n**2 + 3) * min(width, _ACT_BLOCK),
@@ -1133,13 +1145,14 @@ class _Levels:
         )
         return 8 * kept + 9 * self.k * width + scratch
 
-    def advance(self, order: int, keep: bool) -> int:
+    def advance(self, order: int, track: bool) -> int:
         # only gather the targets, a chunk at a time: close sorts and probes
         # the whole level once.  Each chunk's act writes its (k, L) block
         # straight into the level's one target array, where canon replaces
         # each target by its orbit's code and close reads it, so no chunk's
-        # block is copied again.  keep is not read: every level is kept as
-        # cur, since the next one is built from its codes
+        # block is copied again.  track is not read: every level is kept as
+        # cur, since the next one is built from its codes, and hits reads
+        # close's probe
         k, width = self.k, len(self.cur)
         joined = np.empty(k * width, dtype=np.int64)
         stabilized = []
@@ -1178,7 +1191,7 @@ class _Levels:
         if self.levels is not None:
             self.levels.append(nxt)
 
-    def hits(self, level: np.ndarray) -> bool:
+    def hits(self) -> bool:
         # read from the probe of level d that close made
         return self.hit
 
@@ -1187,39 +1200,37 @@ class _Levels:
 
 
 def _bfs(
-    gens: List[ModMatrix],
+    store,
+    k: int,
     *,
-    index: Optional[Tuple[int, int]],
     want_girth: bool,
     girth_only: bool,
     collect: bool,
     memory_budget: int,
 ) -> BfsResult:
-    """The level-synchronous sweep, over a _Table indexed as index
-    (_table_index) says, or over a _Levels store when index is None.
+    """The level-synchronous sweep of degree k over store, the _Table or
+    _Levels that bfs() builds, which holds level d: the identity alone when
+    it is built.
 
     A store indexes elements in its own way (_Table by SL_n rank, _Levels by
-    the code of each orbit of Sigma) and provides six members: width, the
-    number of indices of level d, 1 at construction; cur, level d as an
-    array of indices sorted by index, the identity alone at construction,
-    which the loop reads only while the girth is tracked; charge(width,
-    order), the bytes live while the next level is built from a level of
-    width indices, with order elements reached so far; advance(order,
-    keep), which replaces width and cur with those of level d + 1, drops
-    its own reference to level d before it builds the next level, so that
-    level d is freed unless the loop keeps it, and returns the number of
-    elements of level d + 1 (for _Levels, the sum of its orbits' sizes);
-    keep says whether the loop reads level d + 1 as cur, and without it
-    cur may be None (the table's level that only its bottom-up scan
-    follows is never gathered); hits(level d), called after advance,
-    which says whether a target of level d lies in level d; and codes(),
-    the sorted element codes.  The level sizes, the order and the
-    collision rule count elements, not indices.  How a level is built is
-    the store's own choice: the table alone builds a level bottom-up near
-    the end of a sweep and splits a wide level between two threads, and
-    neither changes a level, so the results do not depend on the CPU
-    count.  A level whose charge exceeds the budget is never built;
-    peak_bytes is the largest charge.
+    the code of each orbit of Sigma), and the loop reads it through four
+    members: charge(order), the bytes live while level d + 1 is built from
+    level d, with order elements reached so far; advance(order, track),
+    which builds level d + 1 in place of level d and returns its number of
+    elements (for _Levels, the sum of its orbits' sizes); hits(), called
+    after advance, which says whether a target of level d lies in level d;
+    and codes(), the sorted element codes.  track says whether the girth is
+    still tracked, so whether hits may be called after this advance or the
+    next: while it is, the store keeps what its hits reads (the table keeps
+    level d, and builds level d + 1 in full; frontier search answers from
+    close's probe), and it may free level d as soon as it is not.  The loop
+    holds no level.  The level sizes, the order and the collision rule
+    count elements, not indices.  How a level is built is the store's own
+    choice: the table alone builds a level bottom-up near the end of a
+    sweep and splits a wide level between two threads, and neither changes
+    a level, so the results do not depend on the CPU count.  A level whose
+    charge exceeds the budget is never built; peak_bytes is the largest
+    charge.
 
     The collision rule lives here, on the level sizes alone.  While the
     girth is tracked at level d, an element of level d has one neighbour in
@@ -1230,28 +1241,21 @@ def _bfs(
     (2d + 1) or reaches a new element twice (2d + 2).  Only at the level
     where the count finds such a target does hits decide between the two.
     """
-    k = len(gens)
-    store = _Levels(gens, collect) if index is None else _Table(gens, index)
     sizes = [1]
     order = 1
     peak = 0
     d = 0
     girth: Optional[int] = None
     while True:
-        width = store.width
-        charge = store.charge(width, order)
+        charge = store.charge(order)
         if charge > memory_budget:
             raise BudgetExceededError(d, order)
         peak = max(peak, charge)
-        # level d is needed after advance only while the girth is tracked:
-        # otherwise the store frees it before it builds the next level.
-        # While it is tracked, level d + 1 may be needed for the next hits
-        # too, so the store keeps it as cur
-        level = store.cur if want_girth and girth is None else None
-        new = store.advance(order, level is not None)
+        track = want_girth and girth is None
+        new = store.advance(order, track)
         size = sizes[-1]
-        if level is not None and k * size - new - (size if d else 0) > 0:
-            girth = 2 * d + 1 if store.hits(level) else 2 * d + 2
+        if track and k * size - new - (size if d else 0) > 0:
+            girth = 2 * d + 1 if store.hits() else 2 * d + 2
             if girth_only:
                 return BfsResult(order, None, girth, k, max(sizes), peak, None, tuple(sizes))
         if not new:
@@ -1333,8 +1337,8 @@ def bfs(
     if index and 3 * index[0] + index[1] > memory_budget:
         index = None
     res = _bfs(
-        gens,
-        index=index,
+        _Levels(gens, collect) if index is None else _Table(gens, index),
+        len(gens),
         want_girth=want_girth,
         girth_only=girth_only,
         collect=collect,

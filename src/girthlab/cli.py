@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence
 
 from . import cayley, modmat, params, spectral, words
 from .cayley import BudgetExceededError, DegenerateSpecError
-from .exactmat import ParameterError, Word, _Square, generator_pair, magic_pair
+from .exactmat import ParameterError, ShapeError, Word, _Square, generator_pair, magic_pair
 from .modmat import is_prime
 from .params import GraphSpec
 from .words import RecipeError
@@ -497,7 +497,7 @@ def run(argv: Sequence[str]) -> int:
     except RecipeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ParameterError, DegenerateSpecError, modmat.NonInvertibleError) as exc:
+    except (ParameterError, ShapeError, DegenerateSpecError, modmat.NonInvertibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
 

@@ -209,77 +209,78 @@ def _bfs_reference(generators):
 
 
 def _engine(gens, *, table, **kw):
-    # the one BFS loop with its visited set forced: the rank table, indexed
-    # as bfs() would index it, or the sorted levels of frontier search
+    # the one BFS loop over a visited set that the test picks: the rank
+    # table, indexed as bfs() would index it, or the sorted levels of
+    # frontier search
     index = cayley._table_index(gens) if table else None
     assert index is not None or not table, "unranked elements have no table"
-    return cayley._bfs(gens, index=index, **kw)
+    store = cayley._Table(gens, index) if table else cayley._Levels(gens, kw["collect"])
+    return cayley._bfs(store, len(gens), **kw)
 
 
 class _SetStore:
-    """A visited set of element codes in a Python set, with only the members
-    that _bfs reads: width, cur, charge, advance, hits and codes.  Its
-    charge is width + order, recorded in _charges."""
+    """A visited set of element codes in a Python set, with only the four
+    members that _bfs reads: charge, advance, hits and codes.  Its charge is
+    the width of level d plus order, recorded in _charges.  advance records
+    track in _tracks and keeps level d for hits only while track is set; hits
+    records the depth of the level d that it reads in _hits."""
 
-    def __init__(self, gens, collect):
+    def __init__(self, gens):
         self._gens = gens
-        self.cur = [modmat.encode(ModMatrix.identity(gens[0].n, gens[0].m))]
-        self._seen = set(self.cur)
+        self._cur = [modmat.encode(ModMatrix.identity(gens[0].n, gens[0].m))]
+        self._prev = None
+        self._seen = set(self._cur)
         self._charges = []
-        self._keeps = []
+        self._tracks = []
+        self._hits = []
 
     def _targets(self, level):
         n, m = self._gens[0].n, self._gens[0].m
         return {modmat.encode(modmat.decode(c, n, m) @ g) for c in level for g in self._gens}
 
-    @property
-    def width(self):
-        return len(self.cur)
+    def charge(self, order):
+        self._charges.append(len(self._cur) + order)
+        return self._charges[-1]
 
-    def charge(self, width, order):
-        self._charges.append(width + order)
-        return width + order
+    def advance(self, order, track):
+        self._tracks.append(track)
+        self._prev = self._cur if track else None
+        self._cur = sorted(self._targets(self._cur) - self._seen)
+        self._seen.update(self._cur)
+        return len(self._cur)
 
-    def advance(self, order, keep):
-        self._keeps.append(keep)
-        self.cur = sorted(self._targets(self.cur) - self._seen)
-        self._seen.update(self.cur)
-        return len(self.cur)
-
-    def hits(self, level):
-        return not self._targets(level).isdisjoint(level)
+    def hits(self):
+        # level d is the one the last advance built level d + 1 from
+        self._hits.append(len(self._tracks) - 1)
+        return not self._targets(self._prev).isdisjoint(self._prev)
 
     def codes(self):
         return np.array(sorted(self._seen), dtype=np.int64)
 
 
 @pytest.mark.parametrize("want_girth,girth_only", [(False, False), (True, False), (True, True)])
-def test_a_store_of_six_members_drives_the_loop(monkeypatch, want_girth, girth_only):
-    # _bfs reads a store only through width, cur, charge, advance, hits and
-    # codes: _SetStore, put in frontier search's place, gives the
-    # reference's order, girth, diameter, sphere sizes and codes, or,
-    # girth-only, the levels up to the first cycle.  Even (SL_2(F_7), 6) and
-    # odd girths (SL_2(F_11), 9; SL_3(F_3), 3).  advance is asked to keep
-    # the next level exactly while the girth is open
-    stores = []
-
-    def store(gens, collect):
-        stores.append(_SetStore(gens, collect))
-        return stores[-1]
-
-    monkeypatch.setattr(cayley, "_Levels", store)
+def test_a_store_of_four_members_drives_the_loop(want_girth, girth_only):
+    # _bfs reads a store only through charge, advance, hits and codes:
+    # _SetStore, passed straight to the loop, gives the reference's order,
+    # girth, diameter, sphere sizes and codes, or, girth-only, the levels up
+    # to the first cycle.  Even (SL_2(F_7), 6) and odd girths (SL_2(F_11), 9;
+    # SL_3(F_3), 3).  advance is told to track the girth exactly while it is
+    # open, and hits is called once per tracked sweep, at the level where
+    # the first cycle closes
     kw = dict(want_girth=want_girth, girth_only=girth_only, collect=True, memory_budget=1 << 30)
     for spec, m in ((SPEC2, 7), (SPEC2, 11), (SPEC3, 3)):
         gens = symmetrize(spec_generators(spec, m))
         ref = _bfs_reference(gens)
-        res = _engine(gens, table=False, **kw)
+        store = _SetStore(gens)
+        res = cayley._bfs(store, len(gens), **kw)
         depth = len(res.sphere_sizes)
         assert res.sphere_sizes == ref.sphere_sizes[:depth], (m, res.sphere_sizes)
         assert res.order == sum(res.sphere_sizes)
         assert res.girth == (ref.girth if want_girth else None)
-        assert res.peak_bytes == max(stores[-1]._charges)
+        assert res.peak_bytes == max(store._charges)
         last = (ref.girth - 1) // 2 if want_girth else -1
-        assert stores[-1]._keeps == [d <= last for d in range(depth)]
+        assert store._tracks == [d <= last for d in range(depth)]
+        assert store._hits == ([last] if want_girth else [])
         if girth_only:
             assert (res.diameter, res.codes) == (None, None)
             assert depth == (ref.girth - 1) // 2 + 1
@@ -560,6 +561,36 @@ def test_product_action_fills_a_block_in_place(n, m, codes_per_block, monkeypatc
         assert got[:, j].tolist() == want
 
 
+@pytest.mark.parametrize("n,m", [(2, 101), (3, 127)])
+def test_code_action_does_not_depend_on_the_order_of_a_plan(n, m):
+    # the place weight m^0 = 1 belongs to entry (0, 0) alone, which the
+    # plans of _product_action and _Orbits list first; listed backwards, a
+    # plan's entry (0, 0) is added last, at weight 1, and the images are the
+    # same.  For n = 3 one more plan reads 2 x 2 minors, as sigma's does
+    rng = np.random.default_rng(n + m)
+    gens = [
+        ModMatrix.from_rows(rng.integers(1, m, size=(n, n)).tolist(), m) for _ in range(3)
+    ]
+    plans = [
+        [
+            (m ** (n * r + x), [(n * r + c, g.entries[c][x]) for c in range(n)])
+            for r in range(n)
+            for x in range(n)
+        ]
+        for g in gens
+    ]
+    if n == 3:
+        plans.append([(m ** src, [(n * n + src, 1 + src)]) for src in range(n * n)])
+    assert all(plan[0][0] == 1 for plan in plans)
+    codes = np.concatenate([[0, m ** (n * n) - 1], rng.integers(0, m ** (n * n), size=300)])
+    ordered = cayley._code_action(n, m, plans)(codes)
+    backwards = cayley._code_action(n, m, [plan[::-1] for plan in plans])(codes)
+    assert np.array_equal(ordered, backwards)
+    for j, g in enumerate(gens):
+        want = [modmat.encode(modmat.decode(c, n, m) @ g) for c in codes.tolist()]
+        assert ordered[:, j].tolist() == want
+
+
 @pytest.mark.parametrize("spec,m", [(SPEC3, 3), (SPEC2, 9), (SPEC2, 10), (SPEC2, 11)])
 def test_dense_and_sparse_engines_agree_past_depth_three(spec, m):
     # the dense table holds one visited byte and no depth, so the collision
@@ -690,8 +721,8 @@ def test_bottom_up_at_every_level_matches_the_reference(monkeypatch, want_girth)
         tops = np.asarray(ranks) // (len(table.seen) // len(table.cls))
         return (table.cls[tops] != 0).all()
 
-    def spy(self, order, keep, advance=cayley._Table.advance):
-        size = advance(self, order, keep)
+    def spy(self, order, track, advance=cayley._Table.advance):
+        size = advance(self, order, track)
         nxt = self.cur
         assert (np.diff(nxt) > 0).all() and nxt.dtype == np.int32
         assert used(self, nxt)
@@ -824,9 +855,9 @@ def test_one_cpu_runs_each_level_whole_here(monkeypatch):
     gens = symmetrize(spec_generators(SPEC3, 3))
     spans = []
 
-    def spy(self, start, stop, work=cayley._Table._act_and_visit):
+    def spy(self, start, stop, *step, work=cayley._Table._act_and_visit):
         spans.append((start, stop, len(self.cur)))
-        return work(self, start, stop)
+        return work(self, start, stop, *step)
 
     monkeypatch.setattr(cayley._Table, "_act_and_visit", spy)
     with monkeypatch.context() as mp:
@@ -882,17 +913,19 @@ def _every_level_reference(case):
 @pytest.mark.parametrize("want_girth", [False, True])
 def test_a_level_that_only_scan_follows_is_never_built(monkeypatch, want_girth, cpus):
     # top-down, the table gathers, concatenates and sorts level d + 1 (close)
-    # only when _bfs keeps it for hits or when the step after it is
-    # top-down too; a level that only scan follows is dropped, and its
-    # successor is scanned.  The SL_4(F_3) unit band and (2, 1, 2, 2) at the
-    # primes 61..101, with every level split (_SPLIT = 1) on two CPUs, where
-    # the count that drops a level takes both halves, and whole on one.
-    # With the rule forced on from order 2 at p = 61, level 1 is kept for
-    # hits while the girth is tracked, and dropped otherwise.  Order, girth,
-    # diameter, sphere sizes and codes equal the reference's
+    # only while the girth is tracked, as hits may read it, or when the step
+    # after it is top-down too; a level that only scan follows is dropped,
+    # and its successor is scanned.  While the girth is tracked the table
+    # keeps level d for hits, and otherwise keeps no level but cur.  The
+    # SL_4(F_3) unit band and (2, 1, 2, 2) at the primes 61..101, with every
+    # level split (_SPLIT = 1) on two CPUs, where the count that drops a
+    # level takes both halves, and whole on one.  With the rule forced on
+    # from order 2 at p = 61, level 1 is kept for hits while the girth is
+    # tracked, and dropped otherwise.  Order, girth, diameter, sphere sizes
+    # and codes equal the reference's
     _threads(monkeypatch, cpus)
     monkeypatch.setattr(cayley, "_SPLIT", 1)
-    steps = []  # per advance: keep, and whether it scanned, closed, built cur
+    steps = []  # per advance: track, and whether it scanned, closed, built cur
 
     def spy(name, real):
         def call(self, *args):
@@ -904,10 +937,11 @@ def test_a_level_that_only_scan_follows_is_never_built(monkeypatch, want_girth, 
     spy("scan", cayley._Table.scan)
     spy("close", cayley._Table.close)
 
-    def advance(self, order, keep, real=cayley._Table.advance):
-        steps.append(dict(keep=keep, scan=False, close=False))
-        size = real(self, order, keep)
+    def advance(self, order, track, real=cayley._Table.advance):
+        steps.append(dict(track=track, scan=False, close=False))
+        size = real(self, order, track)
         steps[-1]["built"] = self.cur is not None
+        assert (self.prev is not None) == track
         return size
 
     monkeypatch.setattr(cayley._Table, "advance", advance)
@@ -928,13 +962,13 @@ def test_a_level_that_only_scan_follows_is_never_built(monkeypatch, want_girth, 
         ), (case, forced)
         assert hashlib.sha256(res.codes.tobytes()).hexdigest() == digest
         # a top-down level is closed exactly when it is built, and built
-        # exactly when it is kept or the step after it is top-down
+        # exactly when the girth is tracked or the step after it is top-down
         top_down = [(step, after) for step, after in zip(steps, steps[1:]) if not step["scan"]]
         for step, after in top_down:
-            assert step["close"] == step["built"] == (step["keep"] or not after["scan"])
+            assert step["close"] == step["built"] == (step["track"] or not after["scan"])
         # the girth is tracked up to level (girth - 1) // 2
         last = (girth_ref - 1) // 2 if want_girth else -1
-        assert [step["keep"] for step in steps] == [d <= last for d in range(len(steps))]
+        assert [step["track"] for step in steps] == [d <= last for d in range(len(steps))]
         # some level is dropped, but none while the girth is open
         assert any(not step["built"] for step, _ in top_down) != (forced and want_girth)
     assert _every_level_reference("unit band")[1][3] == UNIT_BAND_SIZES
@@ -1041,16 +1075,16 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
         answers = probed[store] = []
         ranked = store is cayley._Table
 
-        def spy(self, order, keep, advance=store.advance, calls=calls, ranked=ranked):
+        def spy(self, order, track, advance=store.advance, calls=calls, ranked=ranked):
             if ranked:
                 seen, scanned = self.seen.copy(), len(scans)
-            size = advance(self, order, keep)
+            size = advance(self, order, track)
             nxt = self.cur
             if ranked:
                 ups.append(len(scans) > scanned)
                 new = np.flatnonzero(self.seen & ~seen)
                 if nxt is None:
-                    assert not keep
+                    assert not track
                     unbuilt.append(len(calls))
                     nxt = new
                 else:
@@ -1058,16 +1092,16 @@ def test_table_and_levels_close_the_same_sorted_levels(monkeypatch, spec, m, wan
                     # ranks stay below 2^31
                     assert nxt.dtype == np.int32
                     assert np.array_equal(nxt, new)
+                assert self.width == len(nxt)
             else:
                 # frontier search keeps int64 codes
                 assert nxt.dtype == np.int64
             assert (np.diff(nxt) > 0).all()  # sorted by index
-            assert self.width == len(nxt)
             calls.append((np.sort(self.unrank(nxt)) if ranked else nxt, size))
             return size
 
-        def spy_hits(self, level, hits=store.hits, answers=answers):
-            answers.append(hits(self, level))
+        def spy_hits(self, hits=store.hits, answers=answers):
+            answers.append(hits(self))
             return answers[-1]
 
         monkeypatch.setattr(store, "advance", spy)
@@ -1271,9 +1305,9 @@ def _close_levels(prev, cur, targets, d):
     assert np.array_equal(store.prev, cur)
     assert store.levels == [nxt]
     # the rule as _bfs applies it, with the hand-built targets in place of
-    # its k |L_d|; once d closes, store.prev is level d
+    # its k |L_d|; hits reads close's probe of level d
     if len(targets) - len(nxt) - (len(cur) if d else 0) > 0:
-        return nxt.tolist(), 2 * d + 1 if store.hits(store.prev) else 2 * d + 2
+        return nxt.tolist(), 2 * d + 1 if store.hits() else 2 * d + 2
     return nxt.tolist(), None
 
 
@@ -1774,9 +1808,9 @@ def test_unranked_full_sweeps_take_frontier_search(monkeypatch):
     widths = []  # (P_d, C_d) for each level d, as charge reads them
     charge = cayley._Levels.charge
 
-    def spy(self, width, order):
-        widths.append((len(self.prev), width))
-        return charge(self, width, order)
+    def spy(self, order):
+        widths.append((len(self.prev), len(self.cur)))
+        return charge(self, order)
 
     monkeypatch.setattr(cayley._Levels, "charge", spy)
     res = cayley.bfs(spec_generators(SPEC2, 35), want_girth=True)
@@ -1799,13 +1833,16 @@ def test_unranked_full_sweeps_take_frontier_search(monkeypatch):
 
 def test_girth_only_search_never_takes_the_table(monkeypatch):
     # even a budget that holds the 3 * 307^3-byte rank table many times over
-    # keeps a girth-only search on frontier search; the spy allocates nothing
+    # keeps a girth-only search on frontier search; the spies allocate
+    # nothing, neither store nor level
     chosen = []
 
-    def spy(gens, *, index, **kw):
-        chosen.append((index is not None, kw["girth_only"]))
-        return cayley.BfsResult(1, None, None, len(gens), 1, 0)
+    def spy(store, k, **kw):
+        chosen.append((store == "table", kw["girth_only"]))
+        return cayley.BfsResult(1, None, None, k, 1, 0)
 
+    monkeypatch.setattr(cayley, "_Table", lambda gens, index: "table")
+    monkeypatch.setattr(cayley, "_Levels", lambda gens, collect: "levels")
     monkeypatch.setattr(cayley, "_bfs", spy)
     X, Y = spec_generators(SPEC2, 307)
     cayley.bfs([X, Y], want_girth=True, girth_only=True, memory_budget=1 << 45)

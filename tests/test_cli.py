@@ -349,6 +349,21 @@ def test_bound_at_l_zero_is_a_parameter_error(capsys):
     assert err.startswith("error: ") and "l=0" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "n,l,message",
+    [(9, 1, "support n <= 8"), (2, 10**160, "overflow double precision")],
+    ids=["n=9", "l=10^160"],
+)
+def test_bound_beyond_the_gram_norms_is_a_parameter_error(capsys, n, l, message):
+    # the Gram norms take n <= 8 and entries that fit a double: past either,
+    # an error line and EXIT_PARAM, not a ShapeError traceback
+    argv = ["bound", "--n", str(n), "--l", str(l), "--a", "2", "--b", "2", "--p", "101"]
+    code, out, err = run_capture(capsys, argv)
+    assert code == EXIT_PARAM
+    assert out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_verify_generation_asserted_prime(capsys):
     code, out, _ = run_capture(
         capsys,
